@@ -15,11 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/ec/curves.h"
+#include "src/gpusim/health.h"
 #include "src/msm/checksum.h"
 #include "src/msm/distmsm.h"
 #include "src/msm/reference.h"
@@ -796,6 +799,297 @@ TEST(FaultOverhead, ChecksumOverheadUnderThreePercentAt2e18)
     // The exposed overhead can never exceed the raw digest work.
     EXPECT_LE(overhead, t.verifyNs);
 }
+
+// --- Characterization matrix: windowed vs combined shapes ------------
+
+/**
+ * Every (execution shape, merge, fault) cell on a 2x2 DGX topology at
+ * N = 2^10, each run at hostThreads 1 and 4. A cell pins its status
+ * code and, when it recovers, all 18 integer FaultReport fields; its
+ * value, KernelStats and hostOps must equal the shape's fault-free
+ * run, which itself equals serial Pippenger. The literals also pin
+ * where the shapes differ: a combined precompute pass loses a killed
+ * device's bucket slice whole (whatever the kill window), reshards a
+ * hung or quarantined slice onto a survivor, only logs a degraded
+ * one, and under a plan-Gather merge ships one transfer per slice.
+ */
+enum class Shape { Windowed, Combined };
+
+enum class CellFault {
+    None,
+    KillWin0,
+    KillWin1,
+    Hang,
+    Degrade4,
+    Flaky,
+    Quarantine,
+};
+
+/** The integer FaultReport fields, in declaration order. */
+using ReportInts = std::array<std::uint64_t, 18>;
+
+ReportInts
+reportInts(const gpusim::FaultReport &r)
+{
+    return {r.faultsInjected,     r.corruptInjected,
+            r.corruptDetected,    r.timeouts,
+            r.retries,            r.windowsResharded,
+            r.reshardsIntraNode,  r.reshardsCrossNode,
+            r.devicesLost,        r.transfers,
+            r.checksummed,        r.verifyEcOps,
+            r.stragglersDetected, r.stragglerRespawns,
+            r.speculativeWins,    r.speculativeLosses,
+            r.hangs,              r.transferFailovers};
+}
+
+struct MatrixCell
+{
+    Shape shape;
+    gpusim::CollectivePolicy merge;
+    CellFault fault;
+    StatusCode code;
+    /** Expected reportInts() of a recovered run (ignored on error). */
+    ReportInts report;
+};
+
+const char *
+shapeName(Shape s)
+{
+    return s == Shape::Windowed ? "Windowed" : "Combined";
+}
+
+const char *
+cellFaultName(CellFault f)
+{
+    switch (f) {
+    case CellFault::None: return "None";
+    case CellFault::KillWin0: return "KillWin0";
+    case CellFault::KillWin1: return "KillWin1";
+    case CellFault::Hang: return "Hang";
+    case CellFault::Degrade4: return "Degrade4";
+    case CellFault::Flaky: return "Flaky";
+    case CellFault::Quarantine: return "Quarantine";
+    }
+    return "?";
+}
+
+/** Every fault targets device 1 (node 0 of dgx(2, 2)). */
+const char *
+cellFaultSpec(CellFault f)
+{
+    switch (f) {
+    case CellFault::KillWin0: return "kill:dev=1@win=0";
+    case CellFault::KillWin1: return "kill:dev=1@win=1";
+    case CellFault::Hang: return "hang:dev=1";
+    case CellFault::Degrade4: return "degrade:dev=1,factor=4";
+    case CellFault::Flaky: return "flaky:dev=1,p=0.5;seed:1";
+    case CellFault::None:
+    case CellFault::Quarantine: return "";
+    }
+    return "";
+}
+
+/** A pinned window keeps a quarantine re-plan on the same geometry. */
+MsmOptions
+shapeOptions(Shape shape)
+{
+    auto o = faultTestOptions(8);
+    o.precompute = shape == Shape::Combined;
+    return o;
+}
+
+const Workload<Bn254> &
+matrixWorkload()
+{
+    static const Workload<Bn254> w =
+        makeWorkload<Bn254>(std::size_t{1} << 10, 0xFA20);
+    return w;
+}
+
+Cluster
+matrixCluster()
+{
+    return Cluster(DeviceSpec::a100(), gpusim::Topology::dgx(2, 2));
+}
+
+/** The shape's fault-free gather run at hostThreads 1. */
+const MsmResult<Bn254> &
+shapeBaseline(Shape shape)
+{
+    static std::map<Shape, MsmResult<Bn254>> cache;
+    auto it = cache.find(shape);
+    if (it != cache.end())
+        return it->second;
+    auto options = shapeOptions(shape);
+    options.hostThreads = 1;
+    const auto &w = matrixWorkload();
+    const MsmResult<Bn254> r =
+        computeDistMsm<Bn254>(w.points, w.scalars, matrixCluster(),
+                              options);
+    return cache.emplace(shape, r).first->second;
+}
+
+std::string
+reportRow(const ReportInts &r)
+{
+    std::ostringstream os;
+    os << "{";
+    for (std::size_t i = 0; i < r.size(); ++i)
+        os << (i ? ", " : "") << r[i];
+    os << "}";
+    return os.str();
+}
+
+class ShapeFaultMatrix : public ::testing::TestWithParam<MatrixCell>
+{
+};
+
+TEST_P(ShapeFaultMatrix, PinsStatusReportAndBits)
+{
+    const MatrixCell &cell = GetParam();
+    const auto &w = matrixWorkload();
+    const MsmResult<Bn254> &clean = shapeBaseline(cell.shape);
+    ASSERT_TRUE(clean.value ==
+                msmSerialPippenger<Bn254>(w.points, w.scalars, 8));
+    ASSERT_EQ(clean.plan.precompute, cell.shape == Shape::Combined)
+        << "the planner changed the execution shape";
+
+    for (const int threads : {1, 4}) {
+        auto options = shapeOptions(cell.shape);
+        options.hostThreads = threads;
+        options.collective = cell.merge;
+        const auto plan_or = FaultPlan::parse(cellFaultSpec(cell.fault));
+        ASSERT_TRUE(plan_or.isOk());
+        options.faults = *plan_or;
+        gpusim::HealthTracker health(4);
+        if (cell.fault == CellFault::Quarantine) {
+            health.recordHang(1);
+            ASSERT_FALSE(health.schedulable(1));
+            options.health = &health;
+        }
+        const auto result_or = tryComputeDistMsm<Bn254>(
+            w.points, w.scalars, matrixCluster(), options);
+        const StatusCode code = result_or.isOk()
+                                    ? StatusCode::Ok
+                                    : result_or.status().code();
+        EXPECT_EQ(code, cell.code)
+            << "threads=" << threads << " got "
+            << support::statusCodeName(code);
+        if (!result_or.isOk())
+            continue;
+        const auto &r = *result_or;
+        EXPECT_TRUE(bitEqual(r.value, clean.value))
+            << "threads=" << threads;
+        EXPECT_EQ(r.stats, clean.stats) << "threads=" << threads;
+        EXPECT_EQ(r.hostOps, clean.hostOps) << "threads=" << threads;
+        EXPECT_EQ(reportInts(r.fault), cell.report)
+            << "threads=" << threads << " report "
+            << reportRow(reportInts(r.fault));
+    }
+}
+
+using gpusim::CollectivePolicy;
+constexpr CollectivePolicy kGather = CollectivePolicy::Gather;
+constexpr CollectivePolicy kTree = CollectivePolicy::Tree;
+constexpr CollectivePolicy kRs = CollectivePolicy::ReduceScatter;
+
+const MatrixCell kMatrixCells[] = {
+    {Shape::Windowed, kGather, CellFault::None, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 64, 1664, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kGather, CellFault::KillWin0, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 8, 3, 5, 1, 3, 64, 1664, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kGather, CellFault::KillWin1, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 7, 3, 4, 1, 4, 64, 1664, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kGather, CellFault::Hang, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 64, 1664, 8, 8, 8, 0, 1, 0}},
+    {Shape::Windowed, kGather, CellFault::Degrade4, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 64, 1664, 8, 8, 8, 0, 0, 0}},
+    {Shape::Windowed, kGather, CellFault::Flaky, StatusCode::Ok,
+     {1, 1, 1, 0, 1, 0, 0, 0, 0, 5, 80, 2080, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kGather, CellFault::Quarantine, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 64, 1664, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kTree, CellFault::None, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 128, 3328, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kTree, CellFault::KillWin0, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 8, 3, 5, 1, 3, 126, 3276, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kTree, CellFault::KillWin1, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 8, 3, 5, 1, 3, 126, 3276, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kTree, CellFault::Hang, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 112, 2912, 8, 8, 8, 0, 1, 0}},
+    {Shape::Windowed, kTree, CellFault::Degrade4, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 112, 2912, 8, 8, 8, 0, 0, 0}},
+    {Shape::Windowed, kTree, CellFault::Flaky, StatusCode::Ok,
+     {2, 2, 2, 0, 2, 0, 0, 0, 0, 6, 160, 4160, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kTree, CellFault::Quarantine, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 126, 3276, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kRs, CellFault::None, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 112, 2912, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kRs, CellFault::KillWin0, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 8, 3, 5, 1, 9, 172, 4472, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kRs, CellFault::KillWin1, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 8, 3, 5, 1, 9, 172, 4472, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kRs, CellFault::Hang, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 9, 174, 4524, 8, 8, 8, 0, 1, 0}},
+    {Shape::Windowed, kRs, CellFault::Degrade4, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 9, 174, 4524, 8, 8, 8, 0, 0, 0}},
+    {Shape::Windowed, kRs, CellFault::Flaky, StatusCode::Ok,
+     {3, 3, 3, 0, 3, 0, 0, 0, 0, 19, 144, 3744, 0, 0, 0, 0, 0, 0}},
+    {Shape::Windowed, kRs, CellFault::Quarantine, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 106, 2756, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kGather, CellFault::None, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 510, 13260, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kGather, CellFault::KillWin0, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 1, 4, 510, 13260, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kGather, CellFault::KillWin1, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 1, 4, 510, 13260, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kGather, CellFault::Hang, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 0, 4, 510, 13260, 1, 1, 1, 0, 1, 0}},
+    {Shape::Combined, kGather, CellFault::Degrade4, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 4, 510, 13260, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kGather, CellFault::Flaky, StatusCode::Ok,
+     {1, 1, 1, 0, 1, 0, 0, 0, 0, 5, 638, 16588, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kGather, CellFault::Quarantine, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 1, 1, 0, 0, 4, 510, 13260, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kTree, CellFault::None, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1022, 26572, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kTree, CellFault::KillWin0, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 1, 3, 894, 23244, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kTree, CellFault::KillWin1, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 1, 3, 894, 23244, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kTree, CellFault::Hang, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 0, 3, 894, 23244, 1, 1, 1, 0, 1, 0}},
+    {Shape::Combined, kTree, CellFault::Degrade4, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1022, 26572, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kTree, CellFault::Flaky, StatusCode::Ok,
+     {2, 2, 2, 0, 2, 0, 0, 0, 0, 6, 1278, 33228, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kTree, CellFault::Quarantine, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 1, 1, 0, 0, 3, 894, 23244, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kRs, CellFault::None, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 1662, 43212, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kRs, CellFault::KillWin0, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 1, 9, 1360, 35360, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kRs, CellFault::KillWin1, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 1, 9, 1360, 35360, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kRs, CellFault::Hang, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 1, 1, 0, 0, 9, 1360, 35360, 1, 1, 1, 0, 1, 0}},
+    {Shape::Combined, kRs, CellFault::Degrade4, StatusCode::Ok,
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 16, 1662, 43212, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kRs, CellFault::Flaky, StatusCode::Ok,
+     {3, 3, 3, 0, 3, 0, 0, 0, 0, 19, 1950, 50700, 0, 0, 0, 0, 0, 0}},
+    {Shape::Combined, kRs, CellFault::Quarantine, StatusCode::Ok,
+     {0, 0, 0, 0, 0, 1, 1, 0, 0, 9, 1360, 35360, 0, 0, 0, 0, 0, 0}},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, ShapeFaultMatrix, ::testing::ValuesIn(kMatrixCells),
+    [](const ::testing::TestParamInfo<MatrixCell> &info) {
+        const char *merge =
+            info.param.merge == kGather ? "Gather"
+            : info.param.merge == kTree ? "Tree"
+                                        : "ReduceScatter";
+        return std::string(shapeName(info.param.shape)) + "_" + merge +
+               "_" + cellFaultName(info.param.fault);
+    });
 
 } // namespace
 } // namespace distmsm::msm

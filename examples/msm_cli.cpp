@@ -14,7 +14,6 @@
  *            --planner=<heuristic|search|cached>
  *            --topology=<spec>
  *            --collective=<gather|ring|tree|reduce-scatter|auto>
- *            --pipeline-depth=<d> --partitions=<k>
  *            --window=<s> --functional=<log2 n>
  *            --faults=<spec> --max-retries=<n> --no-checksums
  *            --no-watchdog --watchdog-slack=<f> --health
@@ -114,16 +113,6 @@ printHelp()
         "reduce-scatter |\n"
         "                       auto (tuner re-resolves per merge "
         "payload)\n"
-        "  --pipeline-depth=<d> MSMs kept in flight per partition "
-        "when\n"
-        "                       pricing the proving pipeline "
-        "(default 1;\n"
-        "                       0 lets --planner=search choose)\n"
-        "  --partitions=<k>     split the cluster into k independent\n"
-        "                       device groups for pricing (default "
-        "1;\n"
-        "                       0 lets --planner=search choose; must\n"
-        "                       divide the GPU count)\n"
         "  --window=<s>         pin the window size\n"
         "  --functional=<ln>    run functionally at N = 2^ln and\n"
         "                       check against serial Pippenger\n"
@@ -389,10 +378,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.collective = *policy_or;
-        } else if (arg.rfind("--pipeline-depth=", 0) == 0) {
-            options.pipelineDepth = std::atoi(arg.c_str() + 17);
-        } else if (arg.rfind("--partitions=", 0) == 0) {
-            options.devicePartitions = std::atoi(arg.c_str() + 13);
         } else if (arg.rfind("--max-retries=", 0) == 0) {
             options.maxRetries = std::atoi(arg.c_str() + 14);
         } else if (arg.rfind("--window=", 0) == 0) {
@@ -475,11 +460,6 @@ main(int argc, char **argv)
             merge_costs.gatherNs / 1e6, merge_costs.ringNs / 1e6,
             merge_costs.treeNs / 1e6,
             merge_costs.reduceScatterNs / 1e6);
-    }
-    if (plan.pipelineDepth > 1 || plan.devicePartitions > 1) {
-        std::printf("      pipeline: depth %d, %d device "
-                    "partition(s)\n",
-                    plan.pipelineDepth, plan.devicePartitions);
     }
 
     const auto t =

@@ -53,26 +53,6 @@ Cluster::forEachDevice(int tasks, const std::function<void(int)> &fn,
         support::resolveHostThreads(host_threads));
 }
 
-support::Status
-Cluster::forEachDeviceChecked(
-    int tasks, const std::function<support::Status(int)> &fn,
-    int host_threads) const
-{
-    if (tasks <= 0)
-        return support::Status::ok();
-    std::vector<support::Status> slots(
-        static_cast<std::size_t>(tasks));
-    support::ThreadPool::global().parallelFor(
-        0, static_cast<std::size_t>(tasks),
-        [&](std::size_t i) { slots[i] = fn(static_cast<int>(i)); },
-        support::resolveHostThreads(host_threads));
-    for (support::Status &s : slots) {
-        if (!s.isOk())
-            return s;
-    }
-    return support::Status::ok();
-}
-
 int
 Cluster::numNodes() const
 {
@@ -103,28 +83,6 @@ Cluster::labelTraceLanes(support::TraceRecorder &trace) const
         trace.labelThread(lane::devicePid(d), lane::kTransferTid,
                           "transfer");
     }
-}
-
-double
-Cluster::traceGather(support::TraceRecorder &trace,
-                     const std::string &label,
-                     std::uint64_t bytes_per_gpu, double start_ns,
-                     std::uint64_t flow_id_base) const
-{
-    namespace lane = support::tracelane;
-    labelTraceLanes(trace);
-    const double dur_ns = gatherNs(bytes_per_gpu);
-    const double end_ns = start_ns + dur_ns;
-    support::TraceArgs args;
-    args.arg("bytes_per_gpu", static_cast<double>(bytes_per_gpu));
-    for (int d = 0; d < num_gpus_; ++d) {
-        trace.span(label, "transfer", lane::devicePid(d),
-                   lane::kTransferTid, start_ns, dur_ns, args);
-        trace.flow(label, flow_id_base + static_cast<std::uint64_t>(d),
-                   lane::devicePid(d), lane::kTransferTid, end_ns,
-                   lane::kHostPid, lane::kComputeTid, end_ns);
-    }
-    return end_ns;
 }
 
 } // namespace distmsm::gpusim

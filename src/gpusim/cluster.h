@@ -19,7 +19,6 @@
 #include "src/gpusim/cost_model.h"
 #include "src/gpusim/device.h"
 #include "src/gpusim/topology.h"
-#include "src/support/status.h"
 
 namespace distmsm::support {
 class TraceRecorder;
@@ -87,19 +86,6 @@ class Cluster
                        const std::function<void(int)> &fn,
                        int host_threads = 0) const;
 
-    /**
-     * forEachDevice with a typed error channel: each task returns a
-     * support::Status into its own slot, and the first non-ok status
-     * in *task index order* (not completion order, so the result is
-     * deterministic across host thread counts) is returned. Used by
-     * the fault-tolerant MSM paths, where a task may report its
-     * simulated device as lost instead of aborting the process.
-     */
-    support::Status
-    forEachDeviceChecked(int tasks,
-                         const std::function<support::Status(int)> &fn,
-                         int host_threads = 0) const;
-
     /** forEachDevice over exactly the cluster's GPUs. */
     void
     forEachGpu(const std::function<void(int)> &fn,
@@ -115,19 +101,6 @@ class Cluster
      * call it before emitting device spans.
      */
     void labelTraceLanes(support::TraceRecorder &trace) const;
-
-    /**
-     * Emit the gather of @p bytes_per_gpu from every GPU as trace
-     * spans: one span named @p label on each device's transfer track
-     * starting at @p start_ns and lasting gatherNs(bytes_per_gpu),
-     * with a flow arrow from its end into the host-CPU lane.
-     * @p flow_id_base salts the arrow ids (caller keeps them unique
-     * per trace). Returns the gather's end time (ns).
-     */
-    double traceGather(support::TraceRecorder &trace,
-                       const std::string &label,
-                       std::uint64_t bytes_per_gpu, double start_ns,
-                       std::uint64_t flow_id_base) const;
 
   private:
     DeviceSpec device_;

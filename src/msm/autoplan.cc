@@ -1,6 +1,7 @@
 #include "src/msm/autoplan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -12,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/msm/pipeline.h"
 #include "src/sched/schedule_search.h"
 #include "src/support/trace.h"
 
@@ -38,11 +38,6 @@ struct Candidate
     FieldBackend fieldBackend = FieldBackend::Auto;
     CollectivePolicy collective = CollectivePolicy::Gather;
     int threadsPerBucket = 1;
-    /** Pricing knobs (MsmOptions::pipelineDepth/devicePartitions):
-     *  0 passes the search sentinel through, which planMsmHeuristic
-     *  resolves to 1 — identical to an explicit 1. */
-    int pipelineDepth = 1;
-    int devicePartitions = 1;
 };
 
 /** The caller's own knobs as a candidate — the search's seed. */
@@ -59,8 +54,6 @@ seedCandidate(const MsmOptions &base)
     c.fieldBackend = base.fieldBackend;
     c.collective = base.collective;
     c.threadsPerBucket = base.threadsPerBucket;
-    c.pipelineDepth = base.pipelineDepth;
-    c.devicePartitions = base.devicePartitions;
     return c;
 }
 
@@ -86,8 +79,6 @@ realize(const MsmOptions &base, const Candidate &c)
     o.fieldBackend = c.fieldBackend;
     o.collective = c.collective;
     o.threadsPerBucket = c.threadsPerBucket;
-    o.pipelineDepth = c.pipelineDepth;
-    o.devicePartitions = c.devicePartitions;
     return o;
 }
 
@@ -129,7 +120,7 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
 {
     std::ostringstream s;
     s.precision(17);
-    s << "v2|" << curve.name << '|' << curve.fieldBits << '|'
+    s << "v3|" << curve.name << '|' << curve.fieldBits << '|'
       << curve.scalarBits << '|' << curve.aIsZero << '|'
       << curve.glvScalarBits << '|' << n << '|'
       << cluster.topology().describe() << '|';
@@ -165,8 +156,7 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
       << o.scatter.sharedBytesPerBlock << '|'
       << o.scatter.localIdBytes << '|' << o.scatter.globalIdBytes
       << '|' << o.scatter.uncoalescedWriteFactor << '|'
-      << o.verifyChecksums << '|' << o.pipelineDepth << '|'
-      << o.devicePartitions << '|' << beamWidthFromEnv();
+      << o.verifyChecksums << '|' << beamWidthFromEnv();
     return fnv1a(s.str());
 }
 
@@ -178,6 +168,14 @@ struct CacheEntry
     double searchedNs = 0.0;
     double heuristicNs = 0.0;
 };
+
+/** Columns of a v3 cache row: the key, 16 plan fields, 9 winner
+ *  fields and the two timings. */
+constexpr std::size_t kPlanFields = 16;
+constexpr std::size_t kWinnerFields = 9;
+constexpr std::size_t kRowFields = 1 + kPlanFields + kWinnerFields + 2;
+/** Widest window a row may name (32-bit bucket ids). */
+constexpr long long kMaxWindowBits = 31;
 
 /** One TSV record, every field an exact integer except the two
  *  timings (%.17g round-trips doubles). */
@@ -198,35 +196,60 @@ formatEntry(std::uint64_t key, const CacheEntry &e)
       << p.tableBytes << '\t' << static_cast<int>(p.collective)
       << '\t' << p.mergeBytesPerGpu << '\t'
       << static_cast<int>(p.fieldBackend) << '\t'
-      << p.fieldBackendAuto << '\t' << p.pipelineDepth << '\t'
-      << p.devicePartitions << '\t' << c.windowBits << '\t'
+      << p.fieldBackendAuto << '\t' << c.windowBits << '\t'
       << c.signedDigits << '\t' << c.glv << '\t' << c.batchAffine
       << '\t' << c.precompute << '\t' << c.cpuBucketReduce << '\t'
       << static_cast<int>(c.fieldBackend) << '\t'
       << static_cast<int>(c.collective) << '\t'
-      << c.threadsPerBucket << '\t' << c.pipelineDepth << '\t'
-      << c.devicePartitions << '\t' << ns;
+      << c.threadsPerBucket << '\t' << ns;
     return s.str();
 }
 
+/** Parse the whole of @p field as a number. */
+template <typename T>
+bool
+parseField(const std::string &field, T &out)
+{
+    const char *end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/**
+ * Parse one cache row, rejecting (a cache miss) anything a v3 writer
+ * could not have produced: a wrong column count, a non-numeric
+ * field, an out-of-range CollectiveAlgo / FieldBackend /
+ * CollectivePolicy, or a window geometry (numWindows, numBuckets)
+ * that disagrees with the row's own windowBits, scalarBits and
+ * signedDigits.
+ */
 bool
 parseEntry(const std::string &line, std::uint64_t &key, CacheEntry &e)
 {
-    std::istringstream s(line);
-    long long pi[18];
-    long long ci[11];
-    double ns[2];
-    if (!(s >> key))
+    std::vector<std::string> fields;
+    std::istringstream row(line);
+    for (std::string f; std::getline(row, f, '\t');)
+        fields.push_back(f);
+    if (fields.size() != kRowFields || !parseField(fields[0], key))
         return false;
-    for (long long &v : pi)
-        if (!(s >> v))
+    long long v[kPlanFields + kWinnerFields];
+    for (std::size_t i = 0; i < kPlanFields + kWinnerFields; ++i)
+        if (!parseField(fields[1 + i], v[i]))
             return false;
-    for (long long &v : ci)
-        if (!(s >> v))
-            return false;
-    for (double &v : ns)
-        if (!(s >> v))
-            return false;
+    if (!parseField(fields[kRowFields - 2], e.searchedNs) ||
+        !parseField(fields[kRowFields - 1], e.heuristicNs))
+        return false;
+    const long long *pi = v;
+    const long long *ci = v + kPlanFields;
+    const auto in_range = [](long long x, auto last) {
+        return x >= 0 && x <= static_cast<long long>(last);
+    };
+    if (!in_range(pi[12], CollectiveAlgo::ReduceScatter) ||
+        !in_range(pi[14], FieldBackend::TensorCore) ||
+        !in_range(ci[6], FieldBackend::TensorCore) ||
+        !in_range(ci[7], CollectivePolicy::Auto) || pi[0] < 1 ||
+        pi[0] > kMaxWindowBits)
+        return false;
     MsmPlan &p = e.plan;
     p.windowBits = static_cast<unsigned>(pi[0]);
     p.numWindows = static_cast<unsigned>(pi[1]);
@@ -244,8 +267,11 @@ parseEntry(const std::string &line, std::uint64_t &key, CacheEntry &e)
     p.mergeBytesPerGpu = static_cast<std::uint64_t>(pi[13]);
     p.fieldBackend = static_cast<FieldBackend>(pi[14]);
     p.fieldBackendAuto = pi[15] != 0;
-    p.pipelineDepth = static_cast<int>(pi[16]);
-    p.devicePartitions = static_cast<int>(pi[17]);
+    const auto [windows, buckets] =
+        windowGeometry(p.scalarBits, p.windowBits, p.signedDigits);
+    if (pi[1] != static_cast<long long>(windows) ||
+        pi[4] != static_cast<long long>(buckets))
+        return false;
     Candidate &c = e.winner;
     c.windowBits = static_cast<unsigned>(ci[0]);
     c.signedDigits = ci[1] != 0;
@@ -256,10 +282,6 @@ parseEntry(const std::string &line, std::uint64_t &key, CacheEntry &e)
     c.fieldBackend = static_cast<FieldBackend>(ci[6]);
     c.collective = static_cast<CollectivePolicy>(ci[7]);
     c.threadsPerBucket = static_cast<int>(ci[8]);
-    c.pipelineDepth = static_cast<int>(ci[9]);
-    c.devicePartitions = static_cast<int>(ci[10]);
-    e.searchedNs = ns[0];
-    e.heuristicNs = ns[1];
     return true;
 }
 
@@ -375,38 +397,16 @@ windowCandidates(const MsmOptions &base, unsigned heuristic_bits)
     return out;
 }
 
-/**
- * Score one realized candidate: heuristic plan + analytic timeline.
- *
- * At pipelineDepth 1 x devicePartitions 1 (the default, and what the
- * heuristic seed resolves to) the score is exactly totalNs() — the
- * pre-existing objective, so the search-never-loses contract holds
- * bit-exactly. Deeper candidates are scored as a two-stage flow shop
- * (pipeline.h): depth d keeps d MSMs in flight per partition, and
- * splitting the cluster into k partitions runs k independent streams
- * whose GPU stages each take ~k times longer (1/k of the devices);
- * the objective is the amortized per-MSM makespan, which rewards
- * depth exactly when the exposed host tail can hide behind another
- * MSM's GPU stage.
- */
+/** Score one realized candidate: heuristic plan + analytic
+ *  totalNs(). */
 double
 scoreCandidate(const CurveProfile &curve, std::uint64_t n,
                const gpusim::Cluster &cluster,
                const MsmOptions &probe, MsmPlan &plan_out)
 {
     plan_out = planMsmHeuristic(curve, n, cluster, probe);
-    const MsmTimeline t =
-        estimateDistMsmWithPlan(curve, n, cluster, probe, plan_out);
-    const int d = plan_out.pipelineDepth;
-    const int k = plan_out.devicePartitions;
-    if (d <= 1 && k <= 1)
-        return t.totalNs();
-    const PipelineTask task{t.gpuStageNs() * k,
-                            t.totalNs() - t.gpuStageNs()};
-    const std::vector<PipelineTask> tasks(
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(k),
-        task);
-    return pipelineMakespanNs(tasks) / static_cast<double>(d * k);
+    return estimateDistMsmWithPlan(curve, n, cluster, probe, plan_out)
+        .totalNs();
 }
 
 /** The knob value lists one search enumerates (fixed order; a
@@ -420,8 +420,6 @@ struct SearchDims
     std::vector<FieldBackend> backends;
     std::vector<CollectivePolicy> collectives;
     std::vector<int> tpbs;
-    std::vector<int> depths;
-    std::vector<int> partitions;
 
     std::uint64_t
     space() const
@@ -429,14 +427,13 @@ struct SearchDims
         return static_cast<std::uint64_t>(windows.size()) *
                toggles.size() * glvs.size() * toggles.size() *
                toggles.size() * cpuReduce.size() * backends.size() *
-               collectives.size() * tpbs.size() * depths.size() *
-               partitions.size();
+               collectives.size() * tpbs.size();
     }
 };
 
 SearchDims
-buildDims(const CurveProfile &curve, const gpusim::Cluster &cluster,
-          const MsmOptions &base, const MsmPlan &seed_plan)
+buildDims(const CurveProfile &curve, const MsmOptions &base,
+          const MsmPlan &seed_plan)
 {
     SearchDims d;
     d.windows = windowCandidates(base, seed_plan.windowBits);
@@ -470,20 +467,6 @@ buildDims(const CurveProfile &curve, const gpusim::Cluster &cluster,
     }
     d.cpuReduce = base.cpuBucketReduce ? std::vector<bool>{false, true}
                                        : std::vector<bool>{false};
-    // Pipeline depth / device partitions: 0 opts the dimension into
-    // the search; any explicit value pins it. Partitions must divide
-    // the cluster evenly (the heuristic falls back to 1 otherwise).
-    if (base.pipelineDepth == 0)
-        d.depths = {1, 2, 4};
-    else
-        d.depths = {std::max(1, base.pipelineDepth)};
-    if (base.devicePartitions == 0) {
-        for (const int k : {1, 2, 4})
-            if (k <= cluster.numGpus() && cluster.numGpus() % k == 0)
-                d.partitions.push_back(k);
-    } else {
-        d.partitions = {std::max(1, base.devicePartitions)};
-    }
     return d;
 }
 
@@ -504,7 +487,7 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
                        seed_plan);
     driver.seed(seed, seed_ns);
 
-    const SearchDims dims = buildDims(curve, cluster, base, seed_plan);
+    const SearchDims dims = buildDims(curve, base, seed_plan);
     const auto score = [&](const Candidate &c) {
         MsmPlan plan;
         return scoreCandidate(curve, n, cluster, realize(base, c),
@@ -524,106 +507,28 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
         // knob values cost an evaluation.
         using Setter = std::function<std::vector<Candidate>(
             const Candidate &)>;
+        // A stage: every value of one dimension other than the stem's.
+        const auto stage = [](const auto &values, auto Candidate::*knob) {
+            return Setter([&values, knob](const Candidate &stem) {
+                std::vector<Candidate> out;
+                for (const auto v : values)
+                    if (v != stem.*knob) {
+                        out.push_back(stem);
+                        out.back().*knob = v;
+                    }
+                return out;
+            });
+        };
         const std::vector<Setter> stages{
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const unsigned v : dims.windows)
-                    if (v != s.windowBits) {
-                        out.push_back(s);
-                        out.back().windowBits = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.toggles)
-                    if (v != s.signedDigits) {
-                        out.push_back(s);
-                        out.back().signedDigits = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.glvs)
-                    if (v != s.glv) {
-                        out.push_back(s);
-                        out.back().glv = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.toggles)
-                    if (v != s.batchAffine) {
-                        out.push_back(s);
-                        out.back().batchAffine = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.toggles)
-                    if (v != s.precompute) {
-                        out.push_back(s);
-                        out.back().precompute = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const bool v : dims.cpuReduce)
-                    if (v != s.cpuBucketReduce) {
-                        out.push_back(s);
-                        out.back().cpuBucketReduce = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const FieldBackend v : dims.backends)
-                    if (v != s.fieldBackend) {
-                        out.push_back(s);
-                        out.back().fieldBackend = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const CollectivePolicy v : dims.collectives)
-                    if (v != s.collective) {
-                        out.push_back(s);
-                        out.back().collective = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const int v : dims.tpbs)
-                    if (v != s.threadsPerBucket) {
-                        out.push_back(s);
-                        out.back().threadsPerBucket = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const int v : dims.depths)
-                    if (v != s.pipelineDepth) {
-                        out.push_back(s);
-                        out.back().pipelineDepth = v;
-                    }
-                return out;
-            },
-            [&](const Candidate &s) {
-                std::vector<Candidate> out;
-                for (const int v : dims.partitions)
-                    if (v != s.devicePartitions) {
-                        out.push_back(s);
-                        out.back().devicePartitions = v;
-                    }
-                return out;
-            },
+            stage(dims.windows, &Candidate::windowBits),
+            stage(dims.toggles, &Candidate::signedDigits),
+            stage(dims.glvs, &Candidate::glv),
+            stage(dims.toggles, &Candidate::batchAffine),
+            stage(dims.toggles, &Candidate::precompute),
+            stage(dims.cpuReduce, &Candidate::cpuBucketReduce),
+            stage(dims.backends, &Candidate::fieldBackend),
+            stage(dims.collectives, &Candidate::collective),
+            stage(dims.tpbs, &Candidate::threadsPerBucket),
         };
         std::vector<sched::BeamPool<Candidate, double>::Entry> stems{
             {seed, seed_ns}};
@@ -655,32 +560,21 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
                                      dims.backends)
                                     for (const CollectivePolicy cp :
                                          dims.collectives)
-                                        for (const int tpb : dims.tpbs)
-                                            for (const int dep :
-                                                 dims.depths)
-                                                for (const int par :
-                                                     dims.partitions) {
-                                                    Candidate c;
-                                                    c.windowBits = w;
-                                                    c.signedDigits =
-                                                        sd;
-                                                    c.glv = glv;
-                                                    c.batchAffine = ba;
-                                                    c.precompute = pre;
-                                                    c.cpuBucketReduce =
-                                                        cpu;
-                                                    c.fieldBackend =
-                                                        fb;
-                                                    c.collective = cp;
-                                                    c.threadsPerBucket =
-                                                        tpb;
-                                                    c.pipelineDepth =
-                                                        dep;
-                                                    c.devicePartitions =
-                                                        par;
-                                                    driver.consider(
-                                                        c, score(c));
-                                                }
+                                        for (const int tpb :
+                                             dims.tpbs) {
+                                            Candidate c;
+                                            c.windowBits = w;
+                                            c.signedDigits = sd;
+                                            c.glv = glv;
+                                            c.batchAffine = ba;
+                                            c.precompute = pre;
+                                            c.cpuBucketReduce = cpu;
+                                            c.fieldBackend = fb;
+                                            c.collective = cp;
+                                            c.threadsPerBucket = tpb;
+                                            driver.consider(c,
+                                                            score(c));
+                                        }
     }
 
     AutoPlanResult r;

@@ -9,11 +9,9 @@
  * searches the joint space — window bits, signed digits, GLV,
  * batch-affine, precompute, CPU-vs-GPU reduce placement, field
  * backend, collective strategy (gather/ring/tree/reduce-scatter),
- * threads per bucket, pipeline depth, and device partitions — and
- * scores every candidate end to end with the calibrated analytic
- * timeline (estimateDistMsmWithPlan; candidates with pipeline depth
- * or partitions > 1 score the amortized two-stage flow-shop makespan
- * instead), in the spirit of Halide's autoschedulers.
+ * and threads per bucket — and scores every candidate end to end
+ * with the calibrated analytic timeline (estimateDistMsmWithPlan's
+ * totalNs), in the spirit of Halide's autoschedulers.
  *
  * DISTMSM_AUTOPLAN_BEAM=<width> replaces the exhaustive enumeration
  * with a staged beam search: one knob is fixed per stage and only

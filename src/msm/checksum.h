@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <type_traits>
 #include <vector>
 
@@ -57,29 +58,45 @@ rlcRho(std::uint64_t seed, std::uint64_t k)
 }
 
 /**
- * D = sum_i [rho_{base_index + i}] points[i]. The digest's EC work
- * is tallied into @p report (verifyEcOps) — never into KernelStats,
- * so zero-fault simulator statistics stay bit-identical to a build
- * without checksums.
+ * D = sum_i [rho_{keys[i]}] points[i] — the only digest loop. Transfer
+ * payloads are keyed by global window (or bucket) index rather than
+ * a contiguous range, so the host re-derives the same rho for each
+ * point no matter which device shipped it after a reshard. The
+ * digest's EC work is tallied into @p report (verifyEcOps) — never
+ * into KernelStats or hostOps, so zero-fault simulator statistics
+ * stay bit-identical to a build without checksums.
  */
+template <typename Curve>
+XYZZPoint<Curve>
+rlcKeyedDigest(const std::vector<XYZZPoint<Curve>> &points,
+               const std::vector<std::uint64_t> &keys,
+               std::uint64_t seed,
+               gpusim::FaultReport *report = nullptr)
+{
+    using Scalar = BigInt<Curve::Fr::kLimbs>;
+    XYZZPoint<Curve> digest = XYZZPoint<Curve>::identity();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Scalar rho = Scalar::fromU64(rlcRho(seed, keys[i]));
+        digest = padd(digest, pmul(points[i], rho));
+    }
+    if (report != nullptr) {
+        report->verifyEcOps += points.size() * (kRhoEcOps + 1);
+        report->checksummed += points.size();
+    }
+    return digest;
+}
+
+/** rlcKeyedDigest over the contiguous keys base_index, base_index +
+ *  1, ... */
 template <typename Curve>
 XYZZPoint<Curve>
 rlcDigest(const std::vector<XYZZPoint<Curve>> &points,
           std::uint64_t seed, std::uint64_t base_index,
           gpusim::FaultReport *report = nullptr)
 {
-    using Scalar = BigInt<Curve::Fr::kLimbs>;
-    XYZZPoint<Curve> digest = XYZZPoint<Curve>::identity();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Scalar rho =
-            Scalar::fromU64(rlcRho(seed, base_index + i));
-        digest = padd(digest, pmul(points[i], rho));
-        if (report != nullptr)
-            report->verifyEcOps += kRhoEcOps + 1;
-    }
-    if (report != nullptr)
-        report->checksummed += points.size();
-    return digest;
+    std::vector<std::uint64_t> keys(points.size());
+    std::iota(keys.begin(), keys.end(), base_index);
+    return rlcKeyedDigest(points, keys, seed, report);
 }
 
 /**

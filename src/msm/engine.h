@@ -12,26 +12,30 @@
  * vector. computeDistMsm() in distmsm.h is the one-shot convenience
  * wrapper.
  *
- * Execution shapes
- * ----------------
- * Without precompute, each window scatters and sums its own bucket
- * set and the window points merge through the serial Horner
- * recurrence (s doublings per window). With precompute
- * (plan.precompute), the table rows 2^(js) P_i realign every
- * window's digit into ONE shared bucket set: a single combined
- * scatter over numWindows * n elements, a single bucket-sum pass
- * across all devices, and a single bucket-reduce — no per-window
- * passes and no final doubling chain.
+ * Phase pipeline
+ * --------------
+ * Every compute() runs decompose -> scatter -> assign -> execute ->
+ * ship -> reduce -> record over a per-call MsmRun (DESIGN.md Section
+ * 4, "One phase pipeline"). Without precompute the work unit is a
+ * window: it scatters and sums its own buckets, and the window points
+ * merge through the serial Horner recurrence. With precompute
+ * (plan.precompute) the table rows 2^(js) P_i realign every window's
+ * digit into ONE bucket set: one combined scatter over numWindows * n
+ * elements, one unit per device summing its slice of the buckets, and
+ * one bucket-reduce — no final doubling chain.
  */
 
 #ifndef DISTMSM_MSM_ENGINE_H
 #define DISTMSM_MSM_ENGINE_H
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/ec/point.h"
@@ -145,60 +149,17 @@ class MsmEngine
         // read off the original options before the autoscheduler
         // swaps in the realized candidate: the search may force
         // TensorCore purely for pricing, and that must not engage
-        // the slow differential execution below.
-        const bool user_forced_tc =
-            options_.fieldBackend ==
-            gpusim::FieldBackend::TensorCore;
+        // the slow differential execution. The differential tcmul
+        // execution engages only on a *forced* TensorCore (the
+        // planner's Auto pick prices TC while the functional path
+        // stays on CIOS — bit-identical either way).
+        tc_exec_ =
+            options_.fieldBackend == gpusim::FieldBackend::TensorCore;
         // The autoscheduler's realized options carry
         // planner=Heuristic; remember the caller's mode so a health
         // re-plan can re-enter the search over the shrunken fleet.
         original_planner_ = options_.planner;
-        if (options_.planner != PlannerMode::Heuristic) {
-            // The autoscheduler returns the argmin plan *and* the
-            // winning candidate's realized options (signed digits,
-            // batch-affine, GLV, ... — the functional knobs the
-            // score priced). Adopt both so execution matches the
-            // plan; the realized options carry planner=Heuristic, so
-            // nothing below re-enters the search.
-            AutoPlanResult searched = autoplanMsm(
-                curve_profile_, points_.size(), cluster_, options_);
-            options_ = searched.options;
-            plan_ = searched.plan;
-        } else {
-            plan_ = planMsm(curve_profile_, points_.size(), cluster_,
-                            options_);
-        }
-        // Every cost-model price below uses the kernel variant as
-        // the plan's resolved field backend executes it; the
-        // differential tcmul execution engages only on a *forced*
-        // TensorCore (the planner's Auto pick prices TC while the
-        // functional path stays on CIOS — bit-identical either way).
-        eff_kernel_ =
-            gpusim::applyFieldBackend(options_.kernel,
-                                      plan_.fieldBackend);
-        tc_exec_ = user_forced_tc;
-        const int host_threads =
-            support::resolveHostThreads(options_.hostThreads);
-        if (plan_.glv) {
-            // The endomorphism images phi(P_i) = (beta * x_i, y_i)
-            // are scalar-independent: staged once, like the points.
-            phi_points_.resize(points_.size());
-            support::ThreadPool::global().parallelFor(
-                0, points_.size(),
-                [&](std::size_t i) {
-                    phi_points_[i] =
-                        glv::endomorphismIfSupported<Curve>(
-                            points_[i]);
-                },
-                host_threads);
-        }
-        // plan_.precompute, not options_.precompute: the planner may
-        // have declined (device memory budget) or grown the window.
-        if (plan_.precompute)
-            acquireTable(host_threads);
-        if (options_.health != nullptr)
-            planned_generation_ = options_.health->generation();
-        refreshWindowEstimate();
+        planAndStage();
     }
 
     const MsmPlan &plan() const { return plan_; }
@@ -210,8 +171,8 @@ class MsmEngine
      * Run one MSM against the staged points.
      *
      * Host parallelism (options.hostThreads): the signed-digit
-     * decomposition, the windows, the per-device bucket groups of a
-     * window and the simulated scatter blocks all run concurrently
+     * decomposition, the work units, the per-device bucket groups of
+     * a window and the simulated scatter blocks all run concurrently
      * on the support::ThreadPool. Every parallel unit writes only
      * its own slot and the slots are merged in the exact order of
      * the sequential algorithm (windows high-to-low, buckets
@@ -257,469 +218,459 @@ class MsmEngine
         // tracking is a sequential-coordinator feature.
         if (options_.health != nullptr &&
             options_.health->generation() != planned_generation_)
-            replanForHealth();
-        using Xyzz = XYZZPoint<Curve>;
-        MsmResult<Curve> result;
-        result.plan = plan_;
-        const unsigned s = plan_.windowBits;
-        const std::size_t n_buckets =
-            options_.signedDigits
-                ? (std::size_t{1} << (s - 1)) + 1
-                : std::size_t{1} << s;
-        const int host_threads =
+            planAndStage();
+        const support::StatusOr<const gpusim::FaultPlan *> fplan_or =
+            activeFaultPlan();
+        if (!fplan_or.isOk())
+            return fplan_or.status();
+
+        MsmRun run(**fplan_or);
+        run.result.plan = plan_;
+        run.devFaulted.assign(
+            static_cast<std::size_t>(cluster_.numGpus()), 0);
+        run.hostThreads =
             support::resolveHostThreads(options_.hostThreads);
-        auto &pool = support::ThreadPool::global();
-        const std::size_t n_base = points_.size();
-
-        // GLV: rewrite the n full-width scalars as 2n half-width
-        // magnitudes with per-half sign flags; half i drives P_i,
-        // half n + i drives phi(P_i). Scalar i only writes its own
-        // two slots.
-        std::vector<Scalar> half_scalars;
-        std::vector<std::uint8_t> glv_neg;
-        if constexpr (glv::CurveGlv<Curve>::kSupported) {
-            if (plan_.glv) {
-                half_scalars.resize(2 * n_base);
-                glv_neg.assign(2 * n_base, 0);
-                pool.parallelFor(
-                    0, n_base,
-                    [&](std::size_t i) {
-                        const auto split =
-                            glv::decompose<Curve>(scalars[i]);
-                        half_scalars[i] = split.k1;
-                        half_scalars[n_base + i] = split.k2;
-                        glv_neg[i] = split.neg1;
-                        glv_neg[n_base + i] = split.neg2;
-                    },
-                    host_threads);
-            }
-        }
-        const std::vector<Scalar> &eff_scalars =
-            plan_.glv ? half_scalars : scalars;
-        const std::size_t n_eff = eff_scalars.size();
-
-        // Signed-digit decomposition up front; scalar i only writes
-        // digits[i]. The window passes cover plan_.scalarBits — the
-        // GLV half width when active.
-        std::vector<std::vector<std::int32_t>> digits;
-        if (options_.signedDigits) {
-            digits.resize(n_eff);
-            pool.parallelFor(
-                0, n_eff,
-                [&](std::size_t i) {
-                    digits[i] = signedWindowDigits(
-                        eff_scalars[i], plan_.scalarBits, s);
-                },
-                host_threads);
-        }
-
-        // Digit of window w for effective scalar i, as (magnitude,
-        // negate) against the bucket array.
-        auto digit_of = [&](unsigned w, std::size_t i,
-                            std::uint32_t &id, std::uint8_t &neg) {
-            if (options_.signedDigits) {
-                const std::int32_t d = digits[i][w];
-                id = static_cast<std::uint32_t>(d < 0 ? -d : d);
-                neg = d < 0;
-            } else {
-                id = static_cast<std::uint32_t>(
-                    eff_scalars[i].bits(
-                        static_cast<std::size_t>(w) * s, s));
-                neg = 0;
-            }
-            // A negative half-scalar flips its contribution;
-            // composes with the signed-digit flip.
-            if (plan_.glv)
-                neg ^= glv_neg[i];
-        };
-
         const std::uint64_t msm_idx =
             options_.trace != nullptr
                 ? msm_counter_.fetch_add(1,
                                          std::memory_order_relaxed)
                 : 0;
-        const std::string trace_prefix =
-            "msm" + std::to_string(msm_idx) + "/";
+        run.tracePrefix = "msm" + std::to_string(msm_idx) + "/";
+        if (options_.trace != nullptr)
+            labelEngineLanes(*options_.trace);
 
-        const support::StatusOr<const gpusim::FaultPlan *> fplan_or =
-            activeFaultPlan();
-        if (!fplan_or.isOk())
-            return fplan_or.status();
-        const gpusim::FaultPlan &fplan = **fplan_or;
-        support::TraceRecorder *const trace = options_.trace;
+        decompose(run, scalars);
+        support::Status status = scatter(run);
+        if (status.isOk())
+            status = assign(run);
+        if (status.isOk())
+            status = execute(run);
+        if (status.isOk())
+            status = ship(run);
+        if (!status.isOk())
+            return status;
+        reduce(run);
+        record(run);
+        return std::move(run.result);
+    }
+
+  private:
+    using Xyzz = XYZZPoint<Curve>;
+
+    /** What executing one work unit produced. */
+    struct UnitOut
+    {
+        support::Status status{support::StatusCode::KernelFault,
+                               "unit not executed"};
+        /** A window's own scatter (slices share the pass's). */
+        gpusim::KernelStats scatterStats;
+        /** Bucket-sum work, lockstep across the unit's groups. */
+        gpusim::KernelStats ecStats;
+        /** A window's bucket reduce and the window point it made. */
+        ReduceStats reduceStats;
+        Xyzz point = Xyzz::identity();
+    };
+
+    /**
+     * Per-call state threaded through the phases. A work unit is a
+     * window, or (slices) one device's slice of the combined pass's
+     * bucket array; unit u owns the keys keyRange(u) of `keyed` — its
+     * window point, or its bucket sums. The ship moves exactly those
+     * points, and the RLC digests use the same keys, so a reshard
+     * never changes the digest a payload must match.
+     */
+    struct MsmRun
+    {
+        explicit MsmRun(const gpusim::FaultPlan &plan) : faults(plan) {}
+
+        const gpusim::FaultPlan &faults;
+        MsmResult<Curve> result;
         /** Injections/detections in their deterministic order, for
          *  the fault trace track. */
-        std::vector<std::string> fault_log;
+        std::vector<std::string> faultLog;
+        /** Devices that showed any fault this run — the complement
+         *  earns clean windows on the health ladder. */
+        std::vector<std::uint8_t> devFaulted;
+        /** Next canonical transfer-attempt index (corrupt:xfer=N). */
+        std::uint64_t xferCounter = 0;
+        std::string tracePrefix;
+        int hostThreads = 1;
 
-        if (plan_.precompute) {
-            const support::Status combined = computeCombined(
-                result, n_eff, n_buckets, digit_of, trace_prefix,
-                host_threads, fplan, fault_log);
-            if (!combined.isOk())
-                return combined;
-            if (trace != nullptr)
-                emitFaultTrace(*trace, result.fault, fault_log);
-            return result;
-        }
+        /** The scalars the windows read: the inputs, or their GLV
+         *  halves (half i drives P_i, half n + i drives phi(P_i)). */
+        const std::vector<Scalar> *scalars = nullptr;
+        std::vector<Scalar> halfScalars;
+        std::vector<std::uint8_t> glvNeg;
+        std::vector<std::vector<std::int32_t>> digits;
+        std::size_t nEff = 0;
+        /** Buckets per bucket set, bucket 0 included. */
+        std::size_t numBuckets = 0;
 
-        auto window_ids = [&](unsigned w,
-                              std::vector<std::uint32_t> &ids,
-                              std::vector<std::uint8_t> &negs) {
-            ids.resize(n_eff);
-            negs.assign(n_eff, 0);
-            for (std::size_t i = 0; i < n_eff; ++i)
-                digit_of(w, i, ids[i], negs[i]);
-        };
+        bool slices = false;
+        unsigned numUnits = 0;
+        /** The combined pass's scatter and per-element negation. */
+        ScatterResult scattered;
+        std::vector<std::uint8_t> negs;
+        /** The combined pass's bucket reduce. */
+        ReduceStats reduceStats;
+        std::vector<Xyzz> keyed;
 
-        // Scatter + bucket sums of one window, fully independent of
-        // every other window. Bucket groups map to the simulated
-        // devices of the bucket-split distribution (Section 3.2.2)
-        // and run as one task per device.
-        struct WindowPartial
-        {
-            bool scatterOk = false;
-            support::Status status{support::StatusCode::KernelFault,
-                                   "window not executed"};
-            gpusim::KernelStats scatterStats;
-            gpusim::KernelStats ecStats;
-            std::vector<Xyzz> bucketSums;
-            Xyzz windowPoint = Xyzz::identity();
-            ReduceStats reduceStats;
-        };
+        /** Device each unit executes and ships on. */
+        std::vector<int> execDev;
+        /** Straggling windows re-executed beside their original. */
+        std::vector<std::uint8_t> dual;
+        std::vector<UnitOut> units;
+    };
 
-        auto run_window = [&](unsigned w, WindowPartial &wp) {
-            // Simulated-kernel field muls of this window (bucket
-            // sums, window reduce) execute on the forced backend;
-            // entered per worker thread, so the pool-distributed
-            // bucket groups below re-enter it themselves.
-            const field::TcBackendScope tc_scope(tc_exec_);
-            std::vector<std::uint32_t> ids;
-            std::vector<std::uint8_t> negs;
-            window_ids(w, ids, negs);
+    /** The keys unit @p u owns: its window, or its slice's buckets. */
+    static std::pair<std::size_t, std::size_t>
+    keyRange(const MsmRun &run, unsigned u)
+    {
+        if (!run.slices)
+            return {u, u + 1};
+        const std::size_t b = run.numBuckets - 1;
+        return {1 + b * u / run.numUnits, 1 + b * (u + 1) / run.numUnits};
+    }
 
-            ScatterConfig scatter_cfg = options_.scatter;
-            scatter_cfg.fieldBackend = plan_.fieldBackend;
-            if (options_.trace != nullptr) {
-                // One kernel-launch lane per window: the launch span
-                // (emitted by ~KernelLaunch) carries the measured
-                // contention of exactly this window's scatter.
-                scatter_cfg.trace = options_.trace;
-                scatter_cfg.traceLabel = trace_prefix + "w" +
-                                         std::to_string(w) +
-                                         "/scatter";
-                scatter_cfg.traceLane = static_cast<int>(w);
+    /**
+     * The device a unit is booked on — its trace lane, metric prefix
+     * and health credit: a window's executing device, a slice's own
+     * device (a resharded slice's owner is faulted and earns
+     * nothing).
+     */
+    static int
+    bookedDevice(const MsmRun &run, unsigned u)
+    {
+        return run.slices ? static_cast<int>(u) : run.execDev[u];
+    }
+
+    /**
+     * Decompose: GLV halves and signed digits for every scalar (each
+     * scalar writes only its own slots), then the unit layout — one
+     * unit per window, or one bucket slice per device when the plan
+     * runs the combined precompute pass.
+     */
+    void
+    decompose(MsmRun &run, const std::vector<Scalar> &scalars) const
+    {
+        auto &pool = support::ThreadPool::global();
+        const std::size_t n_base = points_.size();
+        if constexpr (glv::CurveGlv<Curve>::kSupported) {
+            if (plan_.glv) {
+                run.halfScalars.resize(2 * n_base);
+                run.glvNeg.assign(2 * n_base, 0);
+                pool.parallelFor(
+                    0, n_base,
+                    [&](std::size_t i) {
+                        const auto split =
+                            glv::decompose<Curve>(scalars[i]);
+                        run.halfScalars[i] = split.k1;
+                        run.halfScalars[n_base + i] = split.k2;
+                        run.glvNeg[i] = split.neg1;
+                        run.glvNeg[n_base + i] = split.neg2;
+                    },
+                    run.hostThreads);
             }
-            ScatterResult scattered =
-                options_.hierarchicalScatter
-                    ? hierarchicalScatter(ids, s, scatter_cfg)
-                    : naiveScatter(ids, s, scatter_cfg);
-            wp.scatterOk = scattered.ok;
-            wp.status = scattered.status;
-            if (!scattered.ok)
-                return;
-            wp.scatterStats = scattered.stats;
-
-            auto point_of = [&](std::uint32_t idx) {
-                const auto &base =
-                    idx < n_base ? points_[idx]
-                                 : phi_points_[idx - n_base];
-                return negs[idx] ? base.negated() : base;
-            };
-
-            wp.bucketSums.assign(n_buckets, Xyzz::identity());
-            const int groups = plan_.bucketsSplitAcrossGpus
-                                   ? plan_.gpusPerWindow
-                                   : 1;
-            std::vector<gpusim::KernelStats> group_stats(groups);
-            cluster_.forEachDevice(
-                groups,
-                [&](int g) {
-                    const field::TcBackendScope group_scope(
-                        tc_exec_);
-                    const std::size_t lo =
-                        1 + (n_buckets - 1) * g / groups;
-                    const std::size_t hi =
-                        1 + (n_buckets - 1) * (g + 1) / groups;
-                    if (options_.batchAffine) {
-                        BatchAffineScratch<Curve> scratch;
-                        batchAffineAccumulate<Curve>(
-                            scattered.buckets, lo, hi, point_of,
-                            wp.bucketSums, group_stats[g], scratch);
-                        return;
-                    }
-                    for (std::size_t b = lo;
-                         b < hi && b < scattered.buckets.size();
-                         ++b) {
-                        if (scattered.buckets[b].empty())
-                            continue;
-                        wp.bucketSums[b] = bucketSumTree<Curve>(
-                            scattered.buckets[b], point_of,
-                            plan_.threadsPerBucket, group_stats[g]);
-                    }
+        }
+        run.scalars = plan_.glv ? &run.halfScalars : &scalars;
+        run.nEff = run.scalars->size();
+        // The window passes cover plan_.scalarBits — the GLV half
+        // width when active.
+        if (options_.signedDigits) {
+            run.digits.resize(run.nEff);
+            pool.parallelFor(
+                0, run.nEff,
+                [&](std::size_t i) {
+                    run.digits[i] = signedWindowDigits(
+                        (*run.scalars)[i], plan_.scalarBits,
+                        plan_.windowBits);
                 },
-                options_.hostThreads);
-            // The bucket groups are one launch running on
-            // plan_.gpusPerWindow devices in lockstep: work counts
-            // sum, the shared phase structure does not (see
-            // KernelStats::mergeLockstep; pinned by the 1-vs-4
-            // device stats test).
-            for (const auto &gs : group_stats)
-                wp.ecStats.mergeLockstep(gs);
-
-            wp.windowPoint = bucketReduceSerial<Curve>(
-                wp.bucketSums, &wp.reduceStats);
-            wp.bucketSums.clear();
-            wp.bucketSums.shrink_to_fit();
-        };
-
-        // Tracing: the serial merge loop below visits windows in a
-        // fixed order regardless of hostThreads, so the measured
-        // stats are mapped onto simulated time (via the cost model)
-        // and emitted from here — the spans are deterministic even
-        // though the windows executed concurrently. Each window
-        // lands on the device lane of the round-robin distribution.
-        std::vector<double> dev_cursor;
-        double host_cursor = 0.0;
-        const auto &cost_model = cluster_.model();
-        const int scatter_threads = scatterThreads();
-        if (trace != nullptr) {
-            namespace lane = support::tracelane;
-            dev_cursor.assign(
-                static_cast<std::size_t>(cluster_.numGpus()), 0.0);
-            labelEngineLanes(*trace);
+                run.hostThreads);
         }
-        auto emit_window = [&](unsigned w, const WindowPartial &wp,
-                               int d) {
-            namespace lane = support::tracelane;
-            const int pid = lane::engineDevicePid(d);
-            const double scatter_ns =
-                cost_model.scatterComputeNs(n_eff,
-                                            scatter_threads) +
-                cost_model.atomicNs(wp.scatterStats,
-                                    scatter_threads) +
-                cost_model.gmemNs(wp.scatterStats.gmemBytes);
-            const double sum_ns = bucketSumNs(wp.ecStats);
-            const std::string wl =
-                trace_prefix + "w" + std::to_string(w) + "/";
-            support::TraceArgs scatter_args;
-            scatter_args
-                .arg("global_atomics",
-                     static_cast<double>(
-                         wp.scatterStats.globalAtomics))
-                .arg("global_conflict_weight",
-                     static_cast<double>(
-                         wp.scatterStats.globalConflictWeight))
-                .arg("global_max_conflict",
-                     static_cast<double>(
-                         wp.scatterStats.globalMaxConflict));
-            trace->span(wl + "scatter", "phase", pid,
-                        lane::kComputeTid, dev_cursor[d],
-                        scatter_ns, std::move(scatter_args));
-            trace->span(wl + "bucket-sum", "phase", pid,
-                        lane::kComputeTid,
-                        dev_cursor[d] + scatter_ns, sum_ns);
-            dev_cursor[d] += scatter_ns + sum_ns;
-            const double reduce_ns = cost_model.hostEcNs(
-                curve_profile_,
-                wp.reduceStats.padds + wp.reduceStats.pdbls,
-                cluster_.host());
-            if (reduce_ns > 0.0) {
-                trace->span(wl + "bucket-reduce", "phase",
-                            lane::kEngineHostPid, lane::kComputeTid,
-                            host_cursor, reduce_ns);
-                host_cursor += reduce_ns;
+        const unsigned s = plan_.windowBits;
+        run.numBuckets = options_.signedDigits
+                             ? (std::size_t{1} << (s - 1)) + 1
+                             : std::size_t{1} << s;
+        run.slices = plan_.precompute;
+        run.numUnits = run.slices
+                           ? static_cast<unsigned>(cluster_.numGpus())
+                           : plan_.numWindows;
+        run.keyed.assign(run.slices ? run.numBuckets : plan_.numWindows,
+                         Xyzz::identity());
+    }
+
+    /** Window @p w's digits of every effective scalar, as (bucket
+     *  magnitude, negate) pairs written to @p ids / @p negs. */
+    void
+    windowDigits(const MsmRun &run, unsigned w, std::uint32_t *ids,
+                 std::uint8_t *negs) const
+    {
+        const unsigned s = plan_.windowBits;
+        for (std::size_t i = 0; i < run.nEff; ++i) {
+            if (options_.signedDigits) {
+                const std::int32_t d = run.digits[i][w];
+                ids[i] = static_cast<std::uint32_t>(d < 0 ? -d : d);
+                negs[i] = d < 0;
+            } else {
+                ids[i] = static_cast<std::uint32_t>(
+                    (*run.scalars)[i].bits(
+                        static_cast<std::size_t>(w) * s, s));
+                negs[i] = 0;
             }
-            auto &metrics = trace->metrics();
-            const std::string mp = "engine/" + trace_prefix + "dev" +
-                                   std::to_string(d) + "/w" +
-                                   std::to_string(w) + "/";
-            wp.scatterStats.recordMetrics(metrics, mp + "scatter/");
-            wp.ecStats.recordMetrics(metrics, mp + "ec/");
-            metrics.add(mp + "scatter_ns", scatter_ns);
-            metrics.add(mp + "bucket_sum_ns", sum_ns);
-            metrics.add(mp + "bucket_reduce_ns", reduce_ns);
+            // A negative half-scalar flips its contribution;
+            // composes with the signed-digit flip.
+            if (plan_.glv)
+                negs[i] ^= run.glvNeg[i];
+        }
+    }
+
+    /** One scatter launch over @p ids, traced as @p label on kernel
+     *  lane @p lane. */
+    ScatterResult
+    scatterIds(const std::vector<std::uint32_t> &ids,
+               const std::string &label, int lane) const
+    {
+        ScatterConfig cfg = options_.scatter;
+        cfg.fieldBackend = plan_.fieldBackend;
+        if (options_.trace != nullptr) {
+            cfg.trace = options_.trace;
+            cfg.traceLabel = label;
+            cfg.traceLane = lane;
+        }
+        return options_.hierarchicalScatter
+                   ? hierarchicalScatter(ids, plan_.windowBits, cfg)
+                   : naiveScatter(ids, plan_.windowBits, cfg);
+    }
+
+    /**
+     * Scatter phase of the combined pass: element e = w * nEff + i
+     * carries table row w of base i into the bucket of digit (w, i),
+     * and one scatter sorts them all into the single shared bucket
+     * array. Windows skip this phase: each scatters its own digits
+     * inside its unit, so a dual-execution copy re-runs the scatter
+     * like every other step of the window.
+     */
+    support::Status
+    scatter(MsmRun &run) const
+    {
+        if (!run.slices)
+            return support::Status::ok();
+        const unsigned n_windows = plan_.numWindows;
+        const std::uint64_t total64 =
+            static_cast<std::uint64_t>(n_windows) * run.nEff;
+        DISTMSM_REQUIRE(
+            total64 <= std::numeric_limits<std::uint32_t>::max(),
+            "combined precompute pass exceeds 32-bit element ids");
+        std::vector<std::uint32_t> ids(total64);
+        run.negs.resize(total64);
+        support::ThreadPool::global().parallelFor(
+            0, n_windows,
+            [&](std::size_t w) {
+                const std::size_t e = w * run.nEff;
+                windowDigits(run, static_cast<unsigned>(w),
+                             ids.data() + e, run.negs.data() + e);
+            },
+            run.hostThreads);
+        run.scattered =
+            scatterIds(ids, run.tracePrefix + "combined/scatter", 0);
+        return run.scattered.status;
+    }
+
+    /**
+     * Assign phase: place every unit on a device, classify the fault
+     * plan's device faults, and decide each unit's fate — run where
+     * placed, reshard onto a survivor, or (watchdog) respawn on the
+     * fastest healthy candidate. Sequential, devices and units
+     * ascending, so detection, health escalation and target choice
+     * are identical at every hostThreads setting.
+     *
+     * Windows round-robin over the *schedulable* devices (quarantined
+     * ones sit out; without a tracker that is every device, the
+     * legacy w % numGpus layout); the fault grammar's win= names the
+     * ordinal of a window on its device. Slices are one per device
+     * and have no window boundary or per-window deadline: a kill at
+     * any window, a hang or a quarantine loses the device's whole
+     * slice to a survivor, and a degrade is only logged (priced as
+     * the timeline's stragglerNs).
+     */
+    support::Status
+    assign(MsmRun &run) const
+    {
+        const gpusim::FaultPlan &fp = run.faults;
+        gpusim::FaultReport &report = run.result.fault;
+        gpusim::HealthTracker *const health = options_.health;
+        const int num_gpus = cluster_.numGpus();
+        const unsigned n_units = run.numUnits;
+        const auto quarantined = [&](int d) {
+            return health != nullptr && d < health->numDevices() &&
+                   !health->schedulable(d);
+        };
+        const auto at_window = [&](int k) {
+            return run.slices ? std::string()
+                              : "@win" + std::to_string(k);
         };
 
-        // --- Device loss (fault plan) ---
-        // Window w runs on device w % numGpus — the round-robin
-        // distribution the trace lanes already use; the ordinal of w
-        // on its device is (w - d) / numGpus. A device killed at its
-        // j-th window loses every window of ordinal >= j (results of
-        // earlier ordinals were already streamed out). Lost windows
-        // reshard round-robin across the survivors after the healthy
-        // pass; a window recomputes from the same scattered input on
-        // any device, so recovery is bit-identical by construction.
-        //
-        // Collective merges (plan_.collective != Gather) tighten the
-        // kill: a dead device can neither source nor relay reduce
-        // steps, so *every* window it owned reshards — nothing was
-        // streamed out before the merge.
-        const bool collective_merge =
-            plan_.collective != gpusim::CollectiveAlgo::Gather;
-        const int num_gpus = cluster_.numGpus();
-        gpusim::HealthTracker *const health = options_.health;
-
-        // Windows round-robin over the *schedulable* devices:
-        // quarantined ones sit out entirely. Without a tracker that
-        // is every device, reproducing the legacy w % numGpus
-        // layout bit-for-bit.
-        std::vector<int> sched_devs;
+        std::vector<int> placement;
         for (int d = 0; d < num_gpus; ++d)
-            if (health == nullptr || d >= health->numDevices() ||
-                health->schedulable(d))
-                sched_devs.push_back(d);
-        if (sched_devs.empty())
+            if (run.slices || !quarantined(d))
+                placement.push_back(d);
+        if (placement.empty())
             return support::Status(
                 support::StatusCode::DeviceLost,
                 "all " + std::to_string(num_gpus) +
                     " devices quarantined; nothing schedulable");
-        const int n_sched = static_cast<int>(sched_devs.size());
-        std::vector<std::uint8_t> dev_sched(
-            static_cast<std::size_t>(num_gpus), 0);
-        for (const int d : sched_devs)
-            dev_sched[static_cast<std::size_t>(d)] = 1;
-
-        std::vector<int> exec_dev(plan_.numWindows);
-        std::vector<std::uint8_t> lost_window(plan_.numWindows, 0);
-        /** Devices that showed any fault this run — the complement
-         *  earns clean windows on the health ladder. */
-        std::vector<std::uint8_t> dev_faulted(
-            static_cast<std::size_t>(num_gpus), 0);
-        std::vector<int> survivors;
-        for (unsigned w = 0; w < plan_.numWindows; ++w)
-            exec_dev[w] =
-                sched_devs[static_cast<int>(w) % n_sched];
-        // Ordinal of window w on its device under the round-robin
-        // layout — the operand the fault grammar's win= names.
-        const auto window_ordinal = [n_sched](unsigned w) {
-            return static_cast<int>(w) / n_sched;
+        const int n_place = static_cast<int>(placement.size());
+        const auto ordinal = [n_place](unsigned u) {
+            return static_cast<int>(u) / n_place;
         };
+        run.execDev.resize(n_units);
+        for (unsigned u = 0; u < n_units; ++u)
+            run.execDev[u] = placement[static_cast<int>(u) % n_place];
+        std::vector<std::uint8_t> lost(n_units, 0);
+        run.dual.assign(n_units, 0);
+
+        // --- Device faults ---
+        // Hung devices cannot receive resharded units either; with
+        // the watchdog off a hang is rejected below before any
+        // reshard happens.
+        std::vector<int> survivors;
         for (int d = 0; d < num_gpus; ++d) {
-            const int kw = fplan.killWindow(d);
+            const int kw = fp.killWindow(d);
             if (kw < 0) {
-                // Hung devices cannot receive resharded windows
-                // either; with the watchdog off a hang is rejected
-                // below before any reshard happens.
-                if (dev_sched[d] && fplan.hangWindow(d) < 0)
+                if (!quarantined(d) && fp.hangWindow(d) < 0)
                     survivors.push_back(d);
                 continue;
             }
-            ++result.fault.devicesLost;
-            ++result.fault.faultsInjected;
-            dev_faulted[d] = 1;
-            fault_log.push_back("kill/dev" + std::to_string(d) +
-                                "@win" + std::to_string(kw));
+            ++report.devicesLost;
+            ++report.faultsInjected;
+            run.devFaulted[static_cast<std::size_t>(d)] = 1;
+            run.faultLog.push_back("kill/dev" + std::to_string(d) +
+                                   at_window(kw));
         }
-        for (unsigned w = 0; w < plan_.numWindows; ++w) {
-            const int kw = fplan.killWindow(exec_dev[w]);
-            if (kw >= 0 &&
-                (collective_merge || window_ordinal(w) >= kw))
-                lost_window[w] = 1;
-        }
-
-        // --- Watchdog: stragglers and hangs (fault plan) ---
-        // Sequential pre-pass, windows ascending, so detection,
-        // health escalation and target choice are identical at every
-        // hostThreads setting. A window whose projected completion
-        // blows its deadline — watchdogSlack x the calibrated
-        // per-window estimate — is speculatively re-dispatched onto
-        // the fastest healthy candidate. The adopted copy is the one
-        // with the earlier *priced* completion, the original
-        // canonical on ties; both copies execute the same
-        // deterministic window function, so the adopted point is
-        // bit-identical either way (the dual-execution pass below
-        // asserts it).
-        std::vector<std::uint8_t> hang_window(plan_.numWindows, 0);
-        std::vector<std::uint8_t> spec_window(plan_.numWindows, 0);
-        if (fplan.hasStragglerFaults()) {
-            const double est = window_estimate_ns_;
-            const double slack =
-                std::max(1.0, options_.watchdogSlack);
+        if (fp.hasStragglerFaults()) {
             for (int d = 0; d < num_gpus; ++d) {
-                if (fplan.degraded(d)) {
-                    ++result.fault.faultsInjected;
-                    dev_faulted[d] = 1;
-                    fault_log.push_back("degrade/dev" +
-                                        std::to_string(d));
+                if (fp.degraded(d)) {
+                    ++report.faultsInjected;
+                    run.devFaulted[static_cast<std::size_t>(d)] = 1;
+                    run.faultLog.push_back("degrade/dev" +
+                                           std::to_string(d));
                 }
-                const int hw = fplan.hangWindow(d);
+                const int hw = fp.hangWindow(d);
                 if (hw >= 0) {
-                    ++result.fault.hangs;
-                    ++result.fault.faultsInjected;
-                    dev_faulted[d] = 1;
+                    ++report.hangs;
+                    ++report.faultsInjected;
+                    run.devFaulted[static_cast<std::size_t>(d)] = 1;
                     if (health != nullptr)
                         health->recordHang(d);
-                    fault_log.push_back("hang/dev" +
-                                        std::to_string(d) + "@win" +
-                                        std::to_string(hw));
+                    run.faultLog.push_back("hang/dev" +
+                                           std::to_string(d) +
+                                           at_window(hw));
                 }
             }
-            for (unsigned w = 0; w < plan_.numWindows; ++w) {
-                if (lost_window[w])
+        }
+
+        // --- Device loss ---
+        // A device killed at its j-th window loses every window of
+        // ordinal >= j (results of earlier ordinals were already
+        // streamed out). Collective merges (plan_.collective !=
+        // Gather) and slices lose everything the device owned: a dead
+        // device can neither source nor relay reduce steps, so
+        // nothing was streamed out before the merge.
+        const bool whole_device =
+            run.slices ||
+            plan_.collective != gpusim::CollectiveAlgo::Gather;
+        for (unsigned u = 0; u < n_units; ++u) {
+            const int d = run.execDev[u];
+            const int kw = fp.killWindow(d);
+            if (kw >= 0 && (whole_device || ordinal(u) >= kw)) {
+                lost[u] = 1;
+            } else if (run.slices && fp.hangWindow(d) >= 0) {
+                // A hung slice never finishes: its speculative
+                // recompute on a survivor is a guaranteed win.
+                if (!options_.watchdog)
+                    return support::Status(
+                        support::StatusCode::TransferTimeout,
+                        "device " + std::to_string(d) +
+                            " hung in the combined pass and the "
+                            "watchdog is off");
+                ++report.stragglersDetected;
+                ++report.stragglerRespawns;
+                ++report.speculativeWins;
+                lost[u] = 1;
+            } else if (run.slices && quarantined(d)) {
+                // Not a new fault — the tracker already counted
+                // whatever quarantined it; the slice just needs a
+                // healthy owner.
+                lost[u] = 1;
+            }
+        }
+
+        // --- Watchdog: straggling and hung windows ---
+        // A window whose projected completion blows its deadline —
+        // watchdogSlack x the calibrated per-window estimate — is
+        // speculatively re-dispatched onto the fastest healthy
+        // candidate. The adopted copy is the one with the earlier
+        // *priced* completion, the original canonical on ties; both
+        // copies execute the same deterministic unit, so the adopted
+        // point is bit-identical either way (execute asserts it).
+        if (!run.slices && fp.hasStragglerFaults()) {
+            const double est = window_estimate_ns_;
+            const double slack = std::max(1.0, options_.watchdogSlack);
+            for (unsigned w = 0; w < n_units; ++w) {
+                if (lost[w])
                     continue;
-                const int d = exec_dev[w];
-                const int ord = window_ordinal(w);
-                const double f = fplan.degradeFactor(d, ord);
-                const int hw = fplan.hangWindow(d);
+                const int d = run.execDev[w];
+                const int ord = ordinal(w);
+                const double f = fp.degradeFactor(d, ord);
+                const int hw = fp.hangWindow(d);
                 // A collective merge loses every window of a hung
                 // device (nothing streams out before the merge),
                 // exactly like the kill path.
                 const bool hang =
-                    hw >= 0 && (collective_merge || ord >= hw);
-                if (!hang && f <= slack) {
-                    // Within the deadline: the window stretches but
-                    // no respawn fires.
-                    result.fault.stragglerWaitNs += (f - 1.0) * est;
-                    result.fault.stragglerStallNs += (f - 1.0) * est;
-                    continue;
-                }
+                    hw >= 0 && (whole_device || ord >= hw);
                 if (hang && !options_.watchdog)
                     return support::Status(
                         support::StatusCode::TransferTimeout,
                         "device " + std::to_string(d) +
                             " hung at window " + std::to_string(w) +
                             " and the watchdog is off");
-                if (!options_.watchdog) {
-                    // Degrade past the slack, watchdog off: the
-                    // merge stalls the full factor behind the
-                    // straggler.
-                    result.fault.stragglerWaitNs += (f - 1.0) * est;
-                    result.fault.stragglerStallNs += (f - 1.0) * est;
-                    continue;
-                }
-                ++result.fault.stragglersDetected;
-                if (health != nullptr && !hang)
-                    health->recordStraggler(d);
-                // Fastest healthy candidate: schedulable, alive, not
-                // hung, not the straggler itself; the lowest index
-                // breaks factor ties (deterministic).
                 int target = -1;
                 double target_f =
                     std::numeric_limits<double>::infinity();
-                for (const int c : sched_devs) {
-                    if (c == d || fplan.killWindow(c) >= 0 ||
-                        fplan.hangWindow(c) >= 0)
-                        continue;
-                    const double cf = fplan.degradeFactor(c, 0);
-                    if (cf < target_f) {
-                        target_f = cf;
-                        target = c;
+                if (options_.watchdog && (hang || f > slack)) {
+                    ++report.stragglersDetected;
+                    if (health != nullptr && !hang)
+                        health->recordStraggler(d);
+                    // Fastest healthy candidate: schedulable, alive,
+                    // not hung, not the straggler itself; the lowest
+                    // index breaks factor ties (deterministic).
+                    for (const int c : placement) {
+                        if (c == d || fp.killWindow(c) >= 0 ||
+                            fp.hangWindow(c) >= 0)
+                            continue;
+                        const double cf = fp.degradeFactor(c, 0);
+                        if (cf < target_f) {
+                            target_f = cf;
+                            target = c;
+                        }
                     }
-                }
-                if (target < 0) {
-                    if (hang)
+                    if (target < 0 && hang)
                         return support::Status(
                             support::StatusCode::DeviceLost,
                             "device " + std::to_string(d) +
                                 " hung and no healthy candidate "
                                 "remains to respawn onto");
-                    result.fault.stragglerWaitNs += (f - 1.0) * est;
-                    result.fault.stragglerStallNs += (f - 1.0) * est;
+                }
+                if (target < 0) {
+                    // No respawn (within the deadline, watchdog off,
+                    // or no candidate): the window stretches and the
+                    // merge waits the full factor behind it.
+                    report.stragglerWaitNs += (f - 1.0) * est;
+                    report.stragglerStallNs += (f - 1.0) * est;
                     continue;
                 }
-                ++result.fault.stragglerRespawns;
-                spec_window[w] = 1;
-                fault_log.push_back(
+                ++report.stragglerRespawns;
+                run.faultLog.push_back(
                     "respawn/w" + std::to_string(w) + "/dev" +
                     std::to_string(d) + "->dev" +
                     std::to_string(target));
@@ -731,197 +682,426 @@ class MsmEngine
                     hang ? std::numeric_limits<double>::infinity()
                          : f * est;
                 const double spec_ns = slack * est + target_f * est;
-                const bool adopt = spec_ns < orig_ns;
-                if (hang)
-                    hang_window[w] = 1;
-                if (adopt) {
-                    ++result.fault.speculativeWins;
-                    exec_dev[w] = target;
+                run.dual[w] = !hang;
+                if (spec_ns < orig_ns) {
+                    ++report.speculativeWins;
+                    run.execDev[w] = target;
                 } else {
-                    ++result.fault.speculativeLosses;
+                    ++report.speculativeLosses;
                 }
-                result.fault.stragglerWaitNs +=
+                report.stragglerWaitNs +=
                     std::min(orig_ns, spec_ns) - est;
-                result.fault.stragglerStallNs +=
+                report.stragglerStallNs +=
                     hang ? options_.transferTimeoutNs
                          : (f - 1.0) * est;
             }
         }
 
-        std::vector<WindowPartial> partials(plan_.numWindows);
-        pool.parallelFor(
-            0, plan_.numWindows,
-            [&](std::size_t w) {
-                if (!lost_window[w] && !hang_window[w])
-                    run_window(static_cast<unsigned>(w),
-                               partials[w]);
-            },
-            host_threads);
-
-        // --- Recovery: reshard lost windows onto the survivors ---
-        std::vector<unsigned> resharded;
-        for (unsigned w = 0; w < plan_.numWindows; ++w)
-            if (lost_window[w])
-                resharded.push_back(w);
-        if (!resharded.empty()) {
+        // --- Recovery: reshard lost units onto the survivors ---
+        // A unit recomputes from the same scattered input on any
+        // device, so recovery is bit-identical by construction; the
+        // survivor that recomputes a unit also ships it.
+        std::size_t resharded = 0;
+        for (unsigned u = 0; u < n_units; ++u) {
+            if (!lost[u])
+                continue;
             if (survivors.empty())
                 return support::Status(
                     support::StatusCode::DeviceLost,
                     "all " + std::to_string(num_gpus) +
                         " devices lost; no survivor to reshard "
                         "onto");
-            for (std::size_t i = 0; i < resharded.size(); ++i)
-                exec_dev[resharded[i]] = pickSurvivor(
-                    survivors, exec_dev[resharded[i]], i,
-                    result.fault);
-            pool.parallelFor(
-                0, resharded.size(),
-                [&](std::size_t i) {
-                    run_window(resharded[i],
-                               partials[resharded[i]]);
-                },
-                host_threads);
-            result.fault.windowsResharded += resharded.size();
+            run.execDev[u] = pickSurvivor(survivors, run.execDev[u],
+                                          resharded++, report);
         }
+        report.windowsResharded += resharded;
+        return support::Status::ok();
+    }
 
-        // --- Speculative execution (watchdog respawns) ---
-        // A hung original never completes, so only the respawned
-        // copy runs. A slow-but-alive original still finishes, so
-        // its respawn is a genuine dual execution: the scratch copy
-        // must agree bit-for-bit with the original, and its stats
-        // are discarded so KernelStats stay identical to the
-        // fault-free run.
-        std::vector<unsigned> hung_windows, dual_windows;
-        for (unsigned w = 0; w < plan_.numWindows; ++w) {
-            if (hang_window[w])
-                hung_windows.push_back(w);
-            else if (spec_window[w])
-                dual_windows.push_back(w);
-        }
-        if (!hung_windows.empty())
-            pool.parallelFor(
-                0, hung_windows.size(),
-                [&](std::size_t i) {
-                    run_window(hung_windows[i],
-                               partials[hung_windows[i]]);
-                },
-                host_threads);
-        if (!dual_windows.empty())
-            pool.parallelFor(
-                0, dual_windows.size(),
-                [&](std::size_t i) {
-                    WindowPartial scratch;
-                    run_window(dual_windows[i], scratch);
-                    DISTMSM_ASSERT(bitEqual(
-                        scratch.windowPoint,
-                        partials[dual_windows[i]].windowPoint));
-                },
-                host_threads);
+    /**
+     * Execute phase: one pool pass over every unit — first runs,
+     * reshards and watchdog respawns alike, since a unit's result does
+     * not depend on its device — plus a copy of each straggling (not
+     * hung) window, a genuine dual execution that must agree
+     * bit-for-bit and whose stats are discarded. The first failing
+     * unit (ascending) surfaces.
+     */
+    support::Status
+    execute(MsmRun &run) const
+    {
+        run.units.resize(run.numUnits);
+        std::vector<unsigned> duals;
+        for (unsigned u = 0; u < run.numUnits; ++u)
+            if (run.dual[u])
+                duals.push_back(u);
+        std::vector<UnitOut> copies(duals.size());
+        const std::size_t jobs = run.numUnits + duals.size();
+        support::ThreadPool::global().parallelFor(
+            0, jobs,
+            [&](std::size_t j) {
+                if (j < run.numUnits)
+                    executeUnit(run, static_cast<unsigned>(j),
+                                run.units[j]);
+                else
+                    executeUnit(run, duals[j - run.numUnits],
+                                copies[j - run.numUnits]);
+            },
+            run.hostThreads);
+        for (std::size_t i = 0; i < duals.size(); ++i)
+            DISTMSM_ASSERT(
+                bitEqual(copies[i].point, run.units[duals[i]].point));
+        for (const UnitOut &unit : run.units)
+            if (!unit.status.isOk())
+                return unit.status;
+        if (!run.slices)
+            for (unsigned w = 0; w < run.numUnits; ++w)
+                run.keyed[w] = run.units[w].point;
+        return support::Status::ok();
+    }
 
-        for (unsigned w = 0; w < plan_.numWindows; ++w)
-            if (!partials[w].scatterOk)
-                return partials[w].status;
-
-        // --- Transfer: ship each device's window results ---
-        // Sequential, devices ascending, one canonical index per
-        // attempt — exactly the counter the fault plan's
-        // corrupt:xfer clause names, so injection, detection and
-        // retry are identical at every hostThreads setting.
-        //
-        // Gather ships every device straight to the host (the legacy
-        // path, untouched). Ring/tree route the same disjoint
-        // payloads device-to-device along the collective schedule
-        // first — every key still has exactly one contributor, so
-        // the merged points reaching the host are bit-identical to
-        // the gather's.
-        std::uint64_t xfer_counter = 0;
-        if (!collective_merge) {
-            for (int d = 0; d < num_gpus; ++d) {
-                std::vector<unsigned> wins;
-                for (unsigned w = 0; w < plan_.numWindows; ++w)
-                    if (exec_dev[w] == d)
-                        wins.push_back(w);
-                if (wins.empty())
-                    continue;
-                std::vector<Xyzz> payload;
-                std::vector<std::uint64_t> keys;
-                payload.reserve(wins.size());
-                keys.reserve(wins.size());
-                for (const unsigned w : wins) {
-                    payload.push_back(partials[w].windowPoint);
-                    keys.push_back(w);
-                }
-                std::vector<Xyzz> received;
-                const support::Status shipped = shipPayloadResilient(
-                    d, payload, keys, fplan, xfer_counter,
-                    result.fault, fault_log, dev_faulted, received);
-                if (!shipped.isOk())
-                    return shipped;
-                for (std::size_t i = 0; i < wins.size(); ++i)
-                    partials[wins[i]].windowPoint = received[i];
-            }
+    /**
+     * One unit's bucket work. A window scatters its own digits, sums
+     * its whole bucket array — in plan_.gpusPerWindow lockstep groups
+     * when the plan splits a window's buckets across GPUs (Section
+     * 3.2.2) — and reduces it to the window point. A slice sums its
+     * range of the combined pass straight into the shared bucket
+     * array. Writes only @p out and the unit's own buckets, so units
+     * run concurrently.
+     */
+    void
+    executeUnit(MsmRun &run, unsigned u, UnitOut &out) const
+    {
+        // Simulated-kernel field muls (bucket sums, window reduce)
+        // execute on the forced backend; entered per worker thread,
+        // so the pool-distributed bucket groups re-enter it.
+        const field::TcBackendScope tc_scope(tc_exec_);
+        const std::size_t n_eff = run.nEff;
+        const std::size_t n_base = points_.size();
+        const ScatterResult *scattered = &run.scattered;
+        const std::vector<std::uint8_t> *negs = &run.negs;
+        std::vector<Xyzz> *sums = &run.keyed;
+        ScatterResult own;
+        std::vector<std::uint8_t> own_negs;
+        std::vector<Xyzz> window_sums;
+        std::size_t lo = 0, hi = 0;
+        int groups = 1;
+        if (run.slices) {
+            out.status = support::Status::ok();
+            std::tie(lo, hi) = keyRange(run, u);
         } else {
-            std::vector<std::vector<Xyzz>> dev_payload(num_gpus);
-            std::vector<std::vector<std::uint64_t>> dev_keys(
-                num_gpus);
-            for (unsigned w = 0; w < plan_.numWindows; ++w) {
-                dev_payload[exec_dev[w]].push_back(
-                    partials[w].windowPoint);
-                dev_keys[exec_dev[w]].push_back(w);
+            std::vector<std::uint32_t> ids(n_eff);
+            own_negs.resize(n_eff);
+            windowDigits(run, u, ids.data(), own_negs.data());
+            // One kernel-launch lane per window: the launch span
+            // carries the measured contention of exactly this
+            // window's scatter.
+            own = scatterIds(ids,
+                             run.tracePrefix + "w" + std::to_string(u) +
+                                 "/scatter",
+                             static_cast<int>(u));
+            out.status = own.status;
+            if (!own.ok)
+                return;
+            out.scatterStats = own.stats;
+            scattered = &own;
+            negs = &own_negs;
+            window_sums.assign(run.numBuckets, Xyzz::identity());
+            sums = &window_sums;
+            lo = 1;
+            hi = run.numBuckets;
+            groups = plan_.bucketsSplitAcrossGpus ? plan_.gpusPerWindow
+                                                  : 1;
+        }
+
+        auto point_of = [&](std::uint32_t idx) {
+            const AffinePoint<Curve> &base =
+                run.slices ? table_->rows[idx / n_eff][idx % n_eff]
+                : idx < n_base ? points_[idx]
+                               : phi_points_[idx - n_base];
+            return (*negs)[idx] ? base.negated() : base;
+        };
+        std::vector<gpusim::KernelStats> group_stats(groups);
+        cluster_.forEachDevice(
+            groups,
+            [&](int g) {
+                const field::TcBackendScope group_scope(tc_exec_);
+                const std::size_t g_lo = lo + (hi - lo) * g / groups;
+                const std::size_t g_hi =
+                    lo + (hi - lo) * (g + 1) / groups;
+                if (options_.batchAffine) {
+                    BatchAffineScratch<Curve> scratch;
+                    batchAffineAccumulate<Curve>(
+                        scattered->buckets, g_lo, g_hi, point_of,
+                        *sums, group_stats[g], scratch);
+                    return;
+                }
+                for (std::size_t b = g_lo;
+                     b < g_hi && b < scattered->buckets.size(); ++b) {
+                    if (scattered->buckets[b].empty())
+                        continue;
+                    (*sums)[b] = bucketSumTree<Curve>(
+                        scattered->buckets[b], point_of,
+                        plan_.threadsPerBucket, group_stats[g]);
+                }
+            },
+            options_.hostThreads);
+        // The groups are one launch running on their devices in
+        // lockstep: work counts sum, the shared phase structure does
+        // not (see KernelStats::mergeLockstep; pinned by the 1-vs-4
+        // device stats test).
+        for (const auto &gs : group_stats)
+            out.ecStats.mergeLockstep(gs);
+        if (!run.slices)
+            out.point =
+                bucketReduceSerial<Curve>(window_sums, &out.reduceStats);
+    }
+
+    /**
+     * Ship phase: every unit's keyed points reach the host through
+     * the checksummed transfer layer, sequentially, one canonical
+     * index per attempt (the counter corrupt:xfer names), so faults
+     * land identically at every hostThreads setting. Each device
+     * ships one payload (its units ascending); slices under a
+     * plan-Gather ship one each, so a survivor carrying a resharded
+     * slice ships it separately. A Gather ships straight to the host,
+     * ring / tree / reduce-scatter route device-to-device first
+     * (mergeViaCollective). Under CollectivePolicy::Auto a collective
+     * plan is re-resolved against the busiest payload actually
+     * shipped; kill semantics stay keyed off the planned strategy.
+     */
+    support::Status
+    ship(MsmRun &run) const
+    {
+        const bool per_slice =
+            run.slices &&
+            plan_.collective == gpusim::CollectiveAlgo::Gather;
+        const std::size_t n_payloads =
+            per_slice ? run.numUnits
+                      : static_cast<std::size_t>(cluster_.numGpus());
+        std::vector<std::vector<Xyzz>> payloads(n_payloads);
+        std::vector<std::vector<std::uint64_t>> keys(n_payloads);
+        std::vector<int> sender(n_payloads);
+        for (unsigned u = 0; u < run.numUnits; ++u) {
+            const std::size_t k =
+                per_slice ? u
+                          : static_cast<std::size_t>(run.execDev[u]);
+            sender[k] = run.execDev[u];
+            const auto [lo, hi] = keyRange(run, u);
+            for (std::size_t key = lo; key < hi; ++key) {
+                payloads[k].push_back(run.keyed[key]);
+                keys[k].push_back(key);
             }
-            std::vector<Xyzz> merged;
-            std::vector<std::uint64_t> merged_keys;
-            const support::Status shipped = mergeViaCollective(
-                dev_payload, dev_keys, fplan, xfer_counter,
-                result.fault, fault_log, dev_faulted, trace_prefix,
-                merged, merged_keys);
+        }
+        std::vector<int> members;
+        std::uint64_t max_bytes = 0;
+        for (std::size_t k = 0; k < n_payloads; ++k) {
+            if (payloads[k].empty())
+                continue;
+            members.push_back(static_cast<int>(k));
+            max_bytes = std::max<std::uint64_t>(
+                max_bytes, payloads[k].size() * sizeof(Xyzz));
+        }
+        gpusim::CollectiveAlgo algo = plan_.collective;
+        if (algo != gpusim::CollectiveAlgo::Gather &&
+            options_.collective == gpusim::CollectivePolicy::Auto)
+            algo = gpusim::CollectiveTimeEstimator(cluster_.topology(),
+                                                   cluster_.device())
+                       .pick(gpusim::CollectivePolicy::Auto,
+                             static_cast<int>(members.size()),
+                             max_bytes);
+        if (algo != gpusim::CollectiveAlgo::Gather)
+            return mergeViaCollective(run, algo, members, payloads,
+                                      keys);
+        for (const int k : members) {
+            std::vector<Xyzz> received;
+            const support::Status shipped =
+                shipPayload(run, sender[k], payloads[k], keys[k],
+                            received);
             if (!shipped.isOk())
                 return shipped;
-            for (std::size_t i = 0; i < merged.size(); ++i)
-                partials[static_cast<std::size_t>(merged_keys[i])]
-                    .windowPoint = merged[i];
+            for (std::size_t i = 0; i < received.size(); ++i)
+                run.keyed[keys[k][i]] = received[i];
         }
+        return support::Status::ok();
+    }
 
-        // Merge strictly high-to-low exactly like the serial Horner
-        // recurrence (same stats/trace order as before the fault
-        // layer: windows descending).
+    /**
+     * Reduce phase on the host. Windows merge strictly high-to-low
+     * through the serial Horner recurrence (s doublings per window);
+     * the combined pass reduces its one bucket array. The slices are
+     * one bucket-sum launch across the cluster, so their stats merge
+     * in lockstep after the combined scatter's.
+     */
+    void
+    reduce(MsmRun &run) const
+    {
+        MsmResult<Curve> &result = run.result;
+        if (run.slices) {
+            gpusim::KernelStats ec;
+            for (const UnitOut &unit : run.units)
+                ec.mergeLockstep(unit.ecStats);
+            result.stats.merge(run.scattered.stats);
+            result.stats.merge(ec);
+            result.value =
+                bucketReduceSerial<Curve>(run.keyed, &run.reduceStats);
+            result.hostOps +=
+                run.reduceStats.padds + run.reduceStats.pdbls;
+            return;
+        }
         Xyzz total = Xyzz::identity();
-        for (unsigned w = plan_.numWindows; w-- > 0;) {
-            WindowPartial &wp = partials[w];
-            result.stats.merge(wp.scatterStats);
-            result.stats.merge(wp.ecStats);
-            if (trace != nullptr)
-                emit_window(w, wp, exec_dev[w]);
-
+        for (unsigned w = run.numUnits; w-- > 0;) {
+            const UnitOut &unit = run.units[w];
+            result.stats.merge(unit.scatterStats);
+            result.stats.merge(unit.ecStats);
             if (!total.isIdentity()) {
-                for (unsigned b = 0; b < s; ++b) {
+                for (unsigned b = 0; b < plan_.windowBits; ++b) {
                     total = pdbl(total);
                     ++result.hostOps;
                 }
             }
-            total = padd(total, wp.windowPoint);
-            result.hostOps += wp.reduceStats.padds + 1;
+            total = padd(total, run.keyed[w]);
+            result.hostOps += unit.reduceStats.padds + 1;
         }
-
-        // Clean windows feed the ladder: every window whose
-        // executing device showed no fault this run counts toward
-        // probation reintegration (sequential, windows ascending —
-        // deterministic streak growth).
-        if (health != nullptr)
-            for (unsigned w = 0; w < plan_.numWindows; ++w)
-                if (!dev_faulted[static_cast<std::size_t>(
-                        exec_dev[w])])
-                    health->recordCleanWindow(exec_dev[w]);
-
         result.value = total;
-        if (trace != nullptr) {
-            emitFieldBackendMetrics(*trace, result.stats);
-            emitFaultTrace(*trace, result.fault, fault_log);
-        }
-        return result;
     }
 
-  private:
+    /**
+     * Record phase: every unit whose booked device saw no fault this
+     * run earns a clean window toward probation reintegration (units
+     * ascending — deterministic streak growth); then, when tracing,
+     * the unit spans and metrics, the field-backend attribution and
+     * the fault track.
+     */
+    void
+    record(const MsmRun &run) const
+    {
+        gpusim::HealthTracker *const health = options_.health;
+        if (health != nullptr)
+            for (unsigned u = 0; u < run.numUnits; ++u) {
+                const int d = bookedDevice(run, u);
+                if (d < health->numDevices() &&
+                    !run.devFaulted[static_cast<std::size_t>(d)])
+                    health->recordCleanWindow(d);
+            }
+        support::TraceRecorder *const trace = options_.trace;
+        if (trace == nullptr)
+            return;
+        traceUnits(run, *trace);
+        emitFieldBackendMetrics(*trace, run.result.stats);
+        emitFaultTrace(*trace, run.result.fault, run.faultLog);
+    }
+
+    /**
+     * Every unit's phases as spans and metrics on the simulated time
+     * axis: the measured stats are mapped through the cost model and
+     * emitted in a fixed order regardless of hostThreads, so the
+     * spans are deterministic even though the units executed
+     * concurrently. Windows land on their executing device's lane
+     * (descending, back to back per device), each with its scatter,
+     * bucket sum and host bucket-reduce. The combined pass's one
+     * scatter sits on device 0's lane; every slice's bucket sum
+     * starts after it on its own device, and the one bucket-reduce
+     * runs on the host.
+     */
+    void
+    traceUnits(const MsmRun &run, support::TraceRecorder &trace) const
+    {
+        namespace lane = support::tracelane;
+        const auto &cost_model = cluster_.model();
+        const int scatter_threads = scatterThreads();
+        auto &metrics = trace.metrics();
+        const std::string &prefix = run.tracePrefix;
+        const auto scatter_ns = [&](std::uint64_t elements,
+                                    const gpusim::KernelStats &st) {
+            return cost_model.scatterComputeNs(elements,
+                                               scatter_threads) +
+                   cost_model.atomicNs(st, scatter_threads) +
+                   cost_model.gmemNs(st.gmemBytes);
+        };
+        const auto reduce_ns = [&](const ReduceStats &rs) {
+            return cost_model.hostEcNs(curve_profile_,
+                                       rs.padds + rs.pdbls,
+                                       cluster_.host());
+        };
+
+        double pass_scatter_ns = 0.0;
+        if (run.slices) {
+            const std::uint64_t elements =
+                static_cast<std::uint64_t>(plan_.numWindows) * run.nEff;
+            const gpusim::KernelStats &st = run.scattered.stats;
+            pass_scatter_ns = scatter_ns(elements, st);
+            const std::string cl = prefix + "combined/";
+            trace.span(cl + "scatter", "phase",
+                       lane::engineDevicePid(0), lane::kComputeTid, 0.0,
+                       pass_scatter_ns,
+                       support::TraceArgs()
+                           .arg("elements",
+                                static_cast<double>(elements))
+                           .arg("global_atomics",
+                                static_cast<double>(st.globalAtomics)));
+            const std::string mp0 = "engine/" + prefix + "dev0/combined/";
+            st.recordMetrics(metrics, mp0 + "scatter/");
+            metrics.add(mp0 + "scatter_ns", pass_scatter_ns);
+            const double rns = reduce_ns(run.reduceStats);
+            trace.span(cl + "bucket-reduce", "phase",
+                       lane::kEngineHostPid, lane::kComputeTid, 0.0,
+                       rns);
+            metrics.add("engine/" + prefix + "combined/bucket_reduce_ns",
+                        rns);
+        }
+
+        std::vector<double> dev_cursor(
+            static_cast<std::size_t>(cluster_.numGpus()), 0.0);
+        double host_cursor = 0.0;
+        for (unsigned u = run.numUnits; u-- > 0;) {
+            const UnitOut &unit = run.units[u];
+            const int d = bookedDevice(run, u);
+            const int pid = lane::engineDevicePid(d);
+            const std::string unit_label =
+                run.slices ? std::string("combined/")
+                           : std::string("w") + std::to_string(u) + "/";
+            const std::string name = prefix + unit_label;
+            const std::string mp = "engine/" + prefix + "dev" +
+                                   std::to_string(d) + "/" + unit_label;
+            const double sum_ns = bucketSumNs(unit.ecStats);
+            double sum_start = pass_scatter_ns;
+            if (!run.slices) {
+                const gpusim::KernelStats &st = unit.scatterStats;
+                const double sc_ns = scatter_ns(run.nEff, st);
+                trace.span(
+                    name + "scatter", "phase", pid, lane::kComputeTid,
+                    dev_cursor[d], sc_ns,
+                    support::TraceArgs()
+                        .arg("global_atomics",
+                             static_cast<double>(st.globalAtomics))
+                        .arg("global_conflict_weight",
+                             static_cast<double>(
+                                 st.globalConflictWeight))
+                        .arg("global_max_conflict",
+                             static_cast<double>(
+                                 st.globalMaxConflict)));
+                st.recordMetrics(metrics, mp + "scatter/");
+                metrics.add(mp + "scatter_ns", sc_ns);
+                sum_start = dev_cursor[d] + sc_ns;
+                dev_cursor[d] += sc_ns + sum_ns;
+            }
+            trace.span(name + "bucket-sum", "phase", pid,
+                       lane::kComputeTid, sum_start, sum_ns);
+            unit.ecStats.recordMetrics(metrics, mp + "ec/");
+            metrics.add(mp + "bucket_sum_ns", sum_ns);
+            if (!run.slices) {
+                const double rns = reduce_ns(unit.reduceStats);
+                if (rns > 0.0) {
+                    trace.span(name + "bucket-reduce", "phase",
+                               lane::kEngineHostPid, lane::kComputeTid,
+                               host_cursor, rns);
+                    host_cursor += rns;
+                }
+                metrics.add(mp + "bucket_reduce_ns", rns);
+            }
+        }
+    }
+
     /**
      * Obtain the precompute table: a BaseTableCache lookup keyed by
      * the base fingerprint and the plan geometry, building on a
@@ -990,333 +1170,6 @@ class MsmEngine
     }
 
     /**
-     * The combined precompute execution (plan_.precompute): one
-     * scatter over numWindows * n_eff table-indexed elements, one
-     * bucket-sum pass with every device taking a bucket slice, one
-     * serial bucket-reduce. Digit (w, i) addresses table row w at
-     * index i, so all windows share the single bucket array and the
-     * inter-window doubling chain never happens.
-     */
-    template <typename DigitOf>
-    support::Status
-    computeCombined(MsmResult<Curve> &result, std::size_t n_eff,
-                    std::size_t n_buckets, DigitOf &&digit_of,
-                    const std::string &trace_prefix,
-                    int host_threads,
-                    const gpusim::FaultPlan &fplan,
-                    std::vector<std::string> &fault_log) const
-    {
-        using Xyzz = XYZZPoint<Curve>;
-        auto &pool = support::ThreadPool::global();
-        const unsigned s = plan_.windowBits;
-        const unsigned n_windows = plan_.numWindows;
-        const std::uint64_t total64 =
-            static_cast<std::uint64_t>(n_windows) * n_eff;
-        DISTMSM_REQUIRE(
-            total64 <=
-                std::numeric_limits<std::uint32_t>::max(),
-            "combined precompute pass exceeds 32-bit element ids");
-        const std::size_t total =
-            static_cast<std::size_t>(total64);
-
-        // Element e = w * n_eff + i contributes table row w of base
-        // i to the bucket of digit (w, i). Each scalar writes only
-        // its own numWindows slots.
-        std::vector<std::uint32_t> ids(total);
-        std::vector<std::uint8_t> negs(total);
-        pool.parallelFor(
-            0, n_eff,
-            [&](std::size_t i) {
-                for (unsigned w = 0; w < n_windows; ++w) {
-                    const std::size_t e =
-                        static_cast<std::size_t>(w) * n_eff + i;
-                    digit_of(w, i, ids[e], negs[e]);
-                }
-            },
-            host_threads);
-
-        ScatterConfig scatter_cfg = options_.scatter;
-        scatter_cfg.fieldBackend = plan_.fieldBackend;
-        if (options_.trace != nullptr) {
-            scatter_cfg.trace = options_.trace;
-            scatter_cfg.traceLabel =
-                trace_prefix + "combined/scatter";
-            scatter_cfg.traceLane = 0;
-        }
-        ScatterResult scattered =
-            options_.hierarchicalScatter
-                ? hierarchicalScatter(ids, s, scatter_cfg)
-                : naiveScatter(ids, s, scatter_cfg);
-        if (!scattered.ok)
-            return scattered.status;
-        result.stats.merge(scattered.stats);
-
-        auto point_of = [&](std::uint32_t idx) {
-            const std::size_t w = idx / n_eff;
-            const std::size_t i = idx % n_eff;
-            const auto &base = table_->rows[w][i];
-            return negs[idx] ? base.negated() : base;
-        };
-
-        // One bucket-sum launch over the whole cluster: every device
-        // owns a contiguous slice of the single bucket array.
-        std::vector<Xyzz> bucket_sums(n_buckets, Xyzz::identity());
-        const int groups = cluster_.numGpus();
-        std::vector<gpusim::KernelStats> group_stats(groups);
-        auto sum_slice = [&](int g) {
-            const field::TcBackendScope tc_scope(tc_exec_);
-            const std::size_t lo = 1 + (n_buckets - 1) * g / groups;
-            const std::size_t hi =
-                1 + (n_buckets - 1) * (g + 1) / groups;
-            if (options_.batchAffine) {
-                BatchAffineScratch<Curve> scratch;
-                batchAffineAccumulate<Curve>(
-                    scattered.buckets, lo, hi, point_of,
-                    bucket_sums, group_stats[g], scratch);
-                return;
-            }
-            for (std::size_t b = lo;
-                 b < hi && b < scattered.buckets.size(); ++b) {
-                if (scattered.buckets[b].empty())
-                    continue;
-                bucket_sums[b] = bucketSumTree<Curve>(
-                    scattered.buckets[b], point_of,
-                    plan_.threadsPerBucket, group_stats[g]);
-            }
-        };
-
-        // Device loss: the combined pass has no window boundaries,
-        // so a kill clause (at any ordinal) takes the device's whole
-        // bucket slice with it — and so do a hang (with the watchdog
-        // on: the slice is speculatively respawned on a survivor, a
-        // guaranteed win because the original never finishes) and a
-        // quarantine (the tracker excluded the device up front).
-        // Survivors recompute the dead slices afterwards — the
-        // slices are disjoint bucket ranges, so the recomputation is
-        // bit-identical — and the survivor that recomputed a slice
-        // also ships it. A degrade clause only slows its device; at
-        // slice granularity there is no per-window deadline to blow,
-        // so it is logged and priced (timeline stragglerNs) but
-        // never respawned here.
-        gpusim::HealthTracker *const health = options_.health;
-        std::vector<std::uint8_t> dev_faulted(
-            static_cast<std::size_t>(groups), 0);
-        std::vector<int> survivors, dead;
-        std::vector<int> ship_dev(groups);
-        for (int g = 0; g < groups; ++g) {
-            ship_dev[g] = g;
-            const bool quarantined =
-                health != nullptr && g < health->numDevices() &&
-                !health->schedulable(g);
-            const bool hung = fplan.hangWindow(g) >= 0;
-            if (hung && !options_.watchdog)
-                return support::Status(
-                    support::StatusCode::TransferTimeout,
-                    "device " + std::to_string(g) +
-                        " hung in the combined pass and the "
-                        "watchdog is off");
-            if (fplan.killWindow(g) >= 0) {
-                dead.push_back(g);
-                dev_faulted[static_cast<std::size_t>(g)] = 1;
-                result.fault.devicesLost += 1;
-                result.fault.faultsInjected += 1;
-                fault_log.push_back("kill/dev" + std::to_string(g));
-            } else if (hung) {
-                dead.push_back(g);
-                dev_faulted[static_cast<std::size_t>(g)] = 1;
-                result.fault.hangs += 1;
-                result.fault.faultsInjected += 1;
-                result.fault.stragglersDetected += 1;
-                result.fault.stragglerRespawns += 1;
-                result.fault.speculativeWins += 1;
-                fault_log.push_back("hang/dev" + std::to_string(g));
-                if (health != nullptr)
-                    health->recordHang(g);
-            } else if (quarantined) {
-                // Not a new fault — the tracker already counted
-                // whatever quarantined it; the slice just needs a
-                // healthy recompute-and-ship owner.
-                dead.push_back(g);
-                dev_faulted[static_cast<std::size_t>(g)] = 1;
-            } else {
-                survivors.push_back(g);
-                const double f = fplan.degradeFactor(g, 0);
-                if (f > 1.0) {
-                    result.fault.faultsInjected += 1;
-                    dev_faulted[static_cast<std::size_t>(g)] = 1;
-                    fault_log.push_back("degrade/dev" +
-                                        std::to_string(g));
-                }
-            }
-        }
-        if (!dead.empty()) {
-            if (survivors.empty())
-                return support::Status(
-                    support::StatusCode::DeviceLost,
-                    "all " + std::to_string(groups) +
-                        " devices lost; no survivor to reshard "
-                        "onto");
-            for (std::size_t i = 0; i < dead.size(); ++i)
-                ship_dev[dead[i]] = pickSurvivor(
-                    survivors, dead[i], i, result.fault);
-        }
-
-        std::vector<std::uint8_t> is_dead(
-            static_cast<std::size_t>(groups), 0);
-        for (const int g : dead)
-            is_dead[static_cast<std::size_t>(g)] = 1;
-        cluster_.forEachDevice(
-            groups,
-            [&](int g) {
-                if (!is_dead[static_cast<std::size_t>(g)])
-                    sum_slice(g);
-            },
-            options_.hostThreads);
-        if (!dead.empty()) {
-            pool.parallelFor(
-                0, dead.size(),
-                [&](std::size_t i) { sum_slice(dead[i]); },
-                host_threads);
-            result.fault.windowsResharded += dead.size();
-        }
-
-        gpusim::KernelStats ec_stats;
-        for (const auto &gs : group_stats)
-            ec_stats.mergeLockstep(gs);
-        result.stats.merge(ec_stats);
-
-        // Ship each slice through the checksummed transfer layer
-        // (sequential, slices ascending; see the window path for the
-        // canonical-attempt-index contract). The RLC coefficients
-        // are keyed by global bucket index, so resharding never
-        // changes the digest a slice must match. Under a collective
-        // merge the slices route device-to-device along the schedule
-        // before one root->host hop; the slices are disjoint bucket
-        // ranges, so the merged array is bit-identical either way.
-        std::uint64_t xfer_counter = 0;
-        if (plan_.collective == gpusim::CollectiveAlgo::Gather) {
-            for (int g = 0; g < groups; ++g) {
-                const std::size_t lo =
-                    1 + (n_buckets - 1) * g / groups;
-                const std::size_t hi =
-                    1 + (n_buckets - 1) * (g + 1) / groups;
-                if (lo >= hi)
-                    continue;
-                std::vector<Xyzz> payload(
-                    bucket_sums.begin() +
-                        static_cast<std::ptrdiff_t>(lo),
-                    bucket_sums.begin() +
-                        static_cast<std::ptrdiff_t>(hi));
-                std::vector<std::uint64_t> keys(hi - lo);
-                for (std::size_t b = lo; b < hi; ++b)
-                    keys[b - lo] = b;
-                std::vector<Xyzz> received;
-                const support::Status shipped = shipPayloadResilient(
-                    ship_dev[g], payload, keys, fplan, xfer_counter,
-                    result.fault, fault_log, dev_faulted, received);
-                if (!shipped.isOk())
-                    return shipped;
-                std::copy(received.begin(), received.end(),
-                          bucket_sums.begin() +
-                              static_cast<std::ptrdiff_t>(lo));
-            }
-        } else {
-            const int n_dev = cluster_.numGpus();
-            std::vector<std::vector<Xyzz>> dev_payload(n_dev);
-            std::vector<std::vector<std::uint64_t>> dev_keys(n_dev);
-            for (int g = 0; g < groups; ++g) {
-                const std::size_t lo =
-                    1 + (n_buckets - 1) * g / groups;
-                const std::size_t hi =
-                    1 + (n_buckets - 1) * (g + 1) / groups;
-                for (std::size_t b = lo; b < hi; ++b) {
-                    dev_payload[ship_dev[g]].push_back(
-                        bucket_sums[b]);
-                    dev_keys[ship_dev[g]].push_back(b);
-                }
-            }
-            std::vector<Xyzz> merged;
-            std::vector<std::uint64_t> merged_keys;
-            const support::Status shipped = mergeViaCollective(
-                dev_payload, dev_keys, fplan, xfer_counter,
-                result.fault, fault_log, dev_faulted, trace_prefix,
-                merged, merged_keys);
-            if (!shipped.isOk())
-                return shipped;
-            for (std::size_t i = 0; i < merged.size(); ++i)
-                bucket_sums[static_cast<std::size_t>(
-                    merged_keys[i])] = merged[i];
-        }
-
-        // Every slice owner that saw no fault end-to-end earns a
-        // clean window toward probation reintegration.
-        if (health != nullptr)
-            for (int g = 0;
-                 g < std::min(groups, health->numDevices()); ++g)
-                if (!dev_faulted[static_cast<std::size_t>(g)] &&
-                    health->schedulable(g))
-                    health->recordCleanWindow(g);
-
-        ReduceStats reduce_stats;
-        result.value =
-            bucketReduceSerial<Curve>(bucket_sums, &reduce_stats);
-        result.hostOps +=
-            reduce_stats.padds + reduce_stats.pdbls;
-
-        support::TraceRecorder *const trace = options_.trace;
-        if (trace == nullptr)
-            return support::Status::ok();
-        namespace lane = support::tracelane;
-        labelEngineLanes(*trace);
-        const auto &cost_model = cluster_.model();
-        const int scatter_threads = scatterThreads();
-        const double scatter_ns =
-            cost_model.scatterComputeNs(total, scatter_threads) +
-            cost_model.atomicNs(scattered.stats, scatter_threads) +
-            cost_model.gmemNs(scattered.stats.gmemBytes);
-        const std::string cl = trace_prefix + "combined/";
-        support::TraceArgs scatter_args;
-        scatter_args
-            .arg("elements", static_cast<double>(total))
-            .arg("global_atomics",
-                 static_cast<double>(
-                     scattered.stats.globalAtomics));
-        // The combined scatter is one bulk-synchronous kernel across
-        // the cluster; its span sits on device 0's lane, the bucket
-        // sums start after it on every device.
-        trace->span(cl + "scatter", "phase",
-                    lane::engineDevicePid(0), lane::kComputeTid, 0.0,
-                    scatter_ns, std::move(scatter_args));
-        auto &metrics = trace->metrics();
-        for (int g = 0; g < groups; ++g) {
-            const double sum_ns = bucketSumNs(group_stats[g]);
-            trace->span(cl + "bucket-sum", "phase",
-                        lane::engineDevicePid(g), lane::kComputeTid,
-                        scatter_ns, sum_ns);
-            const std::string mp = "engine/" + trace_prefix + "dev" +
-                                   std::to_string(g) + "/combined/";
-            group_stats[g].recordMetrics(metrics, mp + "ec/");
-            metrics.add(mp + "bucket_sum_ns", sum_ns);
-        }
-        const double reduce_ns = cost_model.hostEcNs(
-            curve_profile_,
-            reduce_stats.padds + reduce_stats.pdbls,
-            cluster_.host());
-        trace->span(cl + "bucket-reduce", "phase",
-                    lane::kEngineHostPid, lane::kComputeTid, 0.0,
-                    reduce_ns);
-        const std::string mp0 =
-            "engine/" + trace_prefix + "dev0/combined/";
-        scattered.stats.recordMetrics(metrics, mp0 + "scatter/");
-        metrics.add(mp0 + "scatter_ns", scatter_ns);
-        metrics.add("engine/" + trace_prefix +
-                        "combined/bucket_reduce_ns",
-                    reduce_ns);
-        emitFieldBackendMetrics(*trace, ec_stats);
-        return support::Status::ok();
-    }
-
-    /**
      * Resolve the active fault plan: an explicit MsmOptions::faults
      * wins, then the DISTMSM_FAULT_SPEC environment variable, then
      * no faults. A malformed environment spec surfaces as the typed
@@ -1338,34 +1191,42 @@ class MsmEngine
     }
 
     /**
-     * Re-plan after a health-generation change: route through the
-     * caller's original planner mode (Search/Cached re-search — over
-     * the quarantine-shrunken cluster via planningCluster) and
-     * re-stage whatever the new plan needs. Only called from
-     * tryCompute when MsmOptions::health is set; mutates the
-     * mutable planning state, so concurrent tryCompute calls on one
-     * engine are not supported with a tracker attached.
+     * Plan and stage everything the plan needs: the constructor's
+     * first plan, and the re-plan after a health-generation change.
+     * Routes through the caller's original planner mode — the
+     * realized options of an earlier search carry planner=Heuristic —
+     * so Search/Cached re-search, over the quarantine-shrunken
+     * cluster via planningCluster. The autoscheduler returns the
+     * argmin plan *and* the winning candidate's realized options
+     * (signed digits, batch-affine, GLV, ... — the functional knobs
+     * the score priced); both are adopted so execution matches the
+     * plan. Mutates the mutable planning state, so concurrent
+     * tryCompute calls on one engine are not supported with a
+     * tracker attached.
      */
     void
-    replanForHealth() const
+    planAndStage() const
     {
-        MsmOptions replan_opts = options_;
-        replan_opts.planner = original_planner_;
+        MsmOptions plan_opts = options_;
+        plan_opts.planner = original_planner_;
         if (original_planner_ != PlannerMode::Heuristic) {
             AutoPlanResult searched = autoplanMsm(
-                curve_profile_, points_.size(), cluster_,
-                replan_opts);
+                curve_profile_, points_.size(), cluster_, plan_opts);
             options_ = searched.options;
             plan_ = searched.plan;
         } else {
             plan_ = planMsm(curve_profile_, points_.size(), cluster_,
-                            replan_opts);
+                            plan_opts);
         }
+        // Every cost-model price uses the kernel variant as the
+        // plan's resolved field backend executes it.
         eff_kernel_ = gpusim::applyFieldBackend(options_.kernel,
                                                 plan_.fieldBackend);
         const int host_threads =
             support::resolveHostThreads(options_.hostThreads);
         if (plan_.glv && phi_points_.empty()) {
+            // The endomorphism images phi(P_i) = (beta * x_i, y_i)
+            // are scalar-independent: staged once, like the points.
             phi_points_.resize(points_.size());
             support::ThreadPool::global().parallelFor(
                 0, points_.size(),
@@ -1376,9 +1237,12 @@ class MsmEngine
                 },
                 host_threads);
         }
+        // plan_.precompute, not options_.precompute: the planner may
+        // have declined (device memory budget) or grown the window.
         if (plan_.precompute)
             acquireTable(host_threads);
-        planned_generation_ = options_.health->generation();
+        if (options_.health != nullptr)
+            planned_generation_ = options_.health->generation();
         refreshWindowEstimate();
     }
 
@@ -1393,18 +1257,10 @@ class MsmEngine
     refreshWindowEstimate() const
     {
         window_estimate_ns_ = 0.0;
-        bool need = options_.health != nullptr;
-        if (!need) {
-            if (!options_.faults.empty()) {
-                need = options_.faults.hasStragglerFaults();
-            } else {
-                const support::StatusOr<const gpusim::FaultPlan *>
-                    env = gpusim::globalFaultPlanFromEnv();
-                need = env.isOk() && *env != nullptr &&
-                       (*env)->hasStragglerFaults();
-            }
-        }
-        if (!need)
+        const support::StatusOr<const gpusim::FaultPlan *> fplan =
+            activeFaultPlan();
+        if (options_.health == nullptr &&
+            !(fplan.isOk() && (*fplan)->hasStragglerFaults()))
             return;
         MsmOptions est_opts = options_;
         // The estimate prices the *healthy* window (the deadline
@@ -1442,7 +1298,6 @@ class MsmEngine
         if (!fp.isOk())
             return 0;
         const gpusim::FaultPlan &fplan = **fp;
-        using Xyzz = XYZZPoint<Curve>;
         int paroled = 0;
         const int n_dev =
             std::min(cluster_.numGpus(), health->numDevices());
@@ -1451,22 +1306,11 @@ class MsmEngine
                 continue;
             const std::uint64_t xfer =
                 kProbeXferBase + probe_counter_++;
-            const std::vector<Xyzz> pts(1, Xyzz::identity());
-            const std::vector<std::uint64_t> keys(1, 0);
-            std::vector<Xyzz> wire = pts;
-            wire.push_back(rlcKeyedDigest(pts, keys, nullptr));
-            std::vector<std::uint8_t> bytes =
-                serializePoints<Curve>(wire);
-            if (fplan.transferFault(xfer, d) !=
-                gpusim::TransferFault::None)
-                gpusim::corruptBytes(bytes, fplan.seed, xfer);
-            std::vector<Xyzz> got =
-                deserializePoints<Curve>(bytes);
-            const Xyzz device_digest = got.back();
-            got.pop_back();
-            const Xyzz host_digest =
-                rlcKeyedDigest(got, keys, nullptr);
-            if (bitEqual(host_digest, device_digest)) {
+            std::vector<Xyzz> got;
+            if (wireTrip({Xyzz::identity()}, {0}, true,
+                         fplan.transferFault(xfer, d) !=
+                             gpusim::TransferFault::None,
+                         fplan.seed, xfer, nullptr, got)) {
                 health->recordCleanProbe(d);
                 ++paroled;
             } else {
@@ -1477,34 +1321,35 @@ class MsmEngine
     }
 
   private:
-
     /**
-     * RLC digest with explicit coefficient keys: transfer payloads
-     * are keyed by global window (or bucket) index rather than a
-     * contiguous range, so the host re-derives the same rho for each
-     * point no matter which device shipped it after a reshard. The
-     * digest's EC work is tallied only into @p report (verifyEcOps)
-     * — never KernelStats or hostOps — keeping zero-fault counters
-     * bit-identical to a build without the fault layer.
+     * One trip over the simulated wire: append the device-side keyed
+     * digest to @p points (when @p digest), serialize, flip one byte
+     * when @p corrupt (seeded by @p seed and @p xfer), deserialize
+     * into @p got and re-derive the digest host-side. Returns whether
+     * the two digests agree limb-for-limb (always true undigested);
+     * the digest work is tallied into @p report when given.
      */
-    XYZZPoint<Curve>
-    rlcKeyedDigest(const std::vector<XYZZPoint<Curve>> &points,
-                   const std::vector<std::uint64_t> &keys,
-                   gpusim::FaultReport *report) const
+    bool
+    wireTrip(const std::vector<Xyzz> &points,
+             const std::vector<std::uint64_t> &keys, bool digest,
+             bool corrupt, std::uint64_t seed, std::uint64_t xfer,
+             gpusim::FaultReport *report, std::vector<Xyzz> &got) const
     {
-        using Xyzz = XYZZPoint<Curve>;
-        Xyzz digest = Xyzz::identity();
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Scalar rho = Scalar::fromU64(
-                rlcRho(options_.checksumSeed, keys[i]));
-            digest = padd(digest, pmul(points[i], rho));
-        }
-        if (report != nullptr) {
-            report->verifyEcOps +=
-                points.size() * (kRhoEcOps + 1);
-            report->checksummed += points.size();
-        }
-        return digest;
+        std::vector<Xyzz> wire = points;
+        if (digest)
+            wire.push_back(rlcKeyedDigest(points, keys,
+                                          options_.checksumSeed, report));
+        std::vector<std::uint8_t> bytes = serializePoints<Curve>(wire);
+        if (corrupt)
+            gpusim::corruptBytes(bytes, seed, xfer);
+        got = deserializePoints<Curve>(bytes);
+        if (!digest)
+            return true;
+        const Xyzz device_digest = got.back();
+        got.pop_back();
+        return bitEqual(rlcKeyedDigest(got, keys, options_.checksumSeed,
+                                       report),
+                        device_digest);
     }
 
     /**
@@ -1514,28 +1359,22 @@ class MsmEngine
      * digest host-side and compare limb-for-limb — retrying (with a
      * fresh canonical attempt index) up to MsmOptions::maxRetries
      * times. Every retry waits out an exponential backoff
-     * (backoffBaseNs doubling per attempt, capped at backoffMaxNs)
-     * plus a deterministic seeded jitter — simulated time, priced
-     * into FaultReport::backoffNs, never wall clock. On success
-     * @p received holds the accepted points, bit-identical to
+     * (retryBackoffNs: kBackoffBaseNs doubling per attempt, capped at
+     * kBackoffMaxNs) plus a deterministic seeded jitter — simulated
+     * time, priced into FaultReport::backoffNs, never wall clock. On
+     * success @p received holds the accepted points, bit-identical to
      * @p points whenever nothing corrupted the wire. On exhaustion,
      * returns the typed Status of the final failed attempt. Each
-     * observed fault marks the device in @p dev_faulted (it forfeits
-     * its clean window) and feeds the health tracker when one is
-     * attached.
+     * observed fault marks the device faulted (it forfeits its clean
+     * window) and feeds the health tracker when one is attached.
      */
     support::Status
-    shipPayload(int device,
-                const std::vector<XYZZPoint<Curve>> &points,
-                const std::vector<std::uint64_t> &rho_keys,
-                const gpusim::FaultPlan &fplan,
-                std::uint64_t &xfer_counter,
-                gpusim::FaultReport &report,
-                std::vector<std::string> &fault_log,
-                std::vector<std::uint8_t> &dev_faulted,
-                std::vector<XYZZPoint<Curve>> &received) const
+    transfer(MsmRun &run, int device, const std::vector<Xyzz> &points,
+             const std::vector<std::uint64_t> &rho_keys,
+             std::vector<Xyzz> &received) const
     {
-        using Xyzz = XYZZPoint<Curve>;
+        const gpusim::FaultPlan &fplan = run.faults;
+        gpusim::FaultReport &report = run.result.fault;
         gpusim::HealthTracker *const health =
             (options_.health != nullptr &&
              device < options_.health->numDevices())
@@ -1543,14 +1382,14 @@ class MsmEngine
                 : nullptr;
         const auto mark_faulted = [&] {
             if (static_cast<std::size_t>(device) <
-                dev_faulted.size())
-                dev_faulted[static_cast<std::size_t>(device)] = 1;
+                run.devFaulted.size())
+                run.devFaulted[static_cast<std::size_t>(device)] = 1;
         };
         support::Status last(support::StatusCode::TransferTimeout,
                              "transfer never attempted");
         for (int attempt = 0; attempt <= options_.maxRetries;
              ++attempt) {
-            const std::uint64_t xfer = xfer_counter++;
+            const std::uint64_t xfer = run.xferCounter++;
             ++report.transfers;
             if (attempt > 0) {
                 ++report.retries;
@@ -1558,11 +1397,7 @@ class MsmEngine
                 // time in the simulated timeline. The jitter PRNG is
                 // keyed by (plan seed, attempt's transfer index), so
                 // the wait is bit-identical at every hostThreads.
-                const double backoff = std::min(
-                    options_.backoffMaxNs,
-                    options_.backoffBaseNs *
-                        static_cast<double>(
-                            1ull << (attempt - 1)));
+                const double backoff = retryBackoffNs(attempt);
                 Prng jitter_rng(fplan.seed ^
                                 (xfer * 0x9E3779B97F4A7C15ull) ^
                                 0xBACC0FFull);
@@ -1577,7 +1412,7 @@ class MsmEngine
             if (delay > 0.0) {
                 report.delayNs += delay;
                 ++report.faultsInjected;
-                fault_log.push_back("delay/dev" +
+                run.faultLog.push_back("delay/dev" +
                                     std::to_string(device) +
                                     "/xfer" + std::to_string(xfer));
                 if (delay > options_.transferTimeoutNs) {
@@ -1594,52 +1429,35 @@ class MsmEngine
                     continue;
                 }
             }
-            std::vector<Xyzz> wire = points;
-            if (options_.verifyChecksums)
-                wire.push_back(
-                    rlcKeyedDigest(points, rho_keys, &report));
-            std::vector<std::uint8_t> bytes =
-                serializePoints<Curve>(wire);
             const gpusim::TransferFault tf =
                 fplan.transferFault(xfer, device);
             if (tf != gpusim::TransferFault::None) {
-                gpusim::corruptBytes(bytes, fplan.seed, xfer);
                 ++report.corruptInjected;
                 ++report.faultsInjected;
                 mark_faulted();
-                fault_log.push_back(
+                run.faultLog.push_back(
                     (tf == gpusim::TransferFault::Flaky
                          ? "flaky/dev"
                          : "corrupt/dev") +
                     std::to_string(device) + "/xfer" +
                     std::to_string(xfer));
             }
-            std::vector<Xyzz> got =
-                deserializePoints<Curve>(bytes);
-            if (got.size() != wire.size())
-                return support::Status(
-                    support::StatusCode::ResultMismatch,
+            std::vector<Xyzz> got;
+            if (!wireTrip(points, rho_keys, options_.verifyChecksums,
+                          tf != gpusim::TransferFault::None, fplan.seed,
+                          xfer, &report, got)) {
+                ++report.corruptDetected;
+                if (health != nullptr)
+                    health->recordChecksumFailure(device);
+                run.faultLog.push_back("detect/dev" +
+                                       std::to_string(device) + "/xfer" +
+                                       std::to_string(xfer));
+                last = support::Status(
+                    support::StatusCode::TransferCorrupt,
                     "device " + std::to_string(device) +
-                        " transfer payload size mismatch");
-            if (options_.verifyChecksums) {
-                const Xyzz device_digest = got.back();
-                got.pop_back();
-                const Xyzz host_digest =
-                    rlcKeyedDigest(got, rho_keys, &report);
-                if (!bitEqual(host_digest, device_digest)) {
-                    ++report.corruptDetected;
-                    if (health != nullptr)
-                        health->recordChecksumFailure(device);
-                    fault_log.push_back(
-                        "detect/dev" + std::to_string(device) +
-                        "/xfer" + std::to_string(xfer));
-                    last = support::Status(
-                        support::StatusCode::TransferCorrupt,
-                        "device " + std::to_string(device) +
-                            " transfer digest mismatch (attempt " +
-                            std::to_string(attempt) + ")");
-                    continue;
-                }
+                        " transfer digest mismatch (attempt " +
+                        std::to_string(attempt) + ")");
+                continue;
             }
             received = std::move(got);
             return support::Status::ok();
@@ -1648,7 +1466,7 @@ class MsmEngine
     }
 
     /**
-     * shipPayload with one health-gated failover: when every retry
+     * transfer() with one health-gated failover: when every retry
      * from @p device fails AND a health tracker is attached, the
      * payload is re-shipped once from the healthiest-preferred
      * survivor (same node first, ascending — the pickSurvivor
@@ -1656,53 +1474,52 @@ class MsmEngine
      * simulation the payload bytes live host-side either way, so
      * the redirect is purely a routing decision; the RLC digests are
      * keyed by global index, so the new sender must match the same
-     * digest. Without a tracker this is exactly shipPayload — the
+     * digest. Without a tracker this is exactly transfer() — the
      * persistent-corruption error paths are untouched.
      */
     support::Status
-    shipPayloadResilient(
-        int device, const std::vector<XYZZPoint<Curve>> &points,
-        const std::vector<std::uint64_t> &rho_keys,
-        const gpusim::FaultPlan &fplan,
-        std::uint64_t &xfer_counter, gpusim::FaultReport &report,
-        std::vector<std::string> &fault_log,
-        std::vector<std::uint8_t> &dev_faulted,
-        std::vector<XYZZPoint<Curve>> &received) const
+    shipPayload(MsmRun &run, int device, const std::vector<Xyzz> &points,
+                const std::vector<std::uint64_t> &rho_keys,
+                std::vector<Xyzz> &received) const
     {
         const support::Status first =
-            shipPayload(device, points, rho_keys, fplan,
-                        xfer_counter, report, fault_log, dev_faulted,
-                        received);
+            transfer(run, device, points, rho_keys, received);
         gpusim::HealthTracker *const health = options_.health;
         if (first.isOk() || health == nullptr)
             return first;
         if (first.code() != support::StatusCode::TransferCorrupt &&
             first.code() != support::StatusCode::TransferTimeout)
             return first;
-        const gpusim::Topology &topo = cluster_.topology();
-        std::vector<int> pref;
-        for (const int pass : {0, 1})
-            for (int c = 0; c < cluster_.numGpus(); ++c) {
-                if (c == device || fplan.killWindow(c) >= 0 ||
-                    fplan.hangWindow(c) >= 0)
-                    continue;
-                if (c < health->numDevices() &&
-                    !health->schedulable(c))
-                    continue;
-                if (topo.sameNode(c, device) == (pass == 0))
-                    pref.push_back(c);
-            }
+        std::vector<int> alive;
+        for (int c = 0; c < cluster_.numGpus(); ++c)
+            if (c != device && run.faults.killWindow(c) < 0 &&
+                run.faults.hangWindow(c) < 0 &&
+                (c >= health->numDevices() || health->schedulable(c)))
+                alive.push_back(c);
+        const std::vector<int> pref = sameNodeFirst(alive, device);
         if (pref.empty())
             return first;
+        gpusim::FaultReport &report = run.result.fault;
         const int target = pref[static_cast<std::size_t>(
             report.transferFailovers % pref.size())];
         ++report.transferFailovers;
-        fault_log.push_back("failover/dev" +
+        run.faultLog.push_back("failover/dev" +
                             std::to_string(device) + "->dev" +
                             std::to_string(target));
-        return shipPayload(target, points, rho_keys, fplan,
-                           xfer_counter, report, fault_log,
-                           dev_faulted, received);
+        return transfer(run, target, points, rho_keys, received);
+    }
+
+    /** @p candidates on @p device's node first (NVLink-local), then
+     *  the cross-node ones, both ascending. */
+    std::vector<int>
+    sameNodeFirst(const std::vector<int> &candidates, int device) const
+    {
+        std::vector<int> pref;
+        for (const bool same : {true, false})
+            for (const int c : candidates)
+                if (cluster_.topology().sameNode(c, device) == same)
+                    pref.push_back(c);
+        return pref;
     }
 
     /**
@@ -1719,17 +1536,9 @@ class MsmEngine
                  std::size_t ordinal,
                  gpusim::FaultReport &report) const
     {
-        const gpusim::Topology &topo = cluster_.topology();
-        std::vector<int> pref;
-        pref.reserve(survivors.size());
-        for (int s : survivors)
-            if (topo.sameNode(s, original))
-                pref.push_back(s);
-        for (int s : survivors)
-            if (!topo.sameNode(s, original))
-                pref.push_back(s);
+        const std::vector<int> pref = sameNodeFirst(survivors, original);
         const int target = pref[ordinal % pref.size()];
-        if (topo.sameNode(target, original))
+        if (cluster_.topology().sameNode(target, original))
             ++report.reshardsIntraNode;
         else
             ++report.reshardsCrossNode;
@@ -1738,98 +1547,37 @@ class MsmEngine
 
     /**
      * Functional ring/tree/reduce-scatter merge: route the
-     * per-device (points, keys) payloads device-to-device along the
-     * collective schedule — each hop a checksummed shipPayload,
-     * receivers concatenating — then one root->host hop carrying the
-     * union. A sharded step (reduce-scatter rounds) moves only the
-     * keys k with k % shardCount == step.shard, leaving the rest on
-     * the sender. The keys are disjoint (each window/bucket has
-     * exactly one contributor), so no point is ever combined
-     * in-flight and the union reaching the host is bit-identical to
-     * the all-to-host gather; the RLC digests are keyed by global
-     * index, so re-routing never changes the digest a payload must
-     * match. Steps execute sequentially in schedule order — one
+     * per-device (points, keys) payloads of @p members
+     * device-to-device along the @p algo schedule — each hop a
+     * checksummed shipPayload, receivers concatenating — then one
+     * root->host hop carrying the union into run.keyed. A sharded
+     * step (reduce-scatter rounds) moves only the keys k with
+     * k % shardCount == step.shard, leaving the rest on the sender.
+     * The keys are disjoint (each window/bucket has exactly one
+     * contributor), so no point is ever combined in-flight and the
+     * union reaching the host is bit-identical to the all-to-host
+     * gather; the RLC digests are keyed by global index, so
+     * re-routing never changes the digest a payload must match.
+     * Steps execute sequentially in schedule order — one
      * deterministic transfer-counter stream, so injected faults hit
-     * the same hop at every hostThreads setting.
-     *
-     * Under CollectivePolicy::Auto the strategy is re-resolved here
-     * against the merge's *actual* payload size (the plan resolved
-     * it once, at the planning-time estimate): the congestion-priced
-     * winner executes at each merge point. When the per-payload pick
-     * is Gather, every member ships its payload straight to the host
-     * (the schedule has no steps and no root).
-     *
-     * On success @p out_points / @p out_keys hold the union;
-     * @p payloads / @p keys are consumed.
+     * the same hop at every hostThreads setting. @p payloads and
+     * @p keys are consumed.
      */
     support::Status
-    mergeViaCollective(
-        std::vector<std::vector<XYZZPoint<Curve>>> &payloads,
-        std::vector<std::vector<std::uint64_t>> &keys,
-        const gpusim::FaultPlan &fplan,
-        std::uint64_t &xfer_counter, gpusim::FaultReport &report,
-        std::vector<std::string> &fault_log,
-        std::vector<std::uint8_t> &dev_faulted,
-        const std::string &trace_prefix,
-        std::vector<XYZZPoint<Curve>> &out_points,
-        std::vector<std::uint64_t> &out_keys) const
+    mergeViaCollective(MsmRun &run, gpusim::CollectiveAlgo algo,
+                       const std::vector<int> &members,
+                       std::vector<std::vector<Xyzz>> &payloads,
+                       std::vector<std::vector<std::uint64_t>> &keys) const
     {
-        using Xyzz = XYZZPoint<Curve>;
-        out_points.clear();
-        out_keys.clear();
-        std::vector<int> members;
-        for (int d = 0; d < cluster_.numGpus(); ++d)
-            if (!payloads[static_cast<std::size_t>(d)].empty())
-                members.push_back(d);
         if (members.empty())
             return support::Status::ok();
         const gpusim::Topology &topo = cluster_.topology();
-        gpusim::CollectiveAlgo algo = plan_.collective;
-        if (options_.collective ==
-            gpusim::CollectivePolicy::Auto) {
-            // Deterministic payload size for the re-resolution: the
-            // busiest member's bytes (identical at every hostThreads
-            // — the payload partition is fixed by the plan).
-            std::uint64_t max_bytes = 0;
-            for (const int m : members)
-                max_bytes = std::max<std::uint64_t>(
-                    max_bytes,
-                    payloads[static_cast<std::size_t>(m)].size() *
-                        sizeof(Xyzz));
-            algo = gpusim::CollectiveTimeEstimator(
-                       topo, cluster_.device())
-                       .pick(gpusim::CollectivePolicy::Auto,
-                             static_cast<int>(members.size()),
-                             max_bytes);
-        }
         const gpusim::CollectiveSchedule sched =
             gpusim::buildCollectiveSchedule(algo, topo, members);
         namespace lane = support::tracelane;
         support::TraceRecorder *trace = options_.trace;
         const std::uint64_t digest_pts =
             options_.verifyChecksums ? 1 : 0;
-        if (sched.root < 0) {
-            // The per-payload pick degenerated to Gather: each
-            // member ships straight to the host, ascending.
-            for (const int m : members) {
-                auto &m_pts =
-                    payloads[static_cast<std::size_t>(m)];
-                auto &m_keys = keys[static_cast<std::size_t>(m)];
-                std::vector<Xyzz> received;
-                const support::Status shipped = shipPayloadResilient(
-                    m, m_pts, m_keys, fplan, xfer_counter, report,
-                    fault_log, dev_faulted, received);
-                if (!shipped.isOk())
-                    return shipped;
-                out_points.insert(out_points.end(),
-                                  received.begin(), received.end());
-                out_keys.insert(out_keys.end(), m_keys.begin(),
-                                m_keys.end());
-                m_pts.clear();
-                m_keys.clear();
-            }
-            return support::Status::ok();
-        }
         double cursor = 0.0;
         std::uint64_t bytes_intra = 0;
         std::uint64_t bytes_inter = 0;
@@ -1867,9 +1615,8 @@ class MsmEngine
                 src_keys = std::move(stay_keys);
             }
             std::vector<Xyzz> received;
-            const support::Status shipped = shipPayloadResilient(
-                step.src, ship_pts, ship_keys, fplan, xfer_counter,
-                report, fault_log, dev_faulted, received);
+            const support::Status shipped = shipPayload(
+                run, step.src, ship_pts, ship_keys, received);
             if (!shipped.isOk())
                 return shipped;
             const std::uint64_t wire_bytes =
@@ -1885,7 +1632,7 @@ class MsmEngine
                     lane::engineDevicePid(step.src),
                     lane::kTransferTid, "transfer");
                 trace->span(
-                    "collective/" + trace_prefix +
+                    "collective/" + run.tracePrefix +
                         std::string(
                             gpusim::collectiveAlgoName(algo)),
                     "transfer", lane::engineDevicePid(step.src),
@@ -1912,16 +1659,15 @@ class MsmEngine
         auto &root_keys = keys[
             static_cast<std::size_t>(sched.root)];
         std::vector<Xyzz> received;
-        const support::Status shipped = shipPayloadResilient(
-            sched.root, root_pts, root_keys, fplan, xfer_counter,
-            report, fault_log, dev_faulted, received);
+        const support::Status shipped = shipPayload(
+            run, sched.root, root_pts, root_keys, received);
         if (!shipped.isOk())
             return shipped;
-        out_points = std::move(received);
-        out_keys = root_keys;
+        for (std::size_t i = 0; i < received.size(); ++i)
+            run.keyed[root_keys[i]] = received[i];
         if (trace != nullptr) {
             auto &metrics = trace->metrics();
-            const std::string cp = "collective/" + trace_prefix;
+            const std::string cp = "collective/" + run.tracePrefix;
             metrics.add(cp + "steps",
                         static_cast<double>(sched.steps.size()));
             metrics.add(cp + "bytes_intra",
@@ -1931,8 +1677,7 @@ class MsmEngine
             metrics.add(
                 cp + "bytes_host",
                 static_cast<double>(
-                    (out_points.size() + digest_pts) *
-                    sizeof(Xyzz)));
+                    (received.size() + digest_pts) * sizeof(Xyzz)));
         }
         return support::Status::ok();
     }
@@ -1954,50 +1699,33 @@ class MsmEngine
             trace.instant("fault/" + log[i], "fault",
                           lane::kEngineHostPid, kFaultTid,
                           static_cast<double>(i) * 1000.0);
-        auto &metrics = trace.metrics();
-        metrics.add("fault/faults_injected",
-                    static_cast<double>(report.faultsInjected));
-        metrics.add("fault/corrupt_injected",
-                    static_cast<double>(report.corruptInjected));
-        metrics.add("fault/corrupt_detected",
-                    static_cast<double>(report.corruptDetected));
-        metrics.add("fault/timeouts",
-                    static_cast<double>(report.timeouts));
-        metrics.add("fault/retries",
-                    static_cast<double>(report.retries));
-        metrics.add("fault/windows_resharded",
-                    static_cast<double>(report.windowsResharded));
-        metrics.add("fault/reshards_intra_node",
-                    static_cast<double>(report.reshardsIntraNode));
-        metrics.add("fault/reshards_cross_node",
-                    static_cast<double>(report.reshardsCrossNode));
-        metrics.add("fault/devices_lost",
-                    static_cast<double>(report.devicesLost));
-        metrics.add("fault/transfers",
-                    static_cast<double>(report.transfers));
-        metrics.add("fault/checksums",
-                    static_cast<double>(report.checksummed));
-        metrics.add("fault/verify_ec_ops",
-                    static_cast<double>(report.verifyEcOps));
-        metrics.add("fault/delay_ns", report.delayNs);
-        metrics.add("fault/stragglers_detected",
-                    static_cast<double>(report.stragglersDetected));
-        metrics.add("fault/straggler_respawns",
-                    static_cast<double>(report.stragglerRespawns));
-        metrics.add("fault/speculative_wins",
-                    static_cast<double>(report.speculativeWins));
-        metrics.add("fault/speculative_losses",
-                    static_cast<double>(report.speculativeLosses));
-        metrics.add("fault/hangs",
-                    static_cast<double>(report.hangs));
-        metrics.add("fault/transfer_failovers",
-                    static_cast<double>(report.transferFailovers));
-        metrics.add("fault/backoff_ns",
-                    static_cast<double>(report.backoffNs));
-        metrics.add("fault/straggler_wait_ns",
-                    static_cast<double>(report.stragglerWaitNs));
-        metrics.add("fault/straggler_stall_ns",
-                    static_cast<double>(report.stragglerStallNs));
+        const auto d = [](auto v) { return static_cast<double>(v); };
+        const std::pair<const char *, double> counters[] = {
+            {"faults_injected", d(report.faultsInjected)},
+            {"corrupt_injected", d(report.corruptInjected)},
+            {"corrupt_detected", d(report.corruptDetected)},
+            {"timeouts", d(report.timeouts)},
+            {"retries", d(report.retries)},
+            {"windows_resharded", d(report.windowsResharded)},
+            {"reshards_intra_node", d(report.reshardsIntraNode)},
+            {"reshards_cross_node", d(report.reshardsCrossNode)},
+            {"devices_lost", d(report.devicesLost)},
+            {"transfers", d(report.transfers)},
+            {"checksums", d(report.checksummed)},
+            {"verify_ec_ops", d(report.verifyEcOps)},
+            {"delay_ns", report.delayNs},
+            {"stragglers_detected", d(report.stragglersDetected)},
+            {"straggler_respawns", d(report.stragglerRespawns)},
+            {"speculative_wins", d(report.speculativeWins)},
+            {"speculative_losses", d(report.speculativeLosses)},
+            {"hangs", d(report.hangs)},
+            {"transfer_failovers", d(report.transferFailovers)},
+            {"backoff_ns", report.backoffNs},
+            {"straggler_wait_ns", report.stragglerWaitNs},
+            {"straggler_stall_ns", report.stragglerStallNs},
+        };
+        for (const auto &[name, value] : counters)
+            trace.metrics().add(std::string("fault/") + name, value);
         if (options_.health != nullptr)
             options_.health->recordMetrics(trace.metrics());
     }
@@ -2012,20 +1740,25 @@ class MsmEngine
                 options_.scatter.gridDim));
     }
 
+    /** The EC op counts of one bucket-sum launch, by cost-model op. */
+    static std::array<std::pair<gpusim::EcOp, std::uint64_t>, 4>
+    ecOps(const gpusim::KernelStats &ec)
+    {
+        return {{{gpusim::EcOp::Pacc, ec.paccOps},
+                 {gpusim::EcOp::Padd, ec.paddOps},
+                 {gpusim::EcOp::Pdbl, ec.pdblOps},
+                 {gpusim::EcOp::AffineAdd, ec.affineAddOps}}};
+    }
+
     /** Cost-model time of one bucket-sum launch's EC work. */
     double
     bucketSumNs(const gpusim::KernelStats &ec) const
     {
-        const auto &m = cluster_.model();
-        return m.ecThroughputNs(curve_profile_, eff_kernel_,
-                                gpusim::EcOp::Pacc, ec.paccOps) +
-               m.ecThroughputNs(curve_profile_, eff_kernel_,
-                                gpusim::EcOp::Padd, ec.paddOps) +
-               m.ecThroughputNs(curve_profile_, eff_kernel_,
-                                gpusim::EcOp::Pdbl, ec.pdblOps) +
-               m.ecThroughputNs(curve_profile_, eff_kernel_,
-                                gpusim::EcOp::AffineAdd,
-                                ec.affineAddOps);
+        double ns = 0.0;
+        for (const auto &[op, count] : ecOps(ec))
+            ns += cluster_.model().ecThroughputNs(curve_profile_,
+                                                  eff_kernel_, op, count);
+        return ns;
     }
 
     /**
@@ -2036,19 +1769,12 @@ class MsmEngine
     double
     kernelModmuls(const gpusim::KernelStats &ec) const
     {
-        const bool az = curve_profile_.aIsZero;
-        return static_cast<double>(ec.paccOps) *
-                   gpusim::ecOpModmuls(eff_kernel_,
-                                       gpusim::EcOp::Pacc, az) +
-               static_cast<double>(ec.paddOps) *
-                   gpusim::ecOpModmuls(eff_kernel_,
-                                       gpusim::EcOp::Padd, az) +
-               static_cast<double>(ec.pdblOps) *
-                   gpusim::ecOpModmuls(eff_kernel_,
-                                       gpusim::EcOp::Pdbl, az) +
-               static_cast<double>(ec.affineAddOps) *
-                   gpusim::ecOpModmuls(eff_kernel_,
-                                       gpusim::EcOp::AffineAdd, az);
+        double modmuls = 0.0;
+        for (const auto &[op, count] : ecOps(ec))
+            modmuls += static_cast<double>(count) *
+                       gpusim::ecOpModmuls(eff_kernel_, op,
+                                           curve_profile_.aIsZero);
+        return modmuls;
     }
 
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "src/gpusim/health.h"
 #include "src/msm/autoplan.h"
@@ -93,6 +94,17 @@ planningCluster(const gpusim::Cluster &cluster,
                            cluster.model().params());
 }
 
+std::pair<unsigned, std::uint64_t>
+windowGeometry(unsigned scalar_bits, unsigned window_bits,
+               bool signed_digits)
+{
+    const unsigned windows = windowCount(scalar_bits, window_bits);
+    // One extra window absorbs the final carry; buckets halve.
+    if (signed_digits)
+        return {windows + 1, std::uint64_t{1} << (window_bits - 1)};
+    return {windows, (std::uint64_t{1} << window_bits) - 1};
+}
+
 MsmPlan
 planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
                  const gpusim::Cluster &cluster,
@@ -148,16 +160,9 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
         }
     }
 
-    plan.numWindows = windowCount(plan.scalarBits, plan.windowBits);
+    std::tie(plan.numWindows, plan.numBuckets) = windowGeometry(
+        plan.scalarBits, plan.windowBits, options.signedDigits);
     plan.signedDigits = options.signedDigits;
-    if (options.signedDigits) {
-        // One extra window absorbs the final carry; buckets halve.
-        ++plan.numWindows;
-        plan.numBuckets = std::uint64_t{1} << (plan.windowBits - 1);
-    } else {
-        plan.numBuckets =
-            (std::uint64_t{1} << plan.windowBits) - 1;
-    }
 
     if (cluster.numGpus() >= 2 * static_cast<int>(plan.numWindows)) {
         plan.bucketsSplitAcrossGpus = true;
@@ -216,19 +221,6 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
                                         cluster.device())
             .pick(options.collective, cluster.numGpus(),
                   plan.mergeBytesPerGpu);
-
-    // Pipeline depth and device partitions: the heuristic planner
-    // resolves the searchable sentinel (0) to the legacy single-MSM
-    // geometry; only the plan search enumerates deeper values. A
-    // partition count that does not divide the cluster falls back to
-    // the whole-cluster plan rather than a ragged split.
-    plan.pipelineDepth = std::max(1, options.pipelineDepth);
-    const int want_parts = std::max(1, options.devicePartitions);
-    plan.devicePartitions =
-        (want_parts <= cluster.numGpus() &&
-         cluster.numGpus() % want_parts == 0)
-            ? want_parts
-            : 1;
 
     // Field-backend resolution: a forced choice maps straight
     // through; Auto prices the dominant accumulation kernel (the
@@ -613,11 +605,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
             double odds = 1.0;
             for (int a = 1; a <= options.maxRetries; ++a) {
                 odds *= p;
-                t.backoffNs +=
-                    odds * std::min(options.backoffMaxNs,
-                                    options.backoffBaseNs *
-                                        static_cast<double>(1ull
-                                                            << (a - 1)));
+                t.backoffNs += odds * retryBackoffNs(a);
             }
         }
     }
@@ -746,12 +734,6 @@ traceMsmTimeline(support::TraceRecorder &trace, const MsmPlan &plan,
     metrics.set(mp + "merge_tree_ns", t.mergeCosts.treeNs);
     metrics.set(mp + "merge_reduce_scatter_ns",
                 t.mergeCosts.reduceScatterNs);
-    // The plan's pipeline geometry (searchable knobs; 1/1 is the
-    // legacy single-MSM objective).
-    metrics.set(mp + "pipeline_depth",
-                static_cast<double>(plan.pipelineDepth));
-    metrics.set(mp + "device_partitions",
-                static_cast<double>(plan.devicePartitions));
     // Resolved field-arithmetic backend the EC kernels were priced
     // under (gpusim::FieldBackend: 1 = cuda-core, 2 = tensor-core),
     // plus whether the planner's Auto resolution made the pick.

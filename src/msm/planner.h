@@ -14,9 +14,11 @@
 #ifndef DISTMSM_MSM_PLANNER_H
 #define DISTMSM_MSM_PLANNER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/gpusim/cluster.h"
 #include "src/gpusim/collectives.h"
@@ -97,26 +99,6 @@ struct MsmOptions
      */
     gpusim::CollectivePolicy collective =
         gpusim::CollectivePolicy::Gather;
-    /**
-     * MSMs kept in flight per partition in the two-stage proving
-     * flow shop (msm/pipeline.h): the planner scores candidates by
-     * the depth-amortized makespan instead of one MSM's latency.
-     * 1 — the default — prices exactly the single-MSM totalNs (the
-     * legacy objective); 0 lets the plan search choose the depth
-     * from {1, 2, 4}. Values > 1 never change the functional result
-     * — only the planner's objective and the plan's recorded
-     * geometry.
-     */
-    int pipelineDepth = 1;
-    /**
-     * Independent device partitions serving concurrent MSMs: the
-     * cluster splits into this many equal groups, each running its
-     * own proof stream while the single host serializes the reduce
-     * tails. 1 — the default — is the whole-cluster plan; 0 lets the
-     * search choose from the divisors of the device count in
-     * {1, 2, 4}. Like pipelineDepth, a pricing/geometry knob only.
-     */
-    int devicePartitions = 1;
     /** EC kernel optimization set (Section 4). */
     gpusim::EcKernelVariant kernel = gpusim::EcKernelVariant::full();
     /**
@@ -179,15 +161,6 @@ struct MsmOptions
     /** Deadline multiplier over the per-window estimate (>= 1). */
     double watchdogSlack = 2.0;
     /**
-     * Transfer retries back off exponentially instead of retrying
-     * immediately: attempt a waits backoffBaseNs x 2^(a-1) plus
-     * deterministic seeded jitter, capped at backoffMaxNs. Priced
-     * into FaultReport::backoffNs and MsmTimeline::backoffNs; the
-     * retry *count* and results are unchanged.
-     */
-    double backoffBaseNs = 2e5;
-    double backoffMaxNs = 5e6;
-    /**
      * Optional per-device health ladder (gpusim/health.h). When set,
      * the engine records timeouts / checksum failures / stragglers /
      * hangs into it, excludes quarantined devices from scheduling
@@ -216,6 +189,25 @@ struct MsmOptions
      */
     PlannerMode planner = PlannerMode::Heuristic;
 };
+
+/**
+ * Transfer retries back off exponentially instead of retrying
+ * immediately: retry a >= 1 waits kBackoffBaseNs x 2^(a-1), capped at
+ * kBackoffMaxNs (the engine adds deterministic seeded jitter). Priced
+ * into FaultReport::backoffNs and MsmTimeline::backoffNs; the retry
+ * *count* and results are unchanged.
+ */
+inline constexpr double kBackoffBaseNs = 2e5;
+inline constexpr double kBackoffMaxNs = 5e6;
+
+/** Un-jittered backoff before retry @p attempt (>= 1). */
+inline double
+retryBackoffNs(int attempt)
+{
+    return std::min(kBackoffMaxNs,
+                    kBackoffBaseNs *
+                        static_cast<double>(1ull << (attempt - 1)));
+}
 
 /** A concrete execution plan. */
 struct MsmPlan
@@ -269,13 +261,17 @@ struct MsmPlan
     /** True when the planner's Auto resolution chose the backend (vs
      *  a forced MsmOptions::fieldBackend). */
     bool fieldBackendAuto = false;
-    /** Resolved MsmOptions::pipelineDepth (search picks when the
-     *  option was 0); >= 1 in a built plan. */
-    int pipelineDepth = 1;
-    /** Resolved MsmOptions::devicePartitions; >= 1 and dividing the
-     *  device count in a built plan. */
-    int devicePartitions = 1;
 };
+
+/**
+ * (numWindows, numBuckets) of @p window_bits windows over
+ * @p scalar_bits-bit scalars, as planMsmHeuristic records them in
+ * MsmPlan: signed digits add one window for the final carry and halve
+ * the buckets (bucket 0 excluded).
+ */
+std::pair<unsigned, std::uint64_t> windowGeometry(unsigned scalar_bits,
+                                                  unsigned window_bits,
+                                                  bool signed_digits);
 
 /**
  * Build the plan for @p n points on @p cluster, honoring
@@ -342,12 +338,6 @@ MsmTimeline estimateDistMsmWithPlan(const gpusim::CurveProfile &curve,
                                     const MsmPlan &plan);
 
 /**
- * Analytic timeline of a single-GPU-design Pippenger scaled to
- * multiple GPUs by splitting the points (N-dim), the way the paper
- * augments baselines without native multi-GPU support. The kernel
- * variant models the baseline's arithmetic maturity.
- */
-/**
  * Emit the analytic timeline of one MSM as trace spans: per-device
  * compute/transfer lanes plus the host-CPU lane, laid out on the
  * simulated-time axis exactly as totalNs() accounts them (scatter,
@@ -363,6 +353,12 @@ void traceMsmTimeline(support::TraceRecorder &trace,
                       const std::string &label = {},
                       double start_ns = 0.0);
 
+/**
+ * Analytic timeline of a single-GPU-design Pippenger scaled to
+ * multiple GPUs by splitting the points (N-dim), the way the paper
+ * augments baselines without native multi-GPU support. The kernel
+ * variant models the baseline's arithmetic maturity.
+ */
 MsmTimeline
 estimateNdimBaseline(const gpusim::CurveProfile &curve,
                      std::uint64_t n, const gpusim::Cluster &cluster,

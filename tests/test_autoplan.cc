@@ -24,6 +24,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,9 +65,7 @@ samePlan(const MsmPlan &a, const MsmPlan &b)
            a.collective == b.collective &&
            a.mergeBytesPerGpu == b.mergeBytesPerGpu &&
            a.fieldBackend == b.fieldBackend &&
-           a.fieldBackendAuto == b.fieldBackendAuto &&
-           a.pipelineDepth == b.pipelineDepth &&
-           a.devicePartitions == b.devicePartitions;
+           a.fieldBackendAuto == b.fieldBackendAuto;
 }
 
 CurveProfile
@@ -238,58 +238,6 @@ TEST(AutoplanBeam, NarrowBeamNeverLosesWideBeamMatchesExhaustive)
 }
 
 // ---------------------------------------------------------------
-// Pipeline depth and device partitions as search dimensions.
-// ---------------------------------------------------------------
-TEST(AutoplanPipeline, SearchableDepthNeverLosesAndHidesHostTail)
-{
-    const CurveProfile curve = CurveProfile::bn254();
-    const Cluster cluster(DeviceSpec::a100(), 8);
-    const std::uint64_t n = 1ull << 20;
-    MsmOptions base;
-    base.pipelineDepth = 0;    // let the search choose
-    base.devicePartitions = 0; // let the search choose
-    base.planner = PlannerMode::Search;
-
-    const AutoPlanResult r = autoplanMsm(curve, n, cluster, base);
-    EXPECT_LE(r.searchedNs, r.heuristicNs);
-    // The default plan has a real host tail (the window reduce at
-    // minimum), so keeping more MSMs in flight strictly lowers the
-    // amortized per-MSM makespan: the search must engage the depth.
-    EXPECT_GT(r.plan.pipelineDepth, 1);
-    EXPECT_TRUE(r.plan.pipelineDepth == 2 ||
-                r.plan.pipelineDepth == 4);
-    EXPECT_GE(r.plan.devicePartitions, 1);
-    EXPECT_EQ(cluster.numGpus() % r.plan.devicePartitions, 0);
-    EXPECT_LT(r.searchedNs, r.heuristicNs);
-}
-
-TEST(AutoplanPipeline, ExplicitKnobsPassThroughAndValidate)
-{
-    const CurveProfile curve = CurveProfile::bn254();
-    const Cluster cluster(DeviceSpec::a100(), 8);
-    MsmOptions o;
-    o.windowBitsOverride = 8;
-    o.pipelineDepth = 2;
-    o.devicePartitions = 4;
-    MsmPlan plan = planMsm(curve, 1ull << 18, cluster, o);
-    EXPECT_EQ(plan.pipelineDepth, 2);
-    EXPECT_EQ(plan.devicePartitions, 4);
-
-    // A partition count that does not divide the cluster falls back
-    // to 1 rather than fabricating ragged device groups.
-    o.devicePartitions = 3;
-    plan = planMsm(curve, 1ull << 18, cluster, o);
-    EXPECT_EQ(plan.devicePartitions, 1);
-
-    // Defaults keep the legacy single-MSM objective bit-exactly.
-    MsmOptions plain;
-    plain.windowBitsOverride = 8;
-    plan = planMsm(curve, 1ull << 18, cluster, plain);
-    EXPECT_EQ(plan.pipelineDepth, 1);
-    EXPECT_EQ(plan.devicePartitions, 1);
-}
-
-// ---------------------------------------------------------------
 // Plan cache: hit/miss metrics, bit-identical plans, and the
 // zero-cost-model-evaluations guarantee on warm hits — through the
 // in-process map and through the persisted file.
@@ -352,13 +300,14 @@ TEST(PlanCache, WarmHitIsBitIdenticalAndFree)
     resetPlanCacheForTesting();
 }
 
-// The v2 cache records round-trip the pipeline knobs: a searched
-// depth/partition choice must come back bit-identical from the
-// persisted file, not silently reset to 1.
-TEST(PlanCache, PipelineKnobsRoundTripThroughPersistedFile)
+// A row the v3 loader cannot trust is a cache miss, never a plan: a
+// row with extra columns (a v2 writer's layout) and a row naming an
+// out-of-range collective both fall back to a fresh search, which
+// reproduces the cold plan.
+TEST(PlanCache, MalformedRowsAreMisses)
 {
     const std::string path =
-        ::testing::TempDir() + "distmsm_plan_cache_pipeline.tsv";
+        ::testing::TempDir() + "distmsm_plan_cache_strict.tsv";
     std::remove(path.c_str());
     ASSERT_EQ(setenv("DISTMSM_PLAN_CACHE", path.c_str(), 1), 0);
     resetPlanCacheForTesting();
@@ -366,19 +315,45 @@ TEST(PlanCache, PipelineKnobsRoundTripThroughPersistedFile)
     const CurveProfile curve = CurveProfile::bn254();
     const Cluster cluster(DeviceSpec::a100(), 8);
     const std::uint64_t n = 1ull << 18;
+    support::TraceRecorder trace;
     MsmOptions options;
     options.planner = PlannerMode::Cached;
-    options.pipelineDepth = 0;
-    options.devicePartitions = 0;
-
+    options.trace = &trace;
     const MsmPlan cold = planMsm(curve, n, cluster, options);
-    EXPECT_GT(cold.pipelineDepth, 1);
 
-    resetPlanCacheForTesting(); // force the disk round-trip
-    const std::uint64_t evals_before = CostModel::evaluations();
-    const MsmPlan reloaded = planMsm(curve, n, cluster, options);
-    EXPECT_EQ(CostModel::evaluations(), evals_before);
-    EXPECT_TRUE(samePlan(cold, reloaded));
+    std::string row;
+    {
+        std::ifstream is(path);
+        std::getline(is, row);
+    }
+    std::vector<std::string> fields;
+    {
+        std::istringstream cols(row);
+        for (std::string f; std::getline(cols, f, '\t');)
+            fields.push_back(f);
+    }
+    ASSERT_EQ(fields.size(), 28u) << row;
+
+    const auto reload_misses = [&](const std::string &bad_row) {
+        {
+            std::ofstream os(path, std::ios::trunc);
+            os << bad_row << '\n';
+        }
+        resetPlanCacheForTesting();
+        const double misses = trace.metrics().value("plan_cache/misses");
+        const MsmPlan plan = planMsm(curve, n, cluster, options);
+        EXPECT_EQ(trace.metrics().value("plan_cache/misses"),
+                  misses + 1.0)
+            << bad_row;
+        EXPECT_TRUE(samePlan(plan, cold)) << bad_row;
+    };
+    reload_misses(row + "\t1\t1");
+    std::vector<std::string> bogus = fields;
+    bogus[13] = "99"; // MsmPlan::collective
+    std::string bogus_row = bogus[0];
+    for (std::size_t i = 1; i < bogus.size(); ++i)
+        bogus_row += '\t' + bogus[i];
+    reload_misses(bogus_row);
 
     std::remove(path.c_str());
     unsetenv("DISTMSM_PLAN_CACHE");

@@ -184,6 +184,115 @@ TEST(Determinism, ScatterBucketsIdenticalAcrossHostThreads)
     }
 }
 
+/** 64-bit FNV-1a over every bucket's length and exact id sequence. */
+std::uint64_t
+bucketDigest(const std::vector<std::vector<std::uint32_t>> &buckets)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    const auto mix = [&h](std::uint32_t word) {
+        for (int byte = 0; byte < 4; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xFF;
+            h *= 0x100000001B3ull;
+        }
+    };
+    for (const auto &bucket : buckets) {
+        mix(static_cast<std::uint32_t>(bucket.size()));
+        for (const std::uint32_t id : bucket)
+            mix(id);
+    }
+    return h;
+}
+
+/**
+ * One scatter launch pinned by known answers: the digest of its
+ * unsorted bucket sequences and its full KernelStats (the EC-op
+ * fields stay zero). The literals describe the simulated program, so
+ * a host-side rework of the executor or the scatter kernels must
+ * leave every one of them unchanged at every host-thread count.
+ */
+struct ScatterKat
+{
+    const char *name;
+    bool hierarchical;
+    unsigned windowBits;
+    std::size_t elements;
+    std::uint32_t maxId; ///< ids are uniform over [0, maxId]
+    int blockDim;
+    int gridDim;
+    std::size_t sharedBytesPerBlock;
+    std::uint64_t digest;
+    KernelStats stats;
+};
+
+// The last two geometries give 128 x 8 threads 4 elements each (4096
+// ids); at s = 6 the counters and offsets take 512 bytes of shared
+// memory and one tile row 128 x 2 = 256 more.
+const ScatterKat kScatterKats[] = {
+    // Groth16's launch: 1 row per thread against a capacity of 79.
+    {"groth16_s4", true, 4, 16320, 8, 1024, 64, 160 * 1024,
+     0x9FD07C40DFAF8E5Full,
+     {.phases = 5, .globalAtomics = 128, .globalConflictWeight = 2048,
+      .globalMaxConflict = 16, .sharedAtomics = 29086,
+      .sharedConflictWeight = 3334022, .sharedMaxConflict = 140,
+      .sharedAccesses = 16591, .gmemBytes = 58172}},
+    // A windowed launch: 2 rows per thread against a capacity of 48.
+    {"windowed_s13", true, 13, 131072, 4096, 1024, 64, 160 * 1024,
+     0x01BFBE8CADFA73B6ull,
+     {.phases = 7, .globalAtomics = 103235,
+      .globalConflictWeight = 2666109, .globalMaxConflict = 40,
+      .sharedAtomics = 262084, .sharedConflictWeight = 327144,
+      .sharedMaxConflict = 5, .sharedAccesses = 1179618,
+      .gmemBytes = 524168}},
+    // Row capacity equal to the elements per thread: one full tile.
+    {"one_full_tile", true, 6, 4096, 63, 128, 8, 512 + 4 * 256,
+     0xE99F9C3657F6F838ull,
+     {.phases = 11, .globalAtomics = 504, .globalConflictWeight = 4032,
+      .globalMaxConflict = 8, .sharedAtomics = 8092,
+      .sharedConflictWeight = 24252, .sharedMaxConflict = 8,
+      .sharedAccesses = 5070, .gmemBytes = 16184}},
+    // One row short of that: two tiles.
+    {"two_tiles", true, 6, 4096, 63, 128, 8, 512 + 3 * 256,
+     0x7173433211BD7EE4ull,
+     {.phases = 14, .globalAtomics = 927, .globalConflictWeight = 6925,
+      .globalMaxConflict = 8, .sharedAtomics = 8092,
+      .sharedConflictWeight = 24252, .sharedMaxConflict = 8,
+      .sharedAccesses = 6094, .gmemBytes = 16184}},
+    {"empty", true, 4, 0, 8, 1024, 64, 160 * 1024,
+     0xB9B23F3A46FD0825ull, {}},
+    {"naive_s10", false, 10, 131072, 1023, 1024, 64, 160 * 1024,
+     0x117CE2B22AB64CBEull,
+     {.phases = 2, .globalAtomics = 130963,
+      .globalConflictWeight = 8523755, .globalMaxConflict = 96,
+      .gmemBytes = 5238520}},
+};
+
+TEST(Determinism, ScatterKnownAnswers)
+{
+    for (const ScatterKat &kat : kScatterKats) {
+        SCOPED_TRACE(kat.name);
+        Prng prng(0x5CA77E5 + kat.elements + kat.maxId);
+        std::vector<std::uint32_t> ids(kat.elements);
+        for (auto &id : ids)
+            id = static_cast<std::uint32_t>(prng.below(kat.maxId + 1));
+        msm::ScatterConfig config;
+        config.blockDim = kat.blockDim;
+        config.gridDim = kat.gridDim;
+        config.sharedBytesPerBlock = kat.sharedBytesPerBlock;
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("hostThreads=" + std::to_string(threads));
+            config.hostThreads = threads;
+            const auto got =
+                kat.hierarchical
+                    ? msm::hierarchicalScatter(ids, kat.windowBits,
+                                               config)
+                    : msm::naiveScatter(ids, kat.windowBits, config);
+            ASSERT_TRUE(got.ok);
+            EXPECT_EQ(bucketDigest(got.buckets), kat.digest);
+            EXPECT_EQ(got.stats, kat.stats);
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Executor: simulated memory and contention accounting.
 // ---------------------------------------------------------------

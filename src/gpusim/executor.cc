@@ -1,9 +1,9 @@
 #include "src/gpusim/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
-
-#include "src/support/thread_pool.h"
+#include <utility>
 
 namespace distmsm::gpusim {
 
@@ -44,7 +44,7 @@ KernelLaunch::KernelLaunch(int grid_dim, int block_dim,
     shared_.reserve(grid_dim);
     for (int b = 0; b < grid_dim; ++b)
         shared_.emplace_back(shared_words, WordArray::Space::Shared);
-    block_stats_.resize(static_cast<std::size_t>(grid_dim));
+    blocks_.resize(static_cast<std::size_t>(grid_dim));
 }
 
 KernelLaunch::~KernelLaunch()
@@ -86,41 +86,31 @@ KernelLaunch::shared(int bid)
 }
 
 void
-KernelLaunch::runBlock(int bid,
-                       const std::function<void(ThreadCtx &)> &fn)
+KernelLaunch::barrier()
 {
-    for (int tid = 0; tid < block_dim_; ++tid) {
-        ThreadCtx ctx{tid, bid, block_dim_, grid_dim_};
-        fn(ctx);
+    // Merge the per-block tallies in block index order, then fold
+    // each block's first-written indices into the contention stats.
+    // An index has exactly one first writer per phase, so it is
+    // folded (and its count reset) exactly once; all fields are sums
+    // or maxima, so the totals equal the sequential execution's.
+    for (BlockTally &tally : blocks_) {
+        stats_.merge(tally.stats);
+        tally.stats = KernelStats{};
+        for (const Touch &t : tally.touched) {
+            const std::uint64_t c =
+                std::exchange(t.arr->phase_counts_[t.index], 0);
+            if (t.arr->space_ == WordArray::Space::Shared) {
+                stats_.sharedConflictWeight += c * c;
+                stats_.sharedMaxConflict =
+                    std::max<std::uint64_t>(stats_.sharedMaxConflict, c);
+            } else {
+                stats_.globalConflictWeight += c * c;
+                stats_.globalMaxConflict =
+                    std::max<std::uint64_t>(stats_.globalMaxConflict, c);
+            }
+        }
+        tally.touched.clear();
     }
-}
-
-void
-KernelLaunch::phase(const std::function<void(ThreadCtx &)> &fn)
-{
-    ++stats_.phases;
-    if (host_threads_ <= 1 || grid_dim_ == 1) {
-        for (int bid = 0; bid < grid_dim_; ++bid)
-            runBlock(bid, fn);
-    } else {
-        support::ThreadPool::global().parallelFor(
-            0, static_cast<std::size_t>(grid_dim_),
-            [&](std::size_t bid) {
-                runBlock(static_cast<int>(bid), fn);
-            },
-            host_threads_);
-    }
-    // Barrier reached: merge the per-block tallies in block index
-    // order (all fields are sums or maxima, so the totals equal the
-    // sequential execution's), then fold this phase's per-address
-    // writer counts into the stats.
-    for (auto &bs : block_stats_) {
-        stats_.merge(bs);
-        bs = KernelStats{};
-    }
-    for (WordArray *arr : touched_)
-        foldPhaseContention(*arr);
-    touched_.clear();
 }
 
 std::uint64_t
@@ -131,61 +121,31 @@ KernelLaunch::atomicAdd(WordArray &arr, std::size_t i, std::uint64_t v,
     const bool is_shared = arr.space_ == WordArray::Space::Shared;
 
     std::uint64_t old;
-    bool first_writer;
+    std::uint32_t earlier_writers;
     if (!is_shared && host_threads_ > 1) {
-        // Concurrent host threads model the atomic unit: serialize
-        // global-space updates. fetch-add commutes, so the final
+        // Blocks may run on concurrent host threads: fetch-add the
+        // word and its writer count. fetch-add commutes, so the final
         // words and writer counts are schedule-independent.
-        std::lock_guard<std::mutex> lock(*arr.mutex_);
-        old = arr.words_[i];
-        arr.words_[i] += v;
-        first_writer = arr.phase_touched_.empty();
-        if (arr.phase_counts_[i]++ == 0)
-            arr.phase_touched_.push_back(
-                static_cast<std::uint32_t>(i));
+        old = std::atomic_ref<std::uint64_t>(arr.words_[i])
+                  .fetch_add(v, std::memory_order_relaxed);
+        earlier_writers =
+            std::atomic_ref<std::uint32_t>(arr.phase_counts_[i])
+                .fetch_add(1, std::memory_order_relaxed);
     } else {
         old = arr.words_[i];
         arr.words_[i] += v;
-        first_writer = arr.phase_touched_.empty();
-        if (arr.phase_counts_[i]++ == 0)
-            arr.phase_touched_.push_back(
-                static_cast<std::uint32_t>(i));
-    }
-    if (first_writer) {
-        std::lock_guard<std::mutex> lock(touched_mutex_);
-        touched_.push_back(&arr);
+        earlier_writers = arr.phase_counts_[i]++;
     }
 
-    KernelStats &bs = blockStats(ctx);
+    BlockTally &tally = block(ctx);
+    if (earlier_writers == 0)
+        tally.touched.push_back({&arr, static_cast<std::uint32_t>(i)});
     if (is_shared) {
-        ++bs.sharedAtomics;
+        ++tally.stats.sharedAtomics;
     } else {
-        ++bs.globalAtomics;
+        ++tally.stats.globalAtomics;
     }
     return old;
-}
-
-void
-KernelLaunch::foldPhaseContention(WordArray &arr)
-{
-    // Sums and maxima commute, so the visit order of the touched
-    // indices never shows in the totals — identical to the old
-    // hash-map accounting, at a fraction of the per-atomic cost.
-    const bool shared = arr.space_ == WordArray::Space::Shared;
-    for (const std::uint32_t idx : arr.phase_touched_) {
-        const std::uint64_t c = arr.phase_counts_[idx];
-        arr.phase_counts_[idx] = 0;
-        if (shared) {
-            stats_.sharedConflictWeight += c * c;
-            stats_.sharedMaxConflict =
-                std::max<std::uint64_t>(stats_.sharedMaxConflict, c);
-        } else {
-            stats_.globalConflictWeight += c * c;
-            stats_.globalMaxConflict =
-                std::max<std::uint64_t>(stats_.globalMaxConflict, c);
-        }
-    }
-    arr.phase_touched_.clear();
 }
 
 } // namespace distmsm::gpusim

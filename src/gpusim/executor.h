@@ -18,30 +18,33 @@
  *
  * Host parallelism: a launch constructed with host_threads != 1 runs
  * the independent thread *blocks* of each phase concurrently on the
- * support::ThreadPool; threads within a block stay sequential in tid
- * order. Statistics are accumulated per block and merged in block
- * index order after the barrier, and simulated atomics stay modeled
- * (global WordArrays serialize behind a per-array mutex), so every
- * counter and every simulated memory word is bit-identical to the
- * sequential execution. Kernel callbacks must follow the same rules
- * real CUDA kernels do: only touch shared memory of their own block,
- * use atomicAdd() for cross-block global writes, and never depend on
- * the *ordering* of other blocks' global atomics within a phase.
+ * support::ThreadPool (one task per block); threads within a block
+ * stay sequential in tid order. Statistics are accumulated per block
+ * and merged in block index order after the barrier. Global atomics
+ * are lock-free std::atomic_ref fetch-adds on the word and on its
+ * per-phase writer count; the first writer of an index appends it to
+ * its own block's list, and the lists fold into the contention stats
+ * at the barrier in block order. Each index has exactly one first
+ * writer per phase and every stat is a sum or a maximum, which
+ * commute, so every counter and every simulated memory word is
+ * bit-identical to the sequential execution. Kernel callbacks must
+ * follow the same rules real CUDA kernels do: only touch shared
+ * memory of their own block, use atomicAdd() for cross-block global
+ * writes, and never depend on the *ordering* of other blocks' global
+ * atomics within a phase.
  */
 
 #ifndef DISTMSM_GPUSIM_EXECUTOR_H
 #define DISTMSM_GPUSIM_EXECUTOR_H
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/gpusim/stats.h"
 #include "src/support/check.h"
 #include "src/support/status.h"
+#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 
 namespace distmsm::gpusim {
@@ -73,8 +76,7 @@ class WordArray
     enum class Space { Global, Shared };
 
     WordArray(std::size_t size, Space space)
-        : words_(size, 0), space_(space), phase_counts_(size, 0),
-          mutex_(space == Space::Global ? new std::mutex : nullptr)
+        : words_(size, 0), space_(space), phase_counts_(size, 0)
     {
     }
 
@@ -100,18 +102,12 @@ class WordArray
     friend class KernelLaunch;
     std::vector<std::uint64_t> words_;
     Space space_;
-    // Per-phase contention accounting: writer count per word index
-    // plus the list of indices written this phase (first writer
-    // appends). Flat storage — a hash map here costs ~100 ns per
-    // simulated atomic and dominates large scatter launches. Shared
-    // arrays need no block salt: each block owns its own WordArray
-    // instance, so indices never alias across blocks.
+    // Per-phase contention accounting: writer count per word index,
+    // reset when the barrier folds it. Flat storage — a hash map here
+    // costs ~100 ns per simulated atomic and dominates large scatter
+    // launches. Shared arrays need no block salt: each block owns its
+    // own WordArray instance, so indices never alias across blocks.
     std::vector<std::uint32_t> phase_counts_;
-    std::vector<std::uint32_t> phase_touched_;
-    // Models the hardware atomic unit when blocks run on concurrent
-    // host threads: global-space updates serialize here. Shared
-    // arrays are only touched by their owning block and need none.
-    std::unique_ptr<std::mutex> mutex_;
 };
 
 /**
@@ -182,9 +178,10 @@ class KernelLaunch
      * thread; an implicit barrier follows. Atomic contention is
      * accounted per phase. Blocks may execute on concurrent host
      * threads (see the file comment); threads of one block run
-     * sequentially in tid order.
+     * sequentially in tid order. @p fn is a template parameter, so a
+     * simulated thread is an inlined call.
      */
-    void phase(const std::function<void(ThreadCtx &)> &fn);
+    template <typename Fn> void phase(Fn &&fn);
 
     /**
      * Atomic fetch-add on a word array from thread context; records
@@ -199,27 +196,45 @@ class KernelLaunch
     void
     countSharedAccess(const ThreadCtx &ctx, std::uint64_t n = 1)
     {
-        blockStats(ctx).sharedAccesses += n;
+        block(ctx).stats.sharedAccesses += n;
     }
 
     void
     countGmemBytes(const ThreadCtx &ctx, std::uint64_t bytes)
     {
-        blockStats(ctx).gmemBytes += bytes;
+        block(ctx).stats.gmemBytes += bytes;
     }
 
     const KernelStats &stats() const { return stats_; }
     KernelStats &stats() { return stats_; }
 
   private:
-    KernelStats &
-    blockStats(const ThreadCtx &ctx)
+    /** A word index whose first writer this phase was in the block. */
+    struct Touch
     {
-        return block_stats_[static_cast<std::size_t>(ctx.bid)];
+        WordArray *arr;
+        std::uint32_t index;
+    };
+
+    /**
+     * One block's tallies of the running phase, folded in bid order
+     * at the barrier. Cache-line aligned: neighbouring blocks run on
+     * different host threads.
+     */
+    struct alignas(64) BlockTally
+    {
+        KernelStats stats;
+        std::vector<Touch> touched;
+    };
+
+    BlockTally &
+    block(const ThreadCtx &ctx)
+    {
+        return blocks_[static_cast<std::size_t>(ctx.bid)];
     }
 
-    void runBlock(int bid, const std::function<void(ThreadCtx &)> &fn);
-    void foldPhaseContention(WordArray &arr);
+    template <typename Fn> void runBlock(int bid, Fn &fn);
+    void barrier();
 
     int grid_dim_;
     int block_dim_;
@@ -228,12 +243,38 @@ class KernelLaunch
     std::string trace_label_;
     int trace_lane_ = 0;
     std::vector<WordArray> shared_;
-    std::vector<WordArray *> touched_;
-    std::mutex touched_mutex_;
-    /** Per-block tallies of the running phase, merged in bid order. */
-    std::vector<KernelStats> block_stats_;
+    std::vector<BlockTally> blocks_;
     KernelStats stats_;
 };
+
+template <typename Fn>
+void
+KernelLaunch::runBlock(int bid, Fn &fn)
+{
+    for (int tid = 0; tid < block_dim_; ++tid) {
+        ThreadCtx ctx{tid, bid, block_dim_, grid_dim_};
+        fn(ctx);
+    }
+}
+
+template <typename Fn>
+void
+KernelLaunch::phase(Fn &&fn)
+{
+    ++stats_.phases;
+    if (host_threads_ <= 1 || grid_dim_ == 1) {
+        for (int bid = 0; bid < grid_dim_; ++bid)
+            runBlock(bid, fn);
+    } else {
+        support::ThreadPool::global().parallelFor(
+            0, static_cast<std::size_t>(grid_dim_),
+            [&](std::size_t bid) {
+                runBlock(static_cast<int>(bid), fn);
+            },
+            host_threads_);
+    }
+    barrier();
+}
 
 } // namespace distmsm::gpusim
 

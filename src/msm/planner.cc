@@ -297,12 +297,12 @@ synthesizeScatterStats(bool hierarchical, std::uint64_t elements,
         static_cast<std::uint64_t>(2 * inserted * block_c);
     stats.sharedMaxConflict = static_cast<std::uint64_t>(block_c);
 
-    const std::size_t fixed_bytes = (std::size_t{2} << window_bits) * 4;
-    if (fixed_bytes + static_cast<std::size_t>(config.blockDim) *
-                          config.localIdBytes >
+    if (hierarchicalSharedBytes(window_bits, config, 1) >
         config.sharedBytesPerBlock) {
         return stats; // kernel would not run; callers check ok first
     }
+    const std::size_t fixed_bytes =
+        hierarchicalSharedBytes(window_bits, config, 0);
     const double k_tile = std::floor(
         static_cast<double>(config.sharedBytesPerBlock - fixed_bytes) /
         (static_cast<double>(config.blockDim) * config.localIdBytes));

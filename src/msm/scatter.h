@@ -21,6 +21,13 @@
  *    threads, K = 64, 128 KB of 16-bit point ids) cuts them 64x at
  *    N_bucket = 1024. Requires 2^s counters plus the tile to fit in
  *    shared memory, which fails for s > 14 — visible in Figure 11.
+ *    Tile sizing: K = min(rows that fit in sharedBytesPerBlock beside
+ *    the counters and offsets, elements per thread). Capping K at the
+ *    elements per thread never changes the tile count, so the phases
+ *    and every KernelStats counter are those of the full-budget
+ *    tile; it only keeps the simulated shared arrays and register
+ *    cache as small as the input (one row for Groth16's s = 4
+ *    launch, against a capacity of 79).
  */
 
 #ifndef DISTMSM_MSM_SCATTER_H

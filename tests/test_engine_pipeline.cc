@@ -66,6 +66,11 @@ TEST(MsmEngineTest, PrecomputeTableBuiltOnce)
 
 TEST(MsmEngineTest, RejectsWrongScalarCount)
 {
+    // Earlier cases have started the global thread pool. A forked
+    // ("fast") death-test child would run the pool's destructor on
+    // exit(1) and join workers that do not exist in the child; the
+    // threadsafe style re-executes the binary for the child instead.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Prng prng(0xE8);
     const auto points = msm::generatePoints<Bn254>(16, prng);
     const Cluster cluster(DeviceSpec::a100(), 1);

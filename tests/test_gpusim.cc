@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/gpusim/cluster.h"
 #include "src/gpusim/cost_model.h"
 #include "src/gpusim/device.h"
@@ -87,6 +92,33 @@ TEST(Executor, AtomicAddReturnsOldValue)
         ASSERT_LT(o, 8u);
         EXPECT_FALSE(seen[o]);
         seen[o] = true;
+    }
+}
+
+TEST(Executor, ReservationsUniqueAcrossConcurrentBlocks)
+{
+    // Every thread of a 16-block grid reserves a slot on one word
+    // while blocks run on concurrent host threads: the reservations
+    // must still be exactly the slots [0, 1024), as on hardware.
+    constexpr int kGrid = 16;
+    constexpr int kBlock = 64;
+    constexpr std::uint64_t kThreads = kGrid * kBlock;
+    for (const int host_threads : {4, 8}) {
+        SCOPED_TRACE("host_threads=" + std::to_string(host_threads));
+        KernelLaunch launch(kGrid, kBlock, 0, host_threads);
+        WordArray counter(1, WordArray::Space::Global);
+        std::vector<std::uint64_t> olds(kThreads);
+        launch.phase([&](ThreadCtx &ctx) {
+            olds[ctx.gid()] = launch.atomicAdd(counter, 0, 1, ctx);
+        });
+        EXPECT_EQ(counter.read(0), kThreads);
+        std::sort(olds.begin(), olds.end());
+        for (std::uint64_t slot = 0; slot < kThreads; ++slot)
+            ASSERT_EQ(olds[slot], slot);
+        EXPECT_EQ(launch.stats().globalAtomics, kThreads);
+        EXPECT_EQ(launch.stats().globalMaxConflict, kThreads);
+        EXPECT_EQ(launch.stats().globalConflictWeight,
+                  kThreads * kThreads);
     }
 }
 

@@ -127,11 +127,11 @@ TEST(Trace, ExportIsIndependentOfInsertionOrder)
 {
     TraceRecorder forward, backward;
     for (int i = 0; i < 16; ++i)
-        forward.span("s" + std::to_string(i), "c", i % 3, 0,
-                     static_cast<double>(i % 5), 1.0);
+        forward.span(std::string("s").append(std::to_string(i)), "c",
+                     i % 3, 0, static_cast<double>(i % 5), 1.0);
     for (int i = 15; i >= 0; --i)
-        backward.span("s" + std::to_string(i), "c", i % 3, 0,
-                      static_cast<double>(i % 5), 1.0);
+        backward.span(std::string("s").append(std::to_string(i)), "c",
+                      i % 3, 0, static_cast<double>(i % 5), 1.0);
     std::ostringstream a, b;
     forward.writeChromeJson(a);
     backward.writeChromeJson(b);

@@ -1,12 +1,10 @@
 #include "src/msm/autoplan.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -23,78 +21,6 @@ using gpusim::CollectiveAlgo;
 using gpusim::CollectivePolicy;
 using gpusim::CurveProfile;
 using gpusim::FieldBackend;
-
-/** One point of the search space: the searchable MsmOptions knobs.
- *  windowBits 0 defers to the workload model, exactly like
- *  MsmOptions::windowBitsOverride. */
-struct Candidate
-{
-    unsigned windowBits = 0;
-    bool signedDigits = false;
-    bool glv = false;
-    bool batchAffine = false;
-    bool precompute = false;
-    bool cpuBucketReduce = true;
-    FieldBackend fieldBackend = FieldBackend::Auto;
-    CollectivePolicy collective = CollectivePolicy::Gather;
-    int threadsPerBucket = 1;
-};
-
-/** The caller's own knobs as a candidate — the search's seed. */
-Candidate
-seedCandidate(const MsmOptions &base)
-{
-    Candidate c;
-    c.windowBits = base.windowBitsOverride;
-    c.signedDigits = base.signedDigits;
-    c.glv = base.glv;
-    c.batchAffine = base.batchAffine;
-    c.precompute = base.precompute;
-    c.cpuBucketReduce = base.cpuBucketReduce;
-    c.fieldBackend = base.fieldBackend;
-    c.collective = base.collective;
-    c.threadsPerBucket = base.threadsPerBucket;
-    return c;
-}
-
-/**
- * Scoring probe: the caller's options with the candidate's knobs
- * applied. Planner pinned to Heuristic (the probe flows through
- * planMsmHeuristic / estimateDistMsmWithPlan, never back into the
- * search) and the trace detached (thousands of probes must not spam
- * the caller's timeline).
- */
-MsmOptions
-realize(const MsmOptions &base, const Candidate &c)
-{
-    MsmOptions o = base;
-    o.planner = PlannerMode::Heuristic;
-    o.trace = nullptr;
-    o.windowBitsOverride = c.windowBits;
-    o.signedDigits = c.signedDigits;
-    o.glv = c.glv;
-    o.batchAffine = c.batchAffine;
-    o.precompute = c.precompute;
-    o.cpuBucketReduce = c.cpuBucketReduce;
-    o.fieldBackend = c.fieldBackend;
-    o.collective = c.collective;
-    o.threadsPerBucket = c.threadsPerBucket;
-    return o;
-}
-
-/**
- * DISTMSM_AUTOPLAN_BEAM: a positive width turns the exhaustive
- * enumeration into a staged beam search (see searchPlans); unset,
- * empty, or <= 0 keeps the exhaustive default.
- */
-int
-beamWidthFromEnv()
-{
-    const char *v = std::getenv("DISTMSM_AUTOPLAN_BEAM");
-    if (v == nullptr || *v == '\0')
-        return 0;
-    return std::atoi(v);
-}
 
 /** Deterministic 64-bit FNV-1a over the fingerprint string. */
 std::uint64_t
@@ -120,7 +46,7 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
 {
     std::ostringstream s;
     s.precision(17);
-    s << "v3|" << curve.name << '|' << curve.fieldBits << '|'
+    s << "v4|" << curve.name << '|' << curve.fieldBits << '|'
       << curve.scalarBits << '|' << curve.aIsZero << '|'
       << curve.glvScalarBits << '|' << n << '|'
       << cluster.topology().describe() << '|';
@@ -156,7 +82,7 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
       << o.scatter.sharedBytesPerBlock << '|'
       << o.scatter.localIdBytes << '|' << o.scatter.globalIdBytes
       << '|' << o.scatter.uncoalescedWriteFactor << '|'
-      << o.verifyChecksums << '|' << beamWidthFromEnv();
+      << o.verifyChecksums;
     return fnv1a(s.str());
 }
 
@@ -164,16 +90,14 @@ cacheKey(const CurveProfile &curve, std::uint64_t n,
 struct CacheEntry
 {
     MsmPlan plan;
-    Candidate winner;
     double searchedNs = 0.0;
     double heuristicNs = 0.0;
 };
 
-/** Columns of a v3 cache row: the key, 16 plan fields, 9 winner
- *  fields and the two timings. */
-constexpr std::size_t kPlanFields = 16;
-constexpr std::size_t kWinnerFields = 9;
-constexpr std::size_t kRowFields = 1 + kPlanFields + kWinnerFields + 2;
+/** Columns of a v4 cache row: the key, 20 plan fields and the two
+ *  timings. */
+constexpr std::size_t kPlanFields = 20;
+constexpr std::size_t kRowFields = 1 + kPlanFields + 2;
 /** Widest window a row may name (32-bit bucket ids). */
 constexpr long long kMaxWindowBits = 31;
 
@@ -187,7 +111,6 @@ formatEntry(std::uint64_t key, const CacheEntry &e)
                   e.heuristicNs);
     std::ostringstream s;
     const MsmPlan &p = e.plan;
-    const Candidate &c = e.winner;
     s << key << '\t' << p.windowBits << '\t' << p.numWindows << '\t'
       << p.scalarBits << '\t' << p.glv << '\t' << p.numBuckets << '\t'
       << p.signedDigits << '\t' << p.gpusPerWindow << '\t'
@@ -196,12 +119,9 @@ formatEntry(std::uint64_t key, const CacheEntry &e)
       << p.tableBytes << '\t' << static_cast<int>(p.collective)
       << '\t' << p.mergeBytesPerGpu << '\t'
       << static_cast<int>(p.fieldBackend) << '\t'
-      << p.fieldBackendAuto << '\t' << c.windowBits << '\t'
-      << c.signedDigits << '\t' << c.glv << '\t' << c.batchAffine
-      << '\t' << c.precompute << '\t' << c.cpuBucketReduce << '\t'
-      << static_cast<int>(c.fieldBackend) << '\t'
-      << static_cast<int>(c.collective) << '\t'
-      << c.threadsPerBucket << '\t' << ns;
+      << p.fieldBackendAuto << '\t' << p.batchAffine << '\t'
+      << p.cpuBucketReduce << '\t' << p.collectiveAuto << '\t'
+      << p.hierarchicalScatter << '\t' << ns;
     return s.str();
 }
 
@@ -216,12 +136,11 @@ parseField(const std::string &field, T &out)
 }
 
 /**
- * Parse one cache row, rejecting (a cache miss) anything a v3 writer
+ * Parse one cache row, rejecting (a cache miss) anything a v4 writer
  * could not have produced: a wrong column count, a non-numeric
- * field, an out-of-range CollectiveAlgo / FieldBackend /
- * CollectivePolicy, or a window geometry (numWindows, numBuckets)
- * that disagrees with the row's own windowBits, scalarBits and
- * signedDigits.
+ * field, an out-of-range CollectiveAlgo / FieldBackend, or a window
+ * geometry (numWindows, numBuckets) that disagrees with the row's own
+ * windowBits, scalarBits and signedDigits.
  */
 bool
 parseEntry(const std::string &line, std::uint64_t &key, CacheEntry &e)
@@ -232,57 +151,45 @@ parseEntry(const std::string &line, std::uint64_t &key, CacheEntry &e)
         fields.push_back(f);
     if (fields.size() != kRowFields || !parseField(fields[0], key))
         return false;
-    long long v[kPlanFields + kWinnerFields];
-    for (std::size_t i = 0; i < kPlanFields + kWinnerFields; ++i)
+    long long v[kPlanFields];
+    for (std::size_t i = 0; i < kPlanFields; ++i)
         if (!parseField(fields[1 + i], v[i]))
             return false;
     if (!parseField(fields[kRowFields - 2], e.searchedNs) ||
         !parseField(fields[kRowFields - 1], e.heuristicNs))
         return false;
-    const long long *pi = v;
-    const long long *ci = v + kPlanFields;
     const auto in_range = [](long long x, auto last) {
         return x >= 0 && x <= static_cast<long long>(last);
     };
-    if (!in_range(pi[12], CollectiveAlgo::ReduceScatter) ||
-        !in_range(pi[14], FieldBackend::TensorCore) ||
-        !in_range(ci[6], FieldBackend::TensorCore) ||
-        !in_range(ci[7], CollectivePolicy::Auto) || pi[0] < 1 ||
-        pi[0] > kMaxWindowBits)
+    if (!in_range(v[12], CollectiveAlgo::ReduceScatter) ||
+        !in_range(v[14], FieldBackend::TensorCore) || v[0] < 1 ||
+        v[0] > kMaxWindowBits)
         return false;
     MsmPlan &p = e.plan;
-    p.windowBits = static_cast<unsigned>(pi[0]);
-    p.numWindows = static_cast<unsigned>(pi[1]);
-    p.scalarBits = static_cast<unsigned>(pi[2]);
-    p.glv = pi[3] != 0;
-    p.numBuckets = static_cast<std::uint64_t>(pi[4]);
-    p.signedDigits = pi[5] != 0;
-    p.gpusPerWindow = static_cast<int>(pi[6]);
-    p.windowsPerGpu = static_cast<unsigned>(pi[7]);
-    p.threadsPerBucket = static_cast<int>(pi[8]);
-    p.bucketsSplitAcrossGpus = pi[9] != 0;
-    p.precompute = pi[10] != 0;
-    p.tableBytes = static_cast<std::uint64_t>(pi[11]);
-    p.collective = static_cast<CollectiveAlgo>(pi[12]);
-    p.mergeBytesPerGpu = static_cast<std::uint64_t>(pi[13]);
-    p.fieldBackend = static_cast<FieldBackend>(pi[14]);
-    p.fieldBackendAuto = pi[15] != 0;
+    p.windowBits = static_cast<unsigned>(v[0]);
+    p.numWindows = static_cast<unsigned>(v[1]);
+    p.scalarBits = static_cast<unsigned>(v[2]);
+    p.glv = v[3] != 0;
+    p.numBuckets = static_cast<std::uint64_t>(v[4]);
+    p.signedDigits = v[5] != 0;
+    p.gpusPerWindow = static_cast<int>(v[6]);
+    p.windowsPerGpu = static_cast<unsigned>(v[7]);
+    p.threadsPerBucket = static_cast<int>(v[8]);
+    p.bucketsSplitAcrossGpus = v[9] != 0;
+    p.precompute = v[10] != 0;
+    p.tableBytes = static_cast<std::uint64_t>(v[11]);
+    p.collective = static_cast<CollectiveAlgo>(v[12]);
+    p.mergeBytesPerGpu = static_cast<std::uint64_t>(v[13]);
+    p.fieldBackend = static_cast<FieldBackend>(v[14]);
+    p.fieldBackendAuto = v[15] != 0;
+    p.batchAffine = v[16] != 0;
+    p.cpuBucketReduce = v[17] != 0;
+    p.collectiveAuto = v[18] != 0;
+    p.hierarchicalScatter = v[19] != 0;
     const auto [windows, buckets] =
         windowGeometry(p.scalarBits, p.windowBits, p.signedDigits);
-    if (pi[1] != static_cast<long long>(windows) ||
-        pi[4] != static_cast<long long>(buckets))
-        return false;
-    Candidate &c = e.winner;
-    c.windowBits = static_cast<unsigned>(ci[0]);
-    c.signedDigits = ci[1] != 0;
-    c.glv = ci[2] != 0;
-    c.batchAffine = ci[3] != 0;
-    c.precompute = ci[4] != 0;
-    c.cpuBucketReduce = ci[5] != 0;
-    c.fieldBackend = static_cast<FieldBackend>(ci[6]);
-    c.collective = static_cast<CollectivePolicy>(ci[7]);
-    c.threadsPerBucket = static_cast<int>(ci[8]);
-    return true;
+    return v[1] == static_cast<long long>(windows) &&
+           v[4] == static_cast<long long>(buckets);
 }
 
 /**
@@ -302,11 +209,14 @@ class PlanCache
         return cache;
     }
 
+    /** Look @p key up, loading the cache file on first use;
+     *  @p rejected receives the rows that load turned away (0 when
+     *  the file was already loaded). */
     bool
-    lookup(std::uint64_t key, CacheEntry &out)
+    lookup(std::uint64_t key, CacheEntry &out, std::uint64_t &rejected)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        loadLocked();
+        rejected = loadLocked();
         auto it = entries_.find(key);
         if (it == entries_.end())
             return false;
@@ -354,25 +264,30 @@ class PlanCache
         return {};
     }
 
-    void
+    /** Load the cache file once; returns the rows parseEntry
+     *  rejected. */
+    std::uint64_t
     loadLocked()
     {
         if (loaded_)
-            return;
+            return 0;
         loaded_ = true;
         path_ = defaultPath();
         if (path_.empty())
-            return;
+            return 0;
         std::ifstream is(path_);
-        std::string line;
-        while (std::getline(is, line)) {
+        std::uint64_t rejected = 0;
+        for (std::string line; std::getline(is, line);) {
             if (line.empty() || line[0] == '#')
                 continue;
             std::uint64_t key = 0;
             CacheEntry e;
             if (parseEntry(line, key, e))
                 entries_.emplace(key, e);
+            else
+                ++rejected;
         }
+        return rejected;
     }
 
     std::mutex mutex_;
@@ -397,18 +312,6 @@ windowCandidates(const MsmOptions &base, unsigned heuristic_bits)
     return out;
 }
 
-/** Score one realized candidate: heuristic plan + analytic
- *  totalNs(). */
-double
-scoreCandidate(const CurveProfile &curve, std::uint64_t n,
-               const gpusim::Cluster &cluster,
-               const MsmOptions &probe, MsmPlan &plan_out)
-{
-    plan_out = planMsmHeuristic(curve, n, cluster, probe);
-    return estimateDistMsmWithPlan(curve, n, cluster, probe, plan_out)
-        .totalNs();
-}
-
 /** The knob value lists one search enumerates (fixed order; a
  *  pinned option collapses its dimension to a singleton). */
 struct SearchDims
@@ -420,15 +323,6 @@ struct SearchDims
     std::vector<FieldBackend> backends;
     std::vector<CollectivePolicy> collectives;
     std::vector<int> tpbs;
-
-    std::uint64_t
-    space() const
-    {
-        return static_cast<std::uint64_t>(windows.size()) *
-               toggles.size() * glvs.size() * toggles.size() *
-               toggles.size() * cpuReduce.size() * backends.size() *
-               collectives.size() * tpbs.size();
-    }
 };
 
 SearchDims
@@ -475,111 +369,50 @@ AutoPlanResult
 searchPlans(const CurveProfile &curve, std::uint64_t n,
             const gpusim::Cluster &cluster, const MsmOptions &base)
 {
-    // The driver tracks the winning *candidate*; plans are cheap to
-    // re-derive, and keying on the candidate keeps the tie-break
-    // story identical to the kernel scheduler's.
-    sched::SearchDriver<Candidate, double> driver;
-
-    const Candidate seed = seedCandidate(base);
-    MsmPlan seed_plan;
-    const double seed_ns =
-        scoreCandidate(curve, n, cluster, realize(base, seed),
-                       seed_plan);
-    driver.seed(seed, seed_ns);
-
-    const SearchDims dims = buildDims(curve, base, seed_plan);
-    const auto score = [&](const Candidate &c) {
-        MsmPlan plan;
-        return scoreCandidate(curve, n, cluster, realize(base, c),
-                              plan);
+    // A candidate is the caller's options with the searched knobs
+    // set. The probe is planned through the heuristic rules (never
+    // back into the search) and priced silently: thousands of probes
+    // must not spam the caller's timeline.
+    MsmOptions probe = base;
+    probe.planner = PlannerMode::Heuristic;
+    probe.trace = nullptr;
+    MsmPlan plan;
+    const auto score = [&] {
+        plan = planMsmHeuristic(curve, n, cluster, probe);
+        return estimateDistMsmWithPlan(curve, n, cluster, probe, plan)
+            .totalNs();
     };
+    // The caller's own knobs are the seed: the heuristic plan.
+    sched::SearchDriver<MsmPlan, double> driver;
+    const double seed_ns = score();
+    driver.seed(plan, seed_ns);
 
-    const int beam = beamWidthFromEnv();
-    if (beam > 0) {
-        // Staged beam: fix one knob per stage, keeping the `beam`
-        // best partially-refined candidates (every unfixed knob holds
-        // its stem's value, so each stem is always a complete,
-        // scoreable candidate). Every scored candidate also feeds
-        // the driver, and the driver was seeded first — so however
-        // narrow the beam, the result never loses to the heuristic
-        // seed. Stems carry their scores forward between stages
-        // (offered to the next pool unscored); only genuinely new
-        // knob values cost an evaluation.
-        using Setter = std::function<std::vector<Candidate>(
-            const Candidate &)>;
-        // A stage: every value of one dimension other than the stem's.
-        const auto stage = [](const auto &values, auto Candidate::*knob) {
-            return Setter([&values, knob](const Candidate &stem) {
-                std::vector<Candidate> out;
-                for (const auto v : values)
-                    if (v != stem.*knob) {
-                        out.push_back(stem);
-                        out.back().*knob = v;
-                    }
-                return out;
-            });
-        };
-        const std::vector<Setter> stages{
-            stage(dims.windows, &Candidate::windowBits),
-            stage(dims.toggles, &Candidate::signedDigits),
-            stage(dims.glvs, &Candidate::glv),
-            stage(dims.toggles, &Candidate::batchAffine),
-            stage(dims.toggles, &Candidate::precompute),
-            stage(dims.cpuReduce, &Candidate::cpuBucketReduce),
-            stage(dims.backends, &Candidate::fieldBackend),
-            stage(dims.collectives, &Candidate::collective),
-            stage(dims.tpbs, &Candidate::threadsPerBucket),
-        };
-        std::vector<sched::BeamPool<Candidate, double>::Entry> stems{
-            {seed, seed_ns}};
-        for (const Setter &stage : stages) {
-            sched::BeamPool<Candidate, double> pool(beam);
-            for (const auto &stem : stems) {
-                pool.offer(stem.candidate, stem.score);
-                for (const Candidate &c : stage(stem.candidate)) {
-                    const double ns = score(c);
-                    driver.consider(c, ns);
-                    pool.offer(c, ns);
-                }
-            }
-            stems = pool.entries();
-        }
-        // Everything the narrowed beam never reached counts as
-        // pruned — the exhaustive space minus what was scored.
-        const std::uint64_t space = dims.space();
-        if (space > driver.stats().evaluated)
-            driver.prune(space - driver.stats().evaluated);
-    } else {
-        for (const unsigned w : dims.windows)
-            for (const bool sd : dims.toggles)
-                for (const bool glv : dims.glvs)
-                    for (const bool ba : dims.toggles)
-                        for (const bool pre : dims.toggles)
-                            for (const bool cpu : dims.cpuReduce)
-                                for (const FieldBackend fb :
-                                     dims.backends)
-                                    for (const CollectivePolicy cp :
-                                         dims.collectives)
-                                        for (const int tpb :
-                                             dims.tpbs) {
-                                            Candidate c;
-                                            c.windowBits = w;
-                                            c.signedDigits = sd;
-                                            c.glv = glv;
-                                            c.batchAffine = ba;
-                                            c.precompute = pre;
-                                            c.cpuBucketReduce = cpu;
-                                            c.fieldBackend = fb;
-                                            c.collective = cp;
-                                            c.threadsPerBucket = tpb;
-                                            driver.consider(c,
-                                                            score(c));
-                                        }
-    }
+    const SearchDims dims = buildDims(curve, base, plan);
+    for (const unsigned w : dims.windows)
+        for (const bool sd : dims.toggles)
+            for (const bool glv : dims.glvs)
+                for (const bool ba : dims.toggles)
+                    for (const bool pre : dims.toggles)
+                        for (const bool cpu : dims.cpuReduce)
+                            for (const FieldBackend fb : dims.backends)
+                                for (const CollectivePolicy cp :
+                                     dims.collectives)
+                                    for (const int tpb : dims.tpbs) {
+                                        probe.windowBitsOverride = w;
+                                        probe.signedDigits = sd;
+                                        probe.glv = glv;
+                                        probe.batchAffine = ba;
+                                        probe.precompute = pre;
+                                        probe.cpuBucketReduce = cpu;
+                                        probe.fieldBackend = fb;
+                                        probe.collective = cp;
+                                        probe.threadsPerBucket = tpb;
+                                        const double ns = score();
+                                        driver.consider(plan, ns);
+                                    }
 
     AutoPlanResult r;
-    r.options = realize(base, driver.best());
-    r.plan = planMsmHeuristic(curve, n, cluster, r.options);
+    r.plan = driver.best();
     // The caller asked Auto (or pinned a backend); whether *this*
     // search or the heuristic's local rule resolved it, the plan's
     // provenance bit reports the caller's contract.
@@ -587,13 +420,12 @@ searchPlans(const CurveProfile &curve, std::uint64_t n,
     r.searchedNs = driver.bestScore();
     r.heuristicNs = seed_ns;
     r.evaluated = driver.stats().evaluated;
-    r.pruned = driver.stats().pruned;
     return r;
 }
 
 void
 recordMetrics(const MsmOptions &base, const AutoPlanResult &r,
-              bool cached_mode)
+              bool cached_mode, std::uint64_t rejected_rows)
 {
     if (base.trace == nullptr)
         return;
@@ -601,8 +433,10 @@ recordMetrics(const MsmOptions &base, const AutoPlanResult &r,
     if (cached_mode)
         m.add(r.cacheHit ? "plan_cache/hits" : "plan_cache/misses",
               1.0);
+    if (rejected_rows > 0)
+        m.add("plan_cache/rejected_rows",
+              static_cast<double>(rejected_rows));
     m.set("autoplan/evaluated", static_cast<double>(r.evaluated));
-    m.set("autoplan/pruned", static_cast<double>(r.pruned));
     m.set("autoplan/cost_model_evals",
           static_cast<double>(r.costModelEvals));
     m.set("autoplan/searched_ns", r.searchedNs);
@@ -614,53 +448,31 @@ recordMetrics(const MsmOptions &base, const AutoPlanResult &r,
 
 AutoPlanResult
 autoplanMsm(const CurveProfile &curve, std::uint64_t n,
-            const gpusim::Cluster &full_cluster, const MsmOptions &base)
+            const gpusim::Cluster &cluster, const MsmOptions &base)
 {
-    // Quarantined devices shrink the planning fleet before anything
-    // is keyed or scored: the cache key covers the topology, so a
-    // shrunken fleet gets its own entry (idempotent when planMsm
-    // already shrank).
-    const gpusim::Cluster cluster =
-        planningCluster(full_cluster, base.health);
     const std::uint64_t evals_before =
         gpusim::CostModel::evaluations();
     const bool cached_mode = base.planner == PlannerMode::Cached;
-
+    std::uint64_t rejected_rows = 0;
+    AutoPlanResult r;
     if (cached_mode) {
         const std::uint64_t key = cacheKey(curve, n, cluster, base);
         CacheEntry entry;
-        if (PlanCache::instance().lookup(key, entry)) {
-            AutoPlanResult r;
+        if (PlanCache::instance().lookup(key, entry, rejected_rows)) {
             r.plan = entry.plan;
-            r.options = realize(base, entry.winner);
-            r.options.trace = base.trace;
             r.searchedNs = entry.searchedNs;
             r.heuristicNs = entry.heuristicNs;
             r.cacheHit = true;
-            r.costModelEvals =
-                gpusim::CostModel::evaluations() - evals_before;
-            recordMetrics(base, r, cached_mode);
-            return r;
+        } else {
+            r = searchPlans(curve, n, cluster, base);
+            PlanCache::instance().store(
+                key, CacheEntry{r.plan, r.searchedNs, r.heuristicNs});
         }
-        AutoPlanResult r = searchPlans(curve, n, cluster, base);
-        CacheEntry fresh;
-        fresh.plan = r.plan;
-        fresh.winner = seedCandidate(r.options);
-        fresh.searchedNs = r.searchedNs;
-        fresh.heuristicNs = r.heuristicNs;
-        PlanCache::instance().store(key, fresh);
-        r.options.trace = base.trace;
-        r.costModelEvals =
-            gpusim::CostModel::evaluations() - evals_before;
-        recordMetrics(base, r, cached_mode);
-        return r;
+    } else {
+        r = searchPlans(curve, n, cluster, base);
     }
-
-    AutoPlanResult r = searchPlans(curve, n, cluster, base);
-    r.options.trace = base.trace;
-    r.costModelEvals =
-        gpusim::CostModel::evaluations() - evals_before;
-    recordMetrics(base, r, cached_mode);
+    r.costModelEvals = gpusim::CostModel::evaluations() - evals_before;
+    recordMetrics(base, r, cached_mode, rejected_rows);
     return r;
 }
 

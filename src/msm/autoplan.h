@@ -9,16 +9,10 @@
  * searches the joint space — window bits, signed digits, GLV,
  * batch-affine, precompute, CPU-vs-GPU reduce placement, field
  * backend, collective strategy (gather/ring/tree/reduce-scatter),
- * and threads per bucket — and scores every candidate end to end
- * with the calibrated analytic timeline (estimateDistMsmWithPlan's
- * totalNs), in the spirit of Halide's autoschedulers.
- *
- * DISTMSM_AUTOPLAN_BEAM=<width> replaces the exhaustive enumeration
- * with a staged beam search: one knob is fixed per stage and only
- * the `width` best partial refinements survive to the next stage.
- * The heuristic seed is always scored first, so even width 1 never
- * returns a plan scoring worse than the heuristic's. Unset or <= 0
- * keeps the exhaustive default.
+ * and threads per bucket — exhaustively, and scores every candidate
+ * end to end with the calibrated analytic timeline
+ * (estimateDistMsmWithPlan's totalNs), in the spirit of Halide's
+ * autoschedulers.
  *
  * Guarantees:
  *  - The heuristic plan is the search's seed: candidates displace it
@@ -29,6 +23,10 @@
  *    searched plan stays inside the space the functional engine can
  *    execute, and scoring probes pin PlannerMode::Heuristic — the
  *    search cannot recurse into itself.
+ *  - The returned plan alone is what runs: it records every searched
+ *    decision, so the engine executes it and
+ *    estimateDistMsmWithPlan(caller's options, plan) reprices it to
+ *    exactly searchedNs.
  *  - The search is deterministic: a fixed enumeration order and
  *    first-seen tie-breaks make repeated calls agree bit-exactly.
  *
@@ -56,20 +54,11 @@ struct AutoPlanResult
 {
     /** The argmin plan (the heuristic plan when nothing beat it). */
     MsmPlan plan;
-    /**
-     * The winning candidate's realized options: the caller's options
-     * with the searched functional knobs (signedDigits, batchAffine,
-     * glv, precompute, cpuBucketReduce, ...) applied and planner
-     * reset to Heuristic. The engine adopts these so execution
-     * matches what the score priced.
-     */
-    MsmOptions options;
     /** Analytic totalNs of the searched / heuristic plans. */
     double searchedNs = 0.0;
     double heuristicNs = 0.0;
-    /** Candidates scored (seed included) / discarded unscored. */
+    /** Candidates scored, seed included. */
     std::uint64_t evaluated = 0;
-    std::uint64_t pruned = 0;
     /** CostModel::evaluations() delta across the search — exactly 0
      *  on a warm cache hit. */
     std::uint64_t costModelEvals = 0;
@@ -78,7 +67,8 @@ struct AutoPlanResult
 };
 
 /**
- * Search the plan space for @p n points of @p curve on @p cluster.
+ * Search the plan space for @p n points of @p curve on @p cluster,
+ * exactly as given: planMsm has already removed quarantined devices.
  * @p base supplies the starting knobs and constraints: forced
  * choices (windowBitsOverride, a non-Auto fieldBackend, a forced
  * ring/tree collective) pin the corresponding dimension rather than
@@ -87,8 +77,10 @@ struct AutoPlanResult
  * for symmetry) always runs the search.
  *
  * Metrics (when base.trace is attached): plan_cache/{hits,misses}
- * accumulate, autoplan/{evaluated,pruned,cost_model_evals,
- * searched_ns,heuristic_ns,cache_hit} describe the last search.
+ * accumulate, plan_cache/rejected_rows counts the cache-file rows
+ * the loader turned away (emitted when non-zero), and
+ * autoplan/{evaluated,cost_model_evals,searched_ns,heuristic_ns,
+ * cache_hit} describe the last search.
  */
 AutoPlanResult autoplanMsm(const gpusim::CurveProfile &curve,
                            std::uint64_t n,

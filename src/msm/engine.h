@@ -43,7 +43,6 @@
 #include "src/field/batch_inverse.h"
 #include "src/gpusim/faults.h"
 #include "src/gpusim/health.h"
-#include "src/msm/autoplan.h"
 #include "src/msm/batch_affine.h"
 #include "src/msm/bucket_reduce.h"
 #include "src/msm/checksum.h"
@@ -145,20 +144,6 @@ class MsmEngine
             Curve::kScalarBits, Curve::kAIsZero,
             glv::CurveGlv<Curve>::kSupported ? glv::kHalfScalarBits
                                              : 0};
-        // Whether the *user* forced the tensor-core backend must be
-        // read off the original options before the autoscheduler
-        // swaps in the realized candidate: the search may force
-        // TensorCore purely for pricing, and that must not engage
-        // the slow differential execution. The differential tcmul
-        // execution engages only on a *forced* TensorCore (the
-        // planner's Auto pick prices TC while the functional path
-        // stays on CIOS — bit-identical either way).
-        tc_exec_ =
-            options_.fieldBackend == gpusim::FieldBackend::TensorCore;
-        // The autoscheduler's realized options carry
-        // planner=Heuristic; remember the caller's mode so a health
-        // re-plan can re-enter the search over the shrunken fleet.
-        original_planner_ = options_.planner;
         planAndStage();
     }
 
@@ -211,11 +196,11 @@ class MsmEngine
                 "points/scalars size mismatch");
         // A stale health generation (a quarantine, parole or
         // reintegration since planning) invalidates the plan:
-        // re-plan — through the caller's original planner mode, so
-        // Search/Cached re-search — over the changed schedulable
-        // fleet before reading any plan field. Not thread-safe
-        // against concurrent tryCompute calls on one engine; health
-        // tracking is a sequential-coordinator feature.
+        // re-plan from the caller's options — so Search/Cached
+        // re-search — over the changed schedulable fleet before
+        // reading any plan field. Not thread-safe against concurrent
+        // tryCompute calls on one engine; health tracking is a
+        // sequential-coordinator feature.
         if (options_.health != nullptr &&
             options_.health->generation() != planned_generation_)
             planAndStage();
@@ -376,7 +361,7 @@ class MsmEngine
         run.nEff = run.scalars->size();
         // The window passes cover plan_.scalarBits — the GLV half
         // width when active.
-        if (options_.signedDigits) {
+        if (plan_.signedDigits) {
             run.digits.resize(run.nEff);
             pool.parallelFor(
                 0, run.nEff,
@@ -387,10 +372,7 @@ class MsmEngine
                 },
                 run.hostThreads);
         }
-        const unsigned s = plan_.windowBits;
-        run.numBuckets = options_.signedDigits
-                             ? (std::size_t{1} << (s - 1)) + 1
-                             : std::size_t{1} << s;
+        run.numBuckets = plan_.numBuckets + 1;
         run.slices = plan_.precompute;
         run.numUnits = run.slices
                            ? static_cast<unsigned>(cluster_.numGpus())
@@ -407,7 +389,7 @@ class MsmEngine
     {
         const unsigned s = plan_.windowBits;
         for (std::size_t i = 0; i < run.nEff; ++i) {
-            if (options_.signedDigits) {
+            if (plan_.signedDigits) {
                 const std::int32_t d = run.digits[i][w];
                 ids[i] = static_cast<std::uint32_t>(d < 0 ? -d : d);
                 negs[i] = d < 0;
@@ -437,7 +419,7 @@ class MsmEngine
             cfg.traceLabel = label;
             cfg.traceLane = lane;
         }
-        return options_.hierarchicalScatter
+        return plan_.hierarchicalScatter
                    ? hierarchicalScatter(ids, plan_.windowBits, cfg)
                    : naiveScatter(ids, plan_.windowBits, cfg);
     }
@@ -774,7 +756,7 @@ class MsmEngine
         // Simulated-kernel field muls (bucket sums, window reduce)
         // execute on the forced backend; entered per worker thread,
         // so the pool-distributed bucket groups re-enter it.
-        const field::TcBackendScope tc_scope(tc_exec_);
+        const field::TcBackendScope tc_scope(tcExecuted());
         const std::size_t n_eff = run.nEff;
         const std::size_t n_base = points_.size();
         const ScatterResult *scattered = &run.scattered;
@@ -824,11 +806,11 @@ class MsmEngine
         cluster_.forEachDevice(
             groups,
             [&](int g) {
-                const field::TcBackendScope group_scope(tc_exec_);
+                const field::TcBackendScope group_scope(tcExecuted());
                 const std::size_t g_lo = lo + (hi - lo) * g / groups;
                 const std::size_t g_hi =
                     lo + (hi - lo) * (g + 1) / groups;
-                if (options_.batchAffine) {
+                if (plan_.batchAffine) {
                     BatchAffineScratch<Curve> scratch;
                     batchAffineAccumulate<Curve>(
                         scattered->buckets, g_lo, g_hi, point_of,
@@ -865,9 +847,10 @@ class MsmEngine
      * plan-Gather ship one each, so a survivor carrying a resharded
      * slice ships it separately. A Gather ships straight to the host,
      * ring / tree / reduce-scatter route device-to-device first
-     * (mergeViaCollective). Under CollectivePolicy::Auto a collective
-     * plan is re-resolved against the busiest payload actually
-     * shipped; kill semantics stay keyed off the planned strategy.
+     * (mergeViaCollective). Under an Auto policy
+     * (plan.collectiveAuto) a collective plan is re-resolved against
+     * the busiest payload actually shipped; kill semantics stay keyed
+     * off the planned strategy.
      */
     support::Status
     ship(MsmRun &run) const
@@ -902,8 +885,7 @@ class MsmEngine
                 max_bytes, payloads[k].size() * sizeof(Xyzz));
         }
         gpusim::CollectiveAlgo algo = plan_.collective;
-        if (algo != gpusim::CollectiveAlgo::Gather &&
-            options_.collective == gpusim::CollectivePolicy::Auto)
+        if (algo != gpusim::CollectiveAlgo::Gather && plan_.collectiveAuto)
             algo = gpusim::CollectiveTimeEstimator(cluster_.topology(),
                                                    cluster_.device())
                        .pick(gpusim::CollectivePolicy::Auto,
@@ -1008,16 +990,8 @@ class MsmEngine
     {
         namespace lane = support::tracelane;
         const auto &cost_model = cluster_.model();
-        const int scatter_threads = scatterThreads();
         auto &metrics = trace.metrics();
         const std::string &prefix = run.tracePrefix;
-        const auto scatter_ns = [&](std::uint64_t elements,
-                                    const gpusim::KernelStats &st) {
-            return cost_model.scatterComputeNs(elements,
-                                               scatter_threads) +
-                   cost_model.atomicNs(st, scatter_threads) +
-                   cost_model.gmemNs(st.gmemBytes);
-        };
         const auto reduce_ns = [&](const ReduceStats &rs) {
             return cost_model.hostEcNs(curve_profile_,
                                        rs.padds + rs.pdbls,
@@ -1029,7 +1003,8 @@ class MsmEngine
             const std::uint64_t elements =
                 static_cast<std::uint64_t>(plan_.numWindows) * run.nEff;
             const gpusim::KernelStats &st = run.scattered.stats;
-            pass_scatter_ns = scatter_ns(elements, st);
+            pass_scatter_ns =
+                scatterLaunchNs(cluster_, options_.scatter, elements, st);
             const std::string cl = prefix + "combined/";
             trace.span(cl + "scatter", "phase",
                        lane::engineDevicePid(0), lane::kComputeTid, 0.0,
@@ -1067,7 +1042,8 @@ class MsmEngine
             double sum_start = pass_scatter_ns;
             if (!run.slices) {
                 const gpusim::KernelStats &st = unit.scatterStats;
-                const double sc_ns = scatter_ns(run.nEff, st);
+                const double sc_ns = scatterLaunchNs(
+                    cluster_, options_.scatter, run.nEff, st);
                 trace.span(
                     name + "scatter", "phase", pid, lane::kComputeTid,
                     dev_cursor[d], sc_ns,
@@ -1193,31 +1169,18 @@ class MsmEngine
     /**
      * Plan and stage everything the plan needs: the constructor's
      * first plan, and the re-plan after a health-generation change.
-     * Routes through the caller's original planner mode — the
-     * realized options of an earlier search carry planner=Heuristic —
-     * so Search/Cached re-search, over the quarantine-shrunken
-     * cluster via planningCluster. The autoscheduler returns the
-     * argmin plan *and* the winning candidate's realized options
-     * (signed digits, batch-affine, GLV, ... — the functional knobs
-     * the score priced); both are adopted so execution matches the
-     * plan. Mutates the mutable planning state, so concurrent
-     * tryCompute calls on one engine are not supported with a
-     * tracker attached.
+     * planMsm plans the caller's options in their own planner mode,
+     * so Search/Cached re-search over the quarantine-shrunken
+     * cluster. The plan records every execution decision; the
+     * engine reads it, never the options it came from. Mutates the
+     * mutable planning state, so concurrent tryCompute calls on one
+     * engine are not supported with a tracker attached.
      */
     void
     planAndStage() const
     {
-        MsmOptions plan_opts = options_;
-        plan_opts.planner = original_planner_;
-        if (original_planner_ != PlannerMode::Heuristic) {
-            AutoPlanResult searched = autoplanMsm(
-                curve_profile_, points_.size(), cluster_, plan_opts);
-            options_ = searched.options;
-            plan_ = searched.plan;
-        } else {
-            plan_ = planMsm(curve_profile_, points_.size(), cluster_,
-                            plan_opts);
-        }
+        plan_ = planMsm(curve_profile_, points_.size(), cluster_,
+                        options_);
         // Every cost-model price uses the kernel variant as the
         // plan's resolved field backend executes it.
         eff_kernel_ = gpusim::applyFieldBackend(options_.kernel,
@@ -1237,8 +1200,9 @@ class MsmEngine
                 },
                 host_threads);
         }
-        // plan_.precompute, not options_.precompute: the planner may
-        // have declined (device memory budget) or grown the window.
+        // The plan, not the caller's request: the planner may have
+        // declined precompute (device memory budget) or grown the
+        // window.
         if (plan_.precompute)
             acquireTable(host_threads);
         if (options_.health != nullptr)
@@ -1730,16 +1694,6 @@ class MsmEngine
             options_.health->recordMetrics(trace.metrics());
     }
 
-    /** Simulated threads executing one scatter launch. */
-    int
-    scatterThreads() const
-    {
-        return static_cast<int>(std::min<std::uint64_t>(
-            cluster_.device().maxConcurrentThreads(),
-            static_cast<std::uint64_t>(options_.scatter.blockDim) *
-                options_.scatter.gridDim));
-    }
-
     /** The EC op counts of one bucket-sum launch, by cost-model op. */
     static std::array<std::pair<gpusim::EcOp, std::uint64_t>, 4>
     ecOps(const gpusim::KernelStats &ec)
@@ -1798,11 +1752,20 @@ class MsmEngine
         metrics.add(tc ? "engine/field_backend_tc_modmuls"
                        : "engine/field_backend_cuda_modmuls",
                     modmuls);
-        // The differential tcmul execution only runs on a forced
-        // TensorCore; an Auto-resolved TC prices the offload but
-        // executes CIOS (bit-identical), so the flag is separate.
         metrics.set("engine/field_backend_tc_executed",
-                    tc_exec_ ? 1.0 : 0.0);
+                    tcExecuted() ? 1.0 : 0.0);
+    }
+
+    /**
+     * The differential tcmul execution only runs on a forced
+     * TensorCore; an Auto-resolved TC prices the offload but executes
+     * CIOS (bit-identical either way).
+     */
+    bool
+    tcExecuted() const
+    {
+        return plan_.fieldBackend == gpusim::FieldBackend::TensorCore &&
+               !plan_.fieldBackendAuto;
     }
 
     void
@@ -1838,15 +1801,16 @@ class MsmEngine
     static constexpr std::uint64_t kProbeXferBase = 1ull << 62;
 
     std::vector<AffinePoint<Curve>> points_;
-    // The planning state below is mutable: a health-generation
-    // change re-plans from inside the const tryCompute (see
-    // replanForHealth). Engines with a tracker attached must not
-    // run concurrent tryCompute calls; without one, nothing here
-    // ever changes after construction.
+    // The mutable planning state below changes only when a
+    // health-generation change re-plans from inside the const
+    // tryCompute (see planAndStage). Engines with a tracker attached
+    // must not run concurrent tryCompute calls; without one, nothing
+    // here ever changes after construction.
     /** phi(P_i) images when the plan enabled GLV (else empty). */
     mutable std::vector<AffinePoint<Curve>> phi_points_;
     gpusim::Cluster cluster_;
-    mutable MsmOptions options_;
+    /** What the caller asked for; the plan decides what runs. */
+    MsmOptions options_;
     gpusim::CurveProfile curve_profile_;
     mutable MsmPlan plan_;
     /**
@@ -1855,18 +1819,9 @@ class MsmEngine
      * query in the engine prices against.
      */
     mutable gpusim::EcKernelVariant eff_kernel_;
-    /** Forced-TensorCore runs execute the tcmul differential path. */
-    bool tc_exec_ = false;
     /** Shared precompute table (plan_.precompute; else null). */
     mutable std::shared_ptr<const PrecomputeTable<Curve>> table_;
     mutable bool table_cache_hit_ = false;
-    /**
-     * The caller's requested planner mode, captured before the
-     * constructor folded an autoplan result into options_ — the mode
-     * replanForHealth re-searches with after a quarantine shrinks
-     * the fleet.
-     */
-    PlannerMode original_planner_ = PlannerMode::Heuristic;
     /** Health generation plan_ was computed against. */
     mutable std::uint64_t planned_generation_ = 0;
     /**

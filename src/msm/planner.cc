@@ -163,6 +163,18 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
     std::tie(plan.numWindows, plan.numBuckets) = windowGeometry(
         plan.scalarBits, plan.windowBits, options.signedDigits);
     plan.signedDigits = options.signedDigits;
+    plan.batchAffine = options.batchAffine;
+    plan.cpuBucketReduce = options.cpuBucketReduce;
+    plan.collectiveAuto =
+        options.collective == gpusim::CollectivePolicy::Auto;
+    // The hierarchical kernel needs 2^s counters plus a tile in
+    // shared memory; above that (s > 14 on the A100) DistMSM falls
+    // back to the naive scatter, which single-GPU window sizes
+    // prefer anyway (Figure 11).
+    plan.hierarchicalScatter =
+        options.hierarchicalScatter &&
+        hierarchicalSharedBytes(plan.windowBits, options.scatter, 1) <=
+            options.scatter.sharedBytesPerBlock;
 
     if (cluster.numGpus() >= 2 * static_cast<int>(plan.numWindows)) {
         plan.bucketsSplitAcrossGpus = true;
@@ -235,9 +247,8 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
         if (!options.kernel.tensorCoreMont) {
             plan.fieldBackend = gpusim::FieldBackend::CudaCore;
         } else {
-            const EcOp acc_op = options.batchAffine
-                                    ? EcOp::AffineAdd
-                                    : EcOp::Pacc;
+            const EcOp acc_op = plan.batchAffine ? EcOp::AffineAdd
+                                                 : EcOp::Pacc;
             const std::uint64_t acc_ops = std::max<std::uint64_t>(
                 1, n_eff * plan.numWindows / cluster.numGpus());
             const CostModel &model = cluster.model();
@@ -328,24 +339,30 @@ synthesizeScatterStats(bool hierarchical, std::uint64_t elements,
     return stats;
 }
 
+double
+scatterLaunchNs(const gpusim::Cluster &cluster,
+                const ScatterConfig &config, std::uint64_t elements,
+                const KernelStats &stats)
+{
+    const CostModel &model = cluster.model();
+    const int threads = static_cast<int>(std::min<std::uint64_t>(
+        cluster.device().maxConcurrentThreads(),
+        static_cast<std::uint64_t>(config.blockDim) * config.gridDim));
+    return model.scatterComputeNs(elements, threads) +
+           model.atomicNs(stats, threads) +
+           model.gmemNs(stats.gmemBytes);
+}
+
 MsmTimeline
 estimateDistMsm(const CurveProfile &curve, std::uint64_t n,
                 const gpusim::Cluster &cluster,
                 const MsmOptions &options)
 {
-    if (options.planner != PlannerMode::Heuristic) {
-        // Price the timeline under the *realized* options (the
-        // winning candidate's functional knobs), not the caller's
-        // starting knobs — that is the configuration the search
-        // scored and the engine will execute.
-        const AutoPlanResult r =
-            autoplanMsm(curve, n, cluster, options);
-        return estimateDistMsmWithPlan(curve, n, cluster, r.options,
-                                       r.plan);
-    }
-    return estimateDistMsmWithPlan(
-        curve, n, cluster, options,
-        planMsmHeuristic(curve, n, cluster, options));
+    const MsmPlan plan =
+        options.planner == PlannerMode::Heuristic
+            ? planMsmHeuristic(curve, n, cluster, options)
+            : autoplanMsm(curve, n, cluster, options).plan;
+    return estimateDistMsmWithPlan(curve, n, cluster, options, plan);
 }
 
 MsmTimeline
@@ -355,9 +372,10 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
 {
     const CostModel &model = cluster.model();
     const auto &spec = cluster.device();
-    // Every EC kernel below is priced under the plan's resolved
-    // field-arithmetic backend, so the timeline and the functional
-    // engine attribute the same work to the same unit.
+    // Every execution decision (scatter kernel, accumulation, reduce
+    // placement, merge strategy, field backend) is read off the
+    // plan, so the timeline prices exactly what the engine runs and
+    // attributes the same work to the same unit.
     const EcKernelVariant kernel =
         applyFieldBackend(options.kernel, plan.fieldBackend);
     const double buckets = static_cast<double>(plan.numBuckets);
@@ -381,26 +399,12 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // the sub-window regime it inserts only its bucket slice.
     const double scanned = std::max(1.0, windows_per_gpu) * n_eff;
     const double inserted = windows_per_gpu * n_eff;
-    // The hierarchical kernel needs 2^s counters plus a tile in
-    // shared memory; above that (s > 14 on the A100) DistMSM falls
-    // back to the naive scatter, which single-GPU window sizes
-    // prefer anyway (Figure 11).
-    const bool hierarchical =
-        options.hierarchicalScatter &&
-        hierarchicalSharedBytes(plan.windowBits, options.scatter, 1) <=
-            options.scatter.sharedBytesPerBlock;
     const KernelStats scatter_stats = synthesizeScatterStats(
-        hierarchical, static_cast<std::uint64_t>(inserted),
+        plan.hierarchicalScatter, static_cast<std::uint64_t>(inserted),
         plan.windowBits, options.scatter);
-    const int scatter_threads = std::min<std::uint64_t>(
-        spec.maxConcurrentThreads(),
-        static_cast<std::uint64_t>(options.scatter.blockDim) *
-            options.scatter.gridDim);
-    t.scatterNs =
-        model.scatterComputeNs(static_cast<std::uint64_t>(scanned),
-                               scatter_threads) +
-        model.atomicNs(scatter_stats, scatter_threads) +
-        model.gmemNs(scatter_stats.gmemBytes);
+    t.scatterNs = scatterLaunchNs(cluster, options.scatter,
+                                  static_cast<std::uint64_t>(scanned),
+                                  scatter_stats);
 
     // --- Bucket sum (per GPU) ---
     // Each GPU sums the buckets it owns, then (precomputed points,
@@ -411,7 +415,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // Batched-affine accumulation replaces the 10-mul pacc with the
     // ~7-modmul amortized affine add.
     const EcOp acc_op =
-        options.batchAffine ? EcOp::AffineAdd : EcOp::Pacc;
+        plan.batchAffine ? EcOp::AffineAdd : EcOp::Pacc;
     const double buckets_per_gpu = buckets * windows_per_gpu;
     const std::uint64_t tree_padds = static_cast<std::uint64_t>(
         buckets_per_gpu * (plan.threadsPerBucket - 1));
@@ -476,12 +480,10 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // made at the CPU placement's payload). Forced policies keep the
     // plan's resolved strategy for both, bit-compatible with every
     // earlier timeline.
-    const bool auto_collective =
-        options.collective == gpusim::CollectivePolicy::Auto;
     const gpusim::CollectiveAlgo cpu_algo =
-        auto_collective ? cpu_merge_costs.best() : plan.collective;
+        plan.collectiveAuto ? cpu_merge_costs.best() : plan.collective;
     const gpusim::CollectiveAlgo gpu_algo =
-        auto_collective ? gpu_merge_costs.best() : plan.collective;
+        plan.collectiveAuto ? gpu_merge_costs.best() : plan.collective;
     const double transfer_cpu_ns = cpu_merge_costs.ns(cpu_algo);
     const double transfer_gpu_ns = gpu_merge_costs.ns(gpu_algo);
 
@@ -494,7 +496,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
             ? std::max(0.0, host_reduce_ns -
                                 (gpu_side_ns + transfer_cpu_ns))
             : host_reduce_ns;
-    const bool cpu_reduce = options.cpuBucketReduce &&
+    const bool cpu_reduce = plan.cpuBucketReduce &&
                             effective_host_ns < gpu_reduce_ns;
     t.cpuReduce = cpu_reduce;
     t.bucketReduceNs = cpu_reduce ? host_reduce_ns : gpu_reduce_ns;
@@ -785,18 +787,13 @@ estimateNdimBaseline(const CurveProfile &curve, std::uint64_t n,
                          ? gpusim::FieldBackend::TensorCore
                          : gpusim::FieldBackend::CudaCore;
 
-    ScatterConfig scatter_cfg;
+    const ScatterConfig scatter_cfg;
     const std::uint64_t scanned =
         static_cast<std::uint64_t>(n_win) * slice;
     const KernelStats scatter_stats =
         synthesizeScatterStats(false, scanned, s, scatter_cfg);
-    const int scatter_threads = std::min<std::uint64_t>(
-        spec.maxConcurrentThreads(),
-        static_cast<std::uint64_t>(scatter_cfg.blockDim) *
-            scatter_cfg.gridDim);
-    t.scatterNs = model.scatterComputeNs(scanned, scatter_threads) +
-                  model.atomicNs(scatter_stats, scatter_threads) +
-                  model.gmemNs(scatter_stats.gmemBytes);
+    t.scatterNs =
+        scatterLaunchNs(cluster, scatter_cfg, scanned, scatter_stats);
 
     // Bucket sum: one thread per bucket per window (the traditional
     // allocation), plus nothing extra for trees.

@@ -6,9 +6,10 @@
  * window size (per-thread workload model, Section 3.1), the work
  * distribution (whole windows per GPU, or buckets of a window split
  * across GPUs, Section 3.2.2), the scatter kernel and where
- * bucket-reduce runs (Section 3.2.3). The same plan drives both the
- * functional execution (distmsm.h) and the analytic timeline used at
- * paper-scale N, so the two cannot drift apart.
+ * bucket-reduce runs (Section 3.2.3). The plan records every
+ * execution decision, and both the functional execution (distmsm.h)
+ * and the analytic timeline used at paper-scale N read it rather than
+ * MsmOptions, so the two cannot drift apart.
  */
 
 #ifndef DISTMSM_MSM_PLANNER_H
@@ -63,7 +64,9 @@ struct MsmOptions
 {
     /** 0 = choose s from the workload model. */
     unsigned windowBitsOverride = 0;
-    /** Hierarchical (Algorithm 3) vs naive scatter. */
+    /** Request the hierarchical (Algorithm 3) scatter over the naive
+     *  one; the plan resolves it against shared memory
+     *  (MsmPlan::hierarchicalScatter). */
     bool hierarchicalScatter = true;
     /** Offload bucket-reduce to the host CPU (Section 3.2.3). */
     bool cpuBucketReduce = true;
@@ -259,8 +262,26 @@ struct MsmPlan
      */
     gpusim::FieldBackend fieldBackend = gpusim::FieldBackend::CudaCore;
     /** True when the planner's Auto resolution chose the backend (vs
-     *  a forced MsmOptions::fieldBackend). */
+     *  a forced MsmOptions::fieldBackend). Only a forced TensorCore
+     *  executes the tcmul differential path. */
     bool fieldBackendAuto = false;
+    /** Batched-affine bucket accumulation (MsmOptions::batchAffine). */
+    bool batchAffine = false;
+    /** The bucket reduce may run on the host CPU
+     *  (MsmOptions::cpuBucketReduce); the timeline still takes the
+     *  cheaper placement. */
+    bool cpuBucketReduce = true;
+    /** MsmOptions::collective was Auto: every merge point re-resolves
+     *  the strategy against its own payload instead of keeping
+     *  `collective`. */
+    bool collectiveAuto = false;
+    /**
+     * The scatter kernel: MsmOptions::hierarchicalScatter, and only
+     * when its 2^s counters plus a one-element tile fit the block's
+     * shared memory (hierarchicalSharedBytes). Above that (s > 14 on
+     * the A100) DistMSM scatters naively, as Figure 11 prescribes.
+     */
+    bool hierarchicalScatter = true;
 };
 
 /**
@@ -276,7 +297,9 @@ std::pair<unsigned, std::uint64_t> windowGeometry(unsigned scalar_bits,
 /**
  * Build the plan for @p n points on @p cluster, honoring
  * MsmOptions::planner: the legacy heuristics, or the cost-model
- * search (optionally behind the persisted plan cache).
+ * search (optionally behind the persisted plan cache). Quarantined
+ * devices of MsmOptions::health are removed first (planningCluster),
+ * once, whichever planner runs.
  */
 MsmPlan planMsm(const gpusim::CurveProfile &curve, std::uint64_t n,
                 const gpusim::Cluster &cluster,
@@ -299,10 +322,11 @@ MsmPlan planMsmHeuristic(const gpusim::CurveProfile &curve,
  * devices are removed: @p cluster itself when @p health is null or
  * nothing is quarantined (or everything is — an empty cluster cannot
  * be planned; the engine reports the error instead), otherwise a
- * copy whose topology holds only the schedulable device count. Both
- * planMsm and autoplanMsm route through this, so the plan-cache key
+ * copy whose topology holds only the schedulable device count.
+ * planMsm applies it before dispatching, so the plan-cache key
  * (which covers the topology) distinguishes shrunken fleets
- * automatically.
+ * automatically. Not idempotent: a shrunken cluster still numbers
+ * its devices from 0, so apply it once per plan.
  */
 gpusim::Cluster planningCluster(const gpusim::Cluster &cluster,
                                 const gpusim::HealthTracker *health);
@@ -318,6 +342,19 @@ synthesizeScatterStats(bool hierarchical, std::uint64_t elements,
                        const ScatterConfig &config);
 
 /**
+ * Simulated time of one scatter launch with @p config over
+ * @p elements scanned ids that produced @p stats: index work, atomic
+ * traffic and device-memory traffic, summed in that order, on
+ * min(device threads, blockDim x gridDim) threads of @p cluster's
+ * device. The timeline, the N-dim baseline and the engine's traced
+ * launches all price a scatter through this.
+ */
+double scatterLaunchNs(const gpusim::Cluster &cluster,
+                       const ScatterConfig &config,
+                       std::uint64_t elements,
+                       const gpusim::KernelStats &stats);
+
+/**
  * Analytic end-to-end timeline of DistMSM under @p options
  * (paper-scale N allowed; nothing is executed).
  */
@@ -330,6 +367,9 @@ MsmTimeline estimateDistMsm(const gpusim::CurveProfile &curve,
  * estimateDistMsm against an explicit @p plan instead of re-running
  * planMsm. The plan search scores candidates through this entry so a
  * Search-mode options struct cannot recurse back into the search.
+ * Every execution decision comes from @p plan; @p options supplies
+ * only what no plan decides (kernel variant, scatter geometry,
+ * overlap, checksums, faults, watchdog, trace).
  */
 MsmTimeline estimateDistMsmWithPlan(const gpusim::CurveProfile &curve,
                                     std::uint64_t n,

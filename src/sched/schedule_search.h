@@ -92,56 +92,6 @@ class SearchDriver
     Stats stats_;
 };
 
-/**
- * Bounded best-first pool for staged (beam) searches: keeps the
- * @p width best-scoring candidates seen so far, with first-seen
- * tie-breaks (a later candidate displaces an incumbent only on a
- * *strictly* smaller score, mirroring SearchDriver). width <= 0 means
- * unbounded — the pool degenerates to "keep everything", which makes
- * the staged search equivalent to the exhaustive one.
- *
- * Insertion is O(width) (the pool is kept sorted ascending by score,
- * stable in arrival order among ties); beams are small by design, so
- * no heap is warranted. Deterministic: a fixed offer order yields a
- * fixed pool.
- */
-template <typename Candidate, typename Score = double>
-class BeamPool
-{
-  public:
-    struct Entry
-    {
-        Candidate candidate{};
-        Score score{};
-    };
-
-    explicit BeamPool(int width) : width_(width) {}
-
-    /** Offer a scored candidate; kept iff it makes the beam. */
-    void
-    offer(const Candidate &candidate, Score score)
-    {
-        // Insert after every incumbent with score <= the new one:
-        // stable among ties, ascending overall.
-        std::size_t pos = entries_.size();
-        while (pos > 0 && score < entries_[pos - 1].score)
-            --pos;
-        entries_.insert(entries_.begin() +
-                            static_cast<std::ptrdiff_t>(pos),
-                        Entry{candidate, score});
-        if (width_ > 0 &&
-            entries_.size() > static_cast<std::size_t>(width_))
-            entries_.pop_back();
-    }
-
-    const std::vector<Entry> &entries() const { return entries_; }
-    bool empty() const { return entries_.empty(); }
-
-  private:
-    int width_;
-    std::vector<Entry> entries_;
-};
-
 /** Result of a schedule search. */
 struct ScheduleResult
 {

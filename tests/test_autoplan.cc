@@ -36,6 +36,7 @@
 #include "src/msm/workload.h"
 #include "src/support/prng.h"
 #include "src/support/trace.h"
+#include "tests/same_plan.h"
 
 namespace distmsm::msm {
 namespace {
@@ -47,26 +48,6 @@ using gpusim::CurveProfile;
 using gpusim::DeviceSpec;
 using gpusim::FieldBackend;
 using gpusim::Topology;
-
-bool
-samePlan(const MsmPlan &a, const MsmPlan &b)
-{
-    return a.windowBits == b.windowBits &&
-           a.numWindows == b.numWindows &&
-           a.scalarBits == b.scalarBits && a.glv == b.glv &&
-           a.numBuckets == b.numBuckets &&
-           a.signedDigits == b.signedDigits &&
-           a.gpusPerWindow == b.gpusPerWindow &&
-           a.windowsPerGpu == b.windowsPerGpu &&
-           a.threadsPerBucket == b.threadsPerBucket &&
-           a.bucketsSplitAcrossGpus == b.bucketsSplitAcrossGpus &&
-           a.precompute == b.precompute &&
-           a.tableBytes == b.tableBytes &&
-           a.collective == b.collective &&
-           a.mergeBytesPerGpu == b.mergeBytesPerGpu &&
-           a.fieldBackend == b.fieldBackend &&
-           a.fieldBackendAuto == b.fieldBackendAuto;
-}
 
 CurveProfile
 curveByIndex(unsigned i)
@@ -156,6 +137,17 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
             << "case " << c << ": " << curve.name << " N=2^"
             << log_n << " on " << topology.describe();
 
+        // The plan alone reprices the search: priced under the
+        // caller's own options it reproduces the searched score
+        // exactly, so no searched decision lives outside the plan.
+        const AutoPlanResult r = autoplanMsm(curve, n, cluster, search);
+        EXPECT_EQ(estimateDistMsmWithPlan(curve, n, cluster, search,
+                                          r.plan)
+                      .totalNs(),
+                  r.searchedNs)
+            << "case " << c << ": " << curve.name << " N=2^"
+            << log_n << " on " << topology.describe();
+
         // The search is deterministic: re-planning returns the
         // same plan bit-identically.
         EXPECT_TRUE(samePlan(planMsm(curve, n, cluster, search),
@@ -177,64 +169,17 @@ TEST(AutoplanSweep, SeedIsHeuristicPlan)
     EXPECT_DOUBLE_EQ(
         r.heuristicNs,
         estimateDistMsm(curve, n, cluster, base).totalNs());
-    MsmOptions realized = r.options;
-    EXPECT_EQ(realized.planner, PlannerMode::Heuristic);
-    EXPECT_DOUBLE_EQ(
-        r.searchedNs,
-        estimateDistMsm(curve, n, cluster, realized).totalNs());
-    // The returned plan is the realized winner's heuristic plan,
-    // with fieldBackendAuto post-stamped to the caller's contract
+    // The returned plan alone reprices the search under the caller's
+    // options. Its fieldBackendAuto reports the caller's contract
     // (base asked Auto, so the provenance bit stays true even when
     // the search pinned a backend for pricing).
-    MsmPlan rederived = planMsmHeuristic(curve, n, cluster, realized);
-    rederived.fieldBackendAuto = r.plan.fieldBackendAuto;
-    EXPECT_TRUE(samePlan(r.plan, rederived));
+    EXPECT_EQ(
+        estimateDistMsmWithPlan(curve, n, cluster, base, r.plan)
+            .totalNs(),
+        r.searchedNs);
     EXPECT_TRUE(r.plan.fieldBackendAuto);
     EXPECT_LE(r.searchedNs, r.heuristicNs);
     EXPECT_GE(r.evaluated, 1u);
-}
-
-// ---------------------------------------------------------------
-// Beam search (DISTMSM_AUTOPLAN_BEAM): even the narrowest beam is
-// seeded with the heuristic plan and so never loses to it; an
-// unbounded beam enumerates exactly the exhaustive candidate set
-// and reproduces the exhaustive argmin score.
-// ---------------------------------------------------------------
-TEST(AutoplanBeam, NarrowBeamNeverLosesWideBeamMatchesExhaustive)
-{
-    const CurveProfile curve = CurveProfile::bn254();
-    const Cluster cluster(DeviceSpec::a100(), Topology::dgx(2, 4));
-    const std::uint64_t n = 1ull << 18;
-    MsmOptions base;
-    base.planner = PlannerMode::Search;
-
-    unsetenv("DISTMSM_AUTOPLAN_BEAM");
-    const AutoPlanResult exhaustive =
-        autoplanMsm(curve, n, cluster, base);
-
-    ASSERT_EQ(setenv("DISTMSM_AUTOPLAN_BEAM", "1", 1), 0);
-    const AutoPlanResult narrow =
-        autoplanMsm(curve, n, cluster, base);
-    EXPECT_LE(narrow.searchedNs, narrow.heuristicNs);
-    EXPECT_DOUBLE_EQ(narrow.heuristicNs, exhaustive.heuristicNs);
-    EXPECT_LT(narrow.evaluated, exhaustive.evaluated);
-    EXPECT_GT(narrow.pruned, 0u);
-
-    // Width far beyond every stage's fan-out: the staged expansion
-    // covers the full Cartesian product, so the argmin score is the
-    // exhaustive one.
-    ASSERT_EQ(setenv("DISTMSM_AUTOPLAN_BEAM", "65536", 1), 0);
-    const AutoPlanResult wide = autoplanMsm(curve, n, cluster, base);
-    EXPECT_DOUBLE_EQ(wide.searchedNs, exhaustive.searchedNs);
-
-    // Determinism under a fixed width.
-    ASSERT_EQ(setenv("DISTMSM_AUTOPLAN_BEAM", "2", 1), 0);
-    const AutoPlanResult a = autoplanMsm(curve, n, cluster, base);
-    const AutoPlanResult b = autoplanMsm(curve, n, cluster, base);
-    EXPECT_TRUE(samePlan(a.plan, b.plan));
-    EXPECT_DOUBLE_EQ(a.searchedNs, b.searchedNs);
-
-    unsetenv("DISTMSM_AUTOPLAN_BEAM");
 }
 
 // ---------------------------------------------------------------
@@ -300,10 +245,10 @@ TEST(PlanCache, WarmHitIsBitIdenticalAndFree)
     resetPlanCacheForTesting();
 }
 
-// A row the v3 loader cannot trust is a cache miss, never a plan: a
-// row with extra columns (a v2 writer's layout) and a row naming an
-// out-of-range collective both fall back to a fresh search, which
-// reproduces the cold plan.
+// A row the v4 loader cannot trust is a cache miss, never a plan: a
+// row with extra columns and a row naming an out-of-range collective
+// both fall back to a fresh search, which reproduces the cold plan,
+// and plan_cache/rejected_rows counts each of them.
 TEST(PlanCache, MalformedRowsAreMisses)
 {
     const std::string path =
@@ -332,7 +277,8 @@ TEST(PlanCache, MalformedRowsAreMisses)
         for (std::string f; std::getline(cols, f, '\t');)
             fields.push_back(f);
     }
-    ASSERT_EQ(fields.size(), 28u) << row;
+    ASSERT_EQ(fields.size(), 23u) << row;
+    EXPECT_EQ(trace.metrics().value("plan_cache/rejected_rows"), 0.0);
 
     const auto reload_misses = [&](const std::string &bad_row) {
         {
@@ -341,9 +287,14 @@ TEST(PlanCache, MalformedRowsAreMisses)
         }
         resetPlanCacheForTesting();
         const double misses = trace.metrics().value("plan_cache/misses");
+        const double rejected =
+            trace.metrics().value("plan_cache/rejected_rows");
         const MsmPlan plan = planMsm(curve, n, cluster, options);
         EXPECT_EQ(trace.metrics().value("plan_cache/misses"),
                   misses + 1.0)
+            << bad_row;
+        EXPECT_EQ(trace.metrics().value("plan_cache/rejected_rows"),
+                  rejected + 1.0)
             << bad_row;
         EXPECT_TRUE(samePlan(plan, cold)) << bad_row;
     };

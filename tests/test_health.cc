@@ -27,6 +27,7 @@
 #include "src/support/metrics.h"
 #include "src/support/prng.h"
 #include "src/support/trace.h"
+#include "tests/same_plan.h"
 
 namespace distmsm::msm {
 namespace {
@@ -555,6 +556,22 @@ TEST(Quarantine, PlanningClusterExcludesQuarantinedDevices)
         planMsm(curve, 1ull << 16, shrunk, options);
     EXPECT_EQ(with_health.windowsPerGpu, over_seven.windowsPerGpu);
     EXPECT_EQ(with_health.numWindows, over_seven.numWindows);
+
+    // Search mode shrinks the fleet once too: with device 1
+    // quarantined it searches exactly the 7-GPU fleet, not a fleet
+    // shrunk a second time (at s = 10 the 6- and 7-GPU searches
+    // disagree).
+    HealthTracker search_tracker(8);
+    search_tracker.recordHang(1);
+    auto search = healthTestOptions(10);
+    search.planner = PlannerMode::Search;
+    search.health = &search_tracker;
+    const auto searched = planMsm(curve, 1ull << 16, cluster, search);
+    const Cluster search_fleet =
+        planningCluster(cluster, &search_tracker);
+    search.health = nullptr;
+    EXPECT_TRUE(samePlan(
+        searched, planMsm(curve, 1ull << 16, search_fleet, search)));
 }
 
 TEST(Quarantine, FlakyDeviceQuarantinesThenReplansWithoutIt)
@@ -612,6 +629,41 @@ TEST(Quarantine, FlakyDeviceQuarantinesThenReplansWithoutIt)
     EXPECT_EQ(tracker.state(2), HealthState::Quarantined);
     EXPECT_EQ(tracker.device(2).checksumFailures,
               probes_before + 1);
+}
+
+TEST(Quarantine, SearchReplansFromTheCallersOptions)
+{
+    // The Search-mode twin: after device 2's quarantine the engine
+    // re-searches from the caller's options (not from the first
+    // winner's knobs), so its plan is exactly what planMsm makes of
+    // them, and the survivors still compute the clean value.
+    const Cluster cluster(DeviceSpec::a100(), 8);
+    const auto w = makeWorkload<Bn254>(1 << 12, 0x9A11);
+    const auto clean_or = tryComputeDistMsm<Bn254>(
+        w.points, w.scalars, cluster, healthTestOptions());
+    ASSERT_TRUE(clean_or.isOk());
+
+    HealthTracker tracker(8);
+    auto options = healthTestOptions();
+    options.planner = PlannerMode::Search;
+    const auto plan_or = FaultPlan::parse("flaky:dev=2,p=1");
+    ASSERT_TRUE(plan_or.isOk());
+    options.faults = *plan_or;
+    options.health = &tracker;
+    MsmEngine<Bn254> engine(w.points, cluster, options);
+
+    const auto first_or = engine.tryCompute(w.scalars);
+    ASSERT_TRUE(first_or.isOk()) << first_or.status().toString();
+    EXPECT_TRUE(first_or->value == clean_or->value);
+    EXPECT_EQ(tracker.state(2), HealthState::Quarantined);
+
+    const auto second_or = engine.tryCompute(w.scalars);
+    ASSERT_TRUE(second_or.isOk()) << second_or.status().toString();
+    EXPECT_TRUE(second_or->value == clean_or->value);
+    EXPECT_EQ(second_or->fault.corruptInjected, 0u);
+    EXPECT_TRUE(samePlan(engine.plan(),
+                         planMsm(gpusim::CurveProfile::bn254(),
+                                 w.points.size(), cluster, options)));
 }
 
 TEST(Quarantine, CleanProbeParolesAndCleanWindowsReintegrate)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/ec/curves.h"
 #include "src/msm/baseline_profiles.h"
 #include "src/msm/distmsm.h"
@@ -200,6 +202,57 @@ TEST(DistMsm, StatsAreAccumulated)
             nonzero_chunks += k.bits(win * s, s) != 0;
     }
     EXPECT_EQ(result.stats.paccOps, nonzero_chunks);
+}
+
+// Default options at s = 16: the plan resolves the requested
+// hierarchical scatter to the naive kernel, so the run succeeds and is
+// exactly the run that asked for the naive scatter.
+TEST(DistMsm, WideWindowFallsBackToNaiveScatter)
+{
+    const auto w = makeWorkload<Bn254>(std::size_t{1} << 10, 0xB3);
+    const auto expect = msmSerialPippenger<Bn254>(w.points, w.scalars, 8);
+    const Cluster cluster(DeviceSpec::a100(), 4);
+    for (const int threads : {1, 4}) {
+        MsmOptions options;
+        options.windowBitsOverride = 16;
+        options.hostThreads = threads;
+        const auto got = tryComputeDistMsm<Bn254>(w.points, w.scalars,
+                                                  cluster, options);
+        ASSERT_TRUE(got.isOk()) << got.status().toString();
+        EXPECT_EQ(got->value, expect) << "hostThreads=" << threads;
+
+        options.hierarchicalScatter = false;
+        const auto naive = tryComputeDistMsm<Bn254>(
+            w.points, w.scalars, cluster, options);
+        ASSERT_TRUE(naive.isOk()) << naive.status().toString();
+        EXPECT_TRUE(bitEqual(got->value, naive->value));
+        EXPECT_EQ(got->stats, naive->stats);
+        EXPECT_EQ(got->hostOps, naive->hostOps);
+        EXPECT_EQ(0, std::memcmp(&got->fault, &naive->fault,
+                                 sizeof(gpusim::FaultReport)));
+    }
+}
+
+// The hierarchical kernel needs 2^s counters plus a one-element tile
+// in a block's shared memory: the default ScatterConfig (160 KiB)
+// holds that up to s = 14. A caller who asked for the naive scatter
+// always gets it.
+TEST(Planner, HierarchicalScatterResolvedAgainstSharedMemory)
+{
+    const CurveProfile curve = CurveProfile::bn254();
+    const Cluster cluster(DeviceSpec::a100(), 1);
+    for (const unsigned s : {14u, 15u, 16u}) {
+        MsmOptions options;
+        options.windowBitsOverride = s;
+        EXPECT_EQ(planMsm(curve, 1ull << 20, cluster, options)
+                      .hierarchicalScatter,
+                  s == 14)
+            << "s=" << s;
+        options.hierarchicalScatter = false;
+        EXPECT_FALSE(planMsm(curve, 1ull << 20, cluster, options)
+                         .hierarchicalScatter)
+            << "s=" << s;
+    }
 }
 
 TEST(Planner, SplitsBucketsWhenGpusExceedWindows)

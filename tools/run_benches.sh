@@ -582,7 +582,6 @@ for tag in PLANNER_TAGS:
         "planner": tag,
         "total_ms": m["timeline/total_ns"] / 1e6,
         "plans_evaluated": int(m.get("autoplan/evaluated", 0)),
-        "plans_pruned": int(m.get("autoplan/pruned", 0)),
         "cost_model_evals": int(m.get("autoplan/cost_model_evals", 0)),
         "cache_hits": int(m.get("plan_cache/hits", 0)),
         "cache_misses": int(m.get("plan_cache/misses", 0)),

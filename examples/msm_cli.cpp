@@ -11,13 +11,12 @@
  *   flags:   --naive-scatter --gpu-reduce --signed --no-tc
  *            --field-backend=<auto|cuda-core|tensor-core>
  *            --glv --batch-affine --precompute
- *            --planner=<heuristic|search|cached>
+ *            --planner=<heuristic|search>
  *            --topology=<spec>
  *            --collective=<gather|ring|tree|reduce-scatter|auto>
  *            --window=<s> --functional=<log2 n>
- *            --faults=<spec> --max-retries=<n> --no-checksums
- *            --no-watchdog --watchdog-slack=<f> --health
- *            --fault-report --help
+ *            --faults=<spec> --no-checksums --no-watchdog
+ *            --health --fault-report --help
  *
  * Prints the plan, the simulated timeline breakdown at the requested
  * scale and, with --functional, runs the algorithm functionally at a
@@ -25,16 +24,18 @@
  * --faults injects deterministic faults into the functional run (see
  * --help for the spec grammar); recoverable faults still produce a
  * result bit-identical to the fault-free run, unrecoverable ones exit
- * with the typed error instead of a wrong answer.
+ * with the typed error instead of a wrong answer. An unknown flag or
+ * curve, or a malformed number, is a usage error (exit 2).
  */
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "src/ec/curves.h"
 #include "src/msm/distmsm.h"
 #include "src/msm/workload.h"
+#include "src/support/parse.h"
 #include "src/support/table.h"
 #include "src/support/trace.h"
 
@@ -42,16 +43,25 @@ namespace {
 
 using namespace distmsm;
 
-gpusim::CurveProfile
+std::optional<gpusim::CurveProfile>
 curveByName(const std::string &name)
 {
+    if (name == "bn254")
+        return gpusim::CurveProfile::bn254();
     if (name == "bls377")
         return gpusim::CurveProfile::bls377();
     if (name == "bls381")
         return gpusim::CurveProfile::bls381();
     if (name == "mnt4753")
         return gpusim::CurveProfile::mnt4753();
-    return gpusim::CurveProfile::bn254();
+    return std::nullopt;
+}
+
+int
+usageError(const std::string &what)
+{
+    std::fprintf(stderr, "msm_cli: %s (see --help)\n", what.c_str());
+    return 2;
 }
 
 void
@@ -89,12 +99,6 @@ printHelp()
         "                         heuristic  hand-tuned rules "
         "(default)\n"
         "                         search     cost-model plan search\n"
-        "                         cached     search behind the "
-        "persisted\n"
-        "                                    plan cache "
-        "(DISTMSM_PLAN_CACHE\n"
-        "                                    or "
-        "~/.cache/distmsm/plans.tsv)\n"
         "  --topology=<spec>    hierarchical cluster topology;\n"
         "                       comma-separated keys:\n"
         "                         nodes=N      node count\n"
@@ -158,16 +162,17 @@ printHelp()
         "corruption PRNG\n"
         "                       example: "
         "--faults='kill:dev=1;corrupt:xfer=3'\n"
-        "  --max-retries=<n>    transfer retry budget (default 2)\n"
+        "                       (K, J, N, A, S are plain decimal "
+        "integers;\n"
+        "                       a transfer retries up to 2 times "
+        "and times\n"
+        "                       out past 1e8 ns of delay)\n"
         "  --no-checksums       disable RLC transfer checksums "
         "(corruption\n"
         "                       goes undetected; faster)\n"
         "  --no-watchdog        disable straggler speculation; a "
         "degrade\n"
         "                       stalls the run, a hang fails it\n"
-        "  --watchdog-slack=<f> blow the per-window deadline at f x "
-        "the\n"
-        "                       calibrated estimate (default 2.0)\n"
         "  --health             attach a device-health tracker "
         "(probation /\n"
         "                       quarantine ladder) to the "
@@ -325,27 +330,13 @@ main(int argc, char **argv)
             }
         } else if (arg.rfind("--planner=", 0) == 0) {
             if (!msm::parsePlannerMode(arg.substr(10),
-                                       &options.planner)) {
-                std::fprintf(
-                    stderr,
-                    "bad --planner '%s' (want heuristic, search "
-                    "or cached)\n",
-                    arg.substr(10).c_str());
-                return 2;
-            }
+                                       &options.planner))
+                return usageError("bad " + arg +
+                                  "; want heuristic or search");
         } else if (arg == "--no-checksums") {
             options.verifyChecksums = false;
         } else if (arg == "--no-watchdog") {
             options.watchdog = false;
-        } else if (arg.rfind("--watchdog-slack=", 0) == 0) {
-            options.watchdogSlack = std::atof(arg.c_str() + 17);
-            if (options.watchdogSlack <= 1.0) {
-                std::fprintf(stderr,
-                             "bad --watchdog-slack '%s' (want a "
-                             "factor > 1)\n",
-                             arg.c_str() + 17);
-                return 2;
-            }
         } else if (arg == "--health") {
             track_health = true;
         } else if (arg == "--fault-report") {
@@ -378,24 +369,34 @@ main(int argc, char **argv)
                 return 2;
             }
             options.collective = *policy_or;
-        } else if (arg.rfind("--max-retries=", 0) == 0) {
-            options.maxRetries = std::atoi(arg.c_str() + 14);
         } else if (arg.rfind("--window=", 0) == 0) {
-            options.windowBitsOverride =
-                static_cast<unsigned>(std::atoi(arg.c_str() + 9));
+            if (!support::parseDecimal(arg.substr(9),
+                                       options.windowBitsOverride))
+                return usageError("bad " + arg);
         } else if (arg.rfind("--functional=", 0) == 0) {
-            functional =
-                static_cast<unsigned>(std::atoi(arg.c_str() + 13));
+            if (!support::parseDecimal(arg.substr(13), functional))
+                return usageError("bad " + arg);
+        } else if (arg[0] == '-') {
+            return usageError("unknown flag '" + arg + "'");
         } else if (positional == 0) {
             curve_name = arg;
             ++positional;
         } else if (positional == 1) {
-            log_n = static_cast<unsigned>(std::atoi(arg.c_str()));
+            if (!support::parseDecimal(arg, log_n) || log_n > 63)
+                return usageError("bad log2_N '" + arg + "'");
+            ++positional;
+        } else if (positional == 2) {
+            if (!support::parseDecimal(arg, gpus) || gpus < 1)
+                return usageError("bad GPU count '" + arg + "'");
             ++positional;
         } else {
-            gpus = std::atoi(arg.c_str());
+            return usageError("unexpected argument '" + arg + "'");
         }
     }
+    const std::optional<gpusim::CurveProfile> curve =
+        curveByName(curve_name);
+    if (!curve)
+        return usageError("unknown curve '" + curve_name + "'");
 
     // A malformed DISTMSM_FAULT_SPEC is a typed parse error, not a
     // crash: surface it up front, before any work runs against a
@@ -414,18 +415,17 @@ main(int argc, char **argv)
     // the Chrome trace plus metrics JSON at exit.
     options.trace = support::globalTraceFromEnv();
 
-    const auto curve = curveByName(curve_name);
     if (!have_topology)
         topology = gpusim::Topology::flat(gpus);
     const gpusim::Cluster cluster(gpusim::DeviceSpec::a100(),
                                   topology);
     std::printf("DistMSM: %s, N = 2^%u, %d simulated A100(s)\n",
-                curve.name, log_n, cluster.numGpus());
+                curve->name, log_n, cluster.numGpus());
     std::printf("topology: %s\n\n",
                 cluster.topology().describe().c_str());
 
     const auto plan =
-        msm::planMsm(curve, 1ull << log_n, cluster, options);
+        msm::planMsm(*curve, 1ull << log_n, cluster, options);
     std::printf("plan: s = %u, %u windows (%llu buckets%s), %u "
                 "window(s)/GPU%s, %d thread(s)/bucket\n",
                 plan.windowBits, plan.numWindows,
@@ -463,7 +463,7 @@ main(int argc, char **argv)
     }
 
     const auto t =
-        msm::estimateDistMsm(curve, 1ull << log_n, cluster, options);
+        msm::estimateDistMsm(*curve, 1ull << log_n, cluster, options);
     TextTable table;
     table.header({"stage", "simulated ms"});
     table.row({"bucket scatter", TextTable::num(t.scatterNs / 1e6, 3)});

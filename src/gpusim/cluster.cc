@@ -1,7 +1,5 @@
 #include "src/gpusim/cluster.h"
 
-#include <algorithm>
-
 #include <string>
 
 #include "src/gpusim/collectives.h"
@@ -30,15 +28,6 @@ Cluster::Cluster(DeviceSpec device, Topology topology, HostSpec host,
                     "cluster needs at least one GPU");
     DISTMSM_REQUIRE(topology_.gpusPerNode >= 1,
                     "topology needs at least one GPU per node");
-}
-
-double
-Cluster::makespanNs(const std::vector<double> &per_gpu_ns)
-{
-    double makespan = 0.0;
-    for (double t : per_gpu_ns)
-        makespan = std::max(makespan, t);
-    return makespan;
 }
 
 void

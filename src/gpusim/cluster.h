@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "src/gpusim/cost_model.h"
 #include "src/gpusim/device.h"
@@ -53,12 +52,6 @@ class Cluster
     int gpusPerNode() const { return topology_.gpusPerNode; }
 
     /**
-     * Makespan (ns) of per-GPU work items executed concurrently:
-     * simply the maximum, since the GPUs are independent.
-     */
-    static double makespanNs(const std::vector<double> &per_gpu_ns);
-
-    /**
      * Time (ns) to gather @p bytes_per_gpu from every GPU to the
      * host. Two-level topology: GPUs of the host's node share its
      * NVLink/PCIe complex; remote DGX nodes forward their aggregated
@@ -85,14 +78,6 @@ class Cluster
     void forEachDevice(int tasks,
                        const std::function<void(int)> &fn,
                        int host_threads = 0) const;
-
-    /** forEachDevice over exactly the cluster's GPUs. */
-    void
-    forEachGpu(const std::function<void(int)> &fn,
-               int host_threads = 0) const
-    {
-        forEachDevice(num_gpus_, fn, host_threads);
-    }
 
     /**
      * Name this cluster's trace lanes: the host-CPU process plus one

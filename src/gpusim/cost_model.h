@@ -239,9 +239,8 @@ class CostModel
      * ecThroughputNs / ecSerialNs / atomicNs / scatterComputeNs /
      * gmemNs / transferNs / hostEcNs call, any CostModel instance).
      * The MSM plan search records the delta across its run as the
-     * `autoplan/cost_model_evals` metric — a warm plan-cache hit
-     * must leave it at exactly zero. Relaxed atomic: a counter, not
-     * a synchronization point.
+     * `autoplan/cost_model_evals` metric. Relaxed atomic: a counter,
+     * not a synchronization point.
      */
     static std::uint64_t evaluations();
 

@@ -1,11 +1,10 @@
 #include "src/gpusim/faults.h"
 
-#include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 
 #include "src/support/check.h"
+#include "src/support/parse.h"
 #include "src/support/prng.h"
 
 namespace distmsm::gpusim {
@@ -63,30 +62,13 @@ parseFields(const std::string &body,
     return !fields.empty();
 }
 
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
 /** Non-negative finite double: NaN, inf and negatives are parse
  *  errors (a NaN delay would otherwise slip past `v < 0`). */
 bool
 parseDouble(const std::string &s, double &out)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(v) ||
-        v < 0.0)
+    double v = 0.0;
+    if (!support::parseFinite(s, v) || v < 0.0)
         return false;
     out = v;
     return true;
@@ -106,7 +88,7 @@ FaultPlan::parse(const std::string &spec)
         const std::string body = clause.substr(colon + 1);
 
         if (kind == "seed") {
-            if (!parseU64(body, plan.seed))
+            if (!support::parseDecimal(body, plan.seed))
                 return malformed(clause, "seed wants an integer");
             continue;
         }
@@ -120,20 +102,14 @@ FaultPlan::parse(const std::string &spec)
         bool have_factor = false, have_p = false;
         for (const auto &[key, value] : fields) {
             if (key == "dev") {
-                std::uint64_t d;
-                if (!parseU64(value, d) ||
-                    d > std::numeric_limits<int>::max())
+                if (!support::parseDecimal(value, ev.device))
                     return malformed(clause, "bad dev index");
-                ev.device = static_cast<int>(d);
                 have_dev = true;
             } else if (key == "win") {
-                std::uint64_t w;
-                if (!parseU64(value, w) ||
-                    w > std::numeric_limits<int>::max())
+                if (!support::parseDecimal(value, ev.window))
                     return malformed(clause, "bad win ordinal");
-                ev.window = static_cast<int>(w);
             } else if (key == "xfer") {
-                if (!parseU64(value, ev.transfer))
+                if (!support::parseDecimal(value, ev.transfer))
                     return malformed(clause, "bad xfer index");
                 have_xfer = true;
             } else if (key == "ns") {
@@ -143,11 +119,8 @@ FaultPlan::parse(const std::string &spec)
                         "bad ns value (wants finite, >= 0)");
                 have_ns = true;
             } else if (key == "attempt") {
-                std::uint64_t a;
-                if (!parseU64(value, a) ||
-                    a > std::numeric_limits<int>::max())
+                if (!support::parseDecimal(value, ev.attempt))
                     return malformed(clause, "bad attempt ordinal");
-                ev.attempt = static_cast<int>(a);
             } else if (key == "factor") {
                 if (!parseDouble(value, ev.factor) ||
                     ev.factor < 1.0)
@@ -302,14 +275,6 @@ FaultPlan::transferFault(std::uint64_t transfer_index,
             return TransferFault::Flaky;
     }
     return TransferFault::None;
-}
-
-bool
-FaultPlan::corruptsTransfer(std::uint64_t transfer_index,
-                            int device) const
-{
-    return transferFault(transfer_index, device) !=
-           TransferFault::None;
 }
 
 double

@@ -27,7 +27,7 @@
  *                          delay device K's transfer attempt A
  *                          (default 0: the first attempt) by X ns;
  *                          times out when X exceeds
- *                          MsmOptions::transferTimeoutNs
+ *                          msm::kTransferTimeoutNs (1e8)
  *   degrade:dev=K,factor=F[@win=J]
  *                          device K computes F x slower from its
  *                          J-th window on (persistent straggler;
@@ -41,6 +41,9 @@
  *                          without the engine's watchdog
  *   seed:S                 seed for the corruption byte/mask and the
  *                          flaky coin
+ *
+ * K, J, N, A and S are plain decimal integers (digits only: no sign,
+ * base prefix or leading zero); X, F and P are finite decimals.
  *
  * Example: "kill:dev=2@win=1;degrade:dev=0,factor=4;flaky:dev=3,p=1".
  */
@@ -141,10 +144,6 @@ struct FaultPlan
      */
     TransferFault transferFault(std::uint64_t transfer_index,
                                 int device) const;
-
-    /** transferFault(...) != None (legacy predicate). */
-    bool corruptsTransfer(std::uint64_t transfer_index,
-                          int device) const;
 
     /** Injected delay (ns) for @p device 's attempt @p attempt
      *  (each delay clause hits the attempt its @attempt names,

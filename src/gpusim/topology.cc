@@ -1,8 +1,10 @@
 #include "src/gpusim/topology.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
+
+#include "src/support/parse.h"
 
 namespace distmsm::gpusim {
 
@@ -76,21 +78,13 @@ Topology::parse(const std::string &spec)
                               "' is not key=value");
         const std::string key = clause.substr(0, eq);
         const std::string val = clause.substr(eq + 1);
-        char *end = nullptr;
-        const double num = std::strtod(val.c_str(), &end);
-        const bool numeric =
-            end != nullptr && *end == '\0' && !val.empty();
+        // A rejected value fails the whole parse, so writing `out`
+        // before the range check is harmless.
         const auto positive_int = [&](int &out) {
-            if (!numeric || num < 1 || num != static_cast<int>(num))
-                return false;
-            out = static_cast<int>(num);
-            return true;
+            return support::parseDecimal(val, out) && out >= 1;
         };
         const auto positive = [&](double &out) {
-            if (!numeric || num <= 0)
-                return false;
-            out = num;
-            return true;
+            return support::parseFinite(val, out) && out > 0.0;
         };
         bool ok = true;
         if (key == "nodes") {
@@ -123,6 +117,12 @@ Topology::parse(const std::string &spec)
                           "bad topology value '" + val +
                               "' for key '" + key + "'");
     }
+    if (static_cast<long long>(nodes) * gpus >
+        std::numeric_limits<int>::max())
+        return Status(StatusCode::InvalidArgument,
+                      "topology of " + std::to_string(nodes) + "x" +
+                          std::to_string(gpus) +
+                          " GPUs overflows the device count");
     t.gpusPerNode = gpus;
     t.totalGpus = nodes * gpus;
     return t;
@@ -132,6 +132,10 @@ std::string
 Topology::describe() const
 {
     std::ostringstream os;
+    // A flat or shrunken fleet leaves its last node ragged: name the
+    // real device count before the node shape it fills.
+    if (totalGpus != numNodes() * gpusPerNode)
+        os << totalGpus << " GPUs of ";
     os << numNodes() << "x" << gpusPerNode << " ("
        << (intra == IntraTopo::Ring ? "ring" : "fc")
        << " nvlink " << intraLink.bandwidthGBs << " GB/s, ib "

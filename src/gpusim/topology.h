@@ -168,11 +168,14 @@ struct Topology
      *   ib_us=US       inter-node link latency (default 10)
      *   nics=K         NICs per node (default 1)
      *
+     * N, G and K are plain decimal integers >= 1 whose product N x G
+     * fits an int; the link numbers are finite and positive.
      * Example: "nodes=32,gpus=8,intra=ring,nics=4".
      */
     static support::StatusOr<Topology> parse(const std::string &spec);
 
-    /** Human-readable one-line summary. */
+    /** Human-readable one-line summary ("2x4 (...)"); a ragged last
+     *  node prefixes the real device count ("4 GPUs of 1x8 (...)"). */
     std::string describe() const;
 };
 

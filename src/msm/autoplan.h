@@ -30,12 +30,10 @@
  *  - The search is deterministic: a fixed enumeration order and
  *    first-seen tie-breaks make repeated calls agree bit-exactly.
  *
- * `PlannerMode::Cached` puts the search behind a persisted plan
- * cache keyed by (curve, N, topology fingerprint, device spec,
- * option mask). A warm hit returns the stored plan bit-identically
- * and performs zero cost-model evaluations
- * (CostModel::evaluations()); entries persist across processes in
- * DISTMSM_PLAN_CACHE (or ~/.cache/distmsm/plans.tsv).
+ * Plans are searched on every call, never cached: a full search
+ * costs a few milliseconds, and its answer depends on every option
+ * the timeline prices (faults and the watchdog included), which no
+ * hand-kept cache key tracks reliably.
  */
 
 #ifndef DISTMSM_MSM_AUTOPLAN_H
@@ -49,7 +47,7 @@
 
 namespace distmsm::msm {
 
-/** Outcome of one plan search (or cache hit). */
+/** Outcome of one plan search. */
 struct AutoPlanResult
 {
     /** The argmin plan (the heuristic plan when nothing beat it). */
@@ -59,11 +57,8 @@ struct AutoPlanResult
     double heuristicNs = 0.0;
     /** Candidates scored, seed included. */
     std::uint64_t evaluated = 0;
-    /** CostModel::evaluations() delta across the search — exactly 0
-     *  on a warm cache hit. */
+    /** CostModel::evaluations() delta across the search. */
     std::uint64_t costModelEvals = 0;
-    /** True when the plan came from the persisted cache. */
-    bool cacheHit = false;
 };
 
 /**
@@ -72,24 +67,17 @@ struct AutoPlanResult
  * @p base supplies the starting knobs and constraints: forced
  * choices (windowBitsOverride, a non-Auto fieldBackend, a forced
  * ring/tree collective) pin the corresponding dimension rather than
- * being second-guessed. PlannerMode::Cached consults the plan cache
- * first and persists the result on a miss; Search (and Heuristic,
- * for symmetry) always runs the search.
+ * being second-guessed. Every call runs the search, whatever
+ * base.planner says.
  *
- * Metrics (when base.trace is attached): plan_cache/{hits,misses}
- * accumulate, plan_cache/rejected_rows counts the cache-file rows
- * the loader turned away (emitted when non-zero), and
- * autoplan/{evaluated,cost_model_evals,searched_ns,heuristic_ns,
- * cache_hit} describe the last search.
+ * Metrics (when base.trace is attached):
+ * autoplan/{evaluated,cost_model_evals,searched_ns,heuristic_ns}
+ * describe the last search.
  */
 AutoPlanResult autoplanMsm(const gpusim::CurveProfile &curve,
                            std::uint64_t n,
                            const gpusim::Cluster &cluster,
                            const MsmOptions &base);
-
-/** Drop the in-process plan cache (tests; the persisted file is
- *  untouched, so a reload exercises the disk round-trip). */
-void resetPlanCacheForTesting();
 
 } // namespace distmsm::msm
 

@@ -179,7 +179,7 @@ class MsmEngine
      * compute() with a typed error channel. Faults the recovery
      * layer absorbs (a killed device whose windows reshard onto
      * survivors, a corrupted or delayed transfer that succeeds
-     * within MsmOptions::maxRetries) still return a value — bit
+     * within kMaxTransferRetries) still return a value — bit
      * identical to the fault-free run — with the injections and
      * recoveries tallied in MsmResult::fault. Unrecoverable faults
      * (every device lost, a persistently corrupt link exhausting its
@@ -196,8 +196,8 @@ class MsmEngine
                 "points/scalars size mismatch");
         // A stale health generation (a quarantine, parole or
         // reintegration since planning) invalidates the plan:
-        // re-plan from the caller's options — so Search/Cached
-        // re-search — over the changed schedulable fleet before
+        // re-plan from the caller's options — so Search
+        // re-searches — over the changed schedulable fleet before
         // reading any plan field. Not thread-safe against concurrent
         // tryCompute calls on one engine; health tracking is a
         // sequential-coordinator feature.
@@ -589,7 +589,7 @@ class MsmEngine
 
         // --- Watchdog: straggling and hung windows ---
         // A window whose projected completion blows its deadline —
-        // watchdogSlack x the calibrated per-window estimate — is
+        // kWatchdogSlack x the calibrated per-window estimate — is
         // speculatively re-dispatched onto the fastest healthy
         // candidate. The adopted copy is the one with the earlier
         // *priced* completion, the original canonical on ties; both
@@ -597,7 +597,6 @@ class MsmEngine
         // point is bit-identical either way (execute asserts it).
         if (!run.slices && fp.hasStragglerFaults()) {
             const double est = window_estimate_ns_;
-            const double slack = std::max(1.0, options_.watchdogSlack);
             for (unsigned w = 0; w < n_units; ++w) {
                 if (lost[w])
                     continue;
@@ -619,7 +618,8 @@ class MsmEngine
                 int target = -1;
                 double target_f =
                     std::numeric_limits<double>::infinity();
-                if (options_.watchdog && (hang || f > slack)) {
+                if (options_.watchdog &&
+                    (hang || f > kWatchdogSlack)) {
                     ++report.stragglersDetected;
                     if (health != nullptr && !hang)
                         health->recordStraggler(d);
@@ -663,7 +663,8 @@ class MsmEngine
                 const double orig_ns =
                     hang ? std::numeric_limits<double>::infinity()
                          : f * est;
-                const double spec_ns = slack * est + target_f * est;
+                const double spec_ns =
+                    kWatchdogSlack * est + target_f * est;
                 run.dual[w] = !hang;
                 if (spec_ns < orig_ns) {
                     ++report.speculativeWins;
@@ -674,8 +675,7 @@ class MsmEngine
                 report.stragglerWaitNs +=
                     std::min(orig_ns, spec_ns) - est;
                 report.stragglerStallNs +=
-                    hang ? options_.transferTimeoutNs
-                         : (f - 1.0) * est;
+                    hang ? kTransferTimeoutNs : (f - 1.0) * est;
             }
         }
 
@@ -1170,11 +1170,11 @@ class MsmEngine
      * Plan and stage everything the plan needs: the constructor's
      * first plan, and the re-plan after a health-generation change.
      * planMsm plans the caller's options in their own planner mode,
-     * so Search/Cached re-search over the quarantine-shrunken
-     * cluster. The plan records every execution decision; the
-     * engine reads it, never the options it came from. Mutates the
-     * mutable planning state, so concurrent tryCompute calls on one
-     * engine are not supported with a tracker attached.
+     * so Search re-searches over the quarantine-shrunken cluster.
+     * The plan records every execution decision; the engine reads
+     * it, never the options it came from. Mutates the mutable
+     * planning state, so concurrent tryCompute calls on one engine
+     * are not supported with a tracker attached.
      */
     void
     planAndStage() const
@@ -1321,7 +1321,7 @@ class MsmEngine
      * append the device-side RLC digest, serialize, apply any
      * injected delay or byte corruption, deserialize, re-derive the
      * digest host-side and compare limb-for-limb — retrying (with a
-     * fresh canonical attempt index) up to MsmOptions::maxRetries
+     * fresh canonical attempt index) up to kMaxTransferRetries
      * times. Every retry waits out an exponential backoff
      * (retryBackoffNs: kBackoffBaseNs doubling per attempt, capped at
      * kBackoffMaxNs) plus a deterministic seeded jitter — simulated
@@ -1351,7 +1351,7 @@ class MsmEngine
         };
         support::Status last(support::StatusCode::TransferTimeout,
                              "transfer never attempted");
-        for (int attempt = 0; attempt <= options_.maxRetries;
+        for (int attempt = 0; attempt <= kMaxTransferRetries;
              ++attempt) {
             const std::uint64_t xfer = run.xferCounter++;
             ++report.transfers;
@@ -1379,7 +1379,7 @@ class MsmEngine
                 run.faultLog.push_back("delay/dev" +
                                     std::to_string(device) +
                                     "/xfer" + std::to_string(xfer));
-                if (delay > options_.transferTimeoutNs) {
+                if (delay > kTransferTimeoutNs) {
                     ++report.timeouts;
                     mark_faulted();
                     if (health != nullptr)

@@ -44,8 +44,6 @@ plannerModeName(PlannerMode mode)
         return "heuristic";
       case PlannerMode::Search:
         return "search";
-      case PlannerMode::Cached:
-        return "cached";
     }
     return "?";
 }
@@ -57,8 +55,6 @@ parsePlannerMode(std::string_view text, PlannerMode *out)
         *out = PlannerMode::Heuristic;
     } else if (text == "search") {
         *out = PlannerMode::Search;
-    } else if (text == "cached") {
-        *out = PlannerMode::Cached;
     } else {
         return false;
     }
@@ -583,12 +579,12 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
             const bool hang = fplan.hangWindow(d) >= 0;
             double pen;
             if (!options.watchdog) {
-                pen = hang ? options.transferTimeoutNs
+                pen = hang ? kTransferTimeoutNs
                            : (f - 1.0) * gpu_side_ns;
             } else {
                 const double eff =
-                    hang ? options.watchdogSlack + best
-                         : std::min(f, options.watchdogSlack + best);
+                    hang ? kWatchdogSlack + best
+                         : std::min(f, kWatchdogSlack + best);
                 pen = (eff - 1.0) * gpu_side_ns;
             }
             worst = std::max(worst, pen);
@@ -605,7 +601,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
             if (p <= 0.0)
                 continue;
             double odds = 1.0;
-            for (int a = 1; a <= options.maxRetries; ++a) {
+            for (int a = 1; a <= kMaxTransferRetries; ++a) {
                 odds *= p;
                 t.backoffNs += odds * retryBackoffNs(a);
             }
@@ -641,17 +637,7 @@ traceMsmTimeline(support::TraceRecorder &trace, const MsmPlan &plan,
 {
     namespace lane = support::tracelane;
     const std::string prefix = label.empty() ? label : label + "/";
-
-    trace.labelProcess(lane::kHostPid, "host cpu");
-    trace.labelThread(lane::kHostPid, lane::kComputeTid, "reduce");
-    for (int d = 0; d < cluster.numGpus(); ++d) {
-        trace.labelProcess(lane::devicePid(d),
-                           "gpu" + std::to_string(d));
-        trace.labelThread(lane::devicePid(d), lane::kComputeTid,
-                          "compute");
-        trace.labelThread(lane::devicePid(d), lane::kTransferTid,
-                          "transfer");
-    }
+    cluster.labelTraceLanes(trace);
 
     // Span layout mirrors MsmTimeline::totalNs() exactly: the last
     // span on any lane ends at start_ns + t.totalNs().

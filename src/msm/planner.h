@@ -46,17 +46,15 @@ namespace distmsm::msm {
  *    precompute grow-or-decline, bucket-split threshold, ...);
  *    bit-compatible with every release before the autoscheduler.
  *  - `Search` — the cost-model-scored plan search of msm/autoplan.h,
- *    seeded with the heuristic plan so it can only tie or win.
- *  - `Cached` — `Search` behind the persisted plan cache
- *    (DISTMSM_PLAN_CACHE / ~/.cache/distmsm); a warm hit performs
- *    zero cost-model evaluations.
+ *    seeded with the heuristic plan so it can only tie or win; it
+ *    runs on every planMsm call.
  */
-enum class PlannerMode { Heuristic, Search, Cached };
+enum class PlannerMode { Heuristic, Search };
 
 const char *plannerModeName(PlannerMode mode);
 
-/** Parses "heuristic" / "search" / "cached". Returns false and
- *  leaves @p out untouched on junk. */
+/** Parses "heuristic" / "search". Returns false and leaves @p out
+ *  untouched on anything else. */
 bool parsePlannerMode(std::string_view text, PlannerMode *out);
 
 /** User-facing knobs of a DistMSM run. */
@@ -133,13 +131,6 @@ struct MsmOptions
      */
     gpusim::FaultPlan faults;
     /**
-     * Transfer attempts repeated after a detected corruption or
-     * timeout before the engine gives up and returns the typed
-     * Status. 2 tolerates every transient (one-shot) fault while a
-     * persistent fault still terminates promptly.
-     */
-    int maxRetries = 2;
-    /**
      * RLC-checksum every simulated device->host transfer (msm/
      * checksum.h). Costs one short scalar-mul per shipped point,
      * priced as MsmTimeline::verifyNs (< 3% of totalNs at 2^18); off
@@ -147,11 +138,9 @@ struct MsmOptions
      * can only be *detected* while this is on.
      */
     bool verifyChecksums = true;
-    /** Transfer attempts slower than this (injected delay) time out. */
-    double transferTimeoutNs = 1e8;
     /**
      * Cost-model-derived straggler watchdog. Every window gets a
-     * deadline of watchdogSlack x the calibrated per-window
+     * deadline of kWatchdogSlack x the calibrated per-window
      * estimate; a window that blows it (degrade beyond the slack, or
      * a hang) is speculatively re-dispatched onto the fastest
      * healthy survivor. The adopted copy is chosen by priced
@@ -161,8 +150,6 @@ struct MsmOptions
      * degrade merely stalls the merge.
      */
     bool watchdog = true;
-    /** Deadline multiplier over the per-window estimate (>= 1). */
-    double watchdogSlack = 2.0;
     /**
      * Optional per-device health ladder (gpusim/health.h). When set,
      * the engine records timeouts / checksum failures / stragglers /
@@ -187,11 +174,26 @@ struct MsmOptions
     support::TraceRecorder *trace = nullptr;
     /**
      * Plan selection strategy (see PlannerMode). The default keeps
-     * the legacy heuristics; Search/Cached route planMsm through the
+     * the legacy heuristics; Search routes planMsm through the
      * autoscheduler in msm/autoplan.h.
      */
     PlannerMode planner = PlannerMode::Heuristic;
 };
+
+/**
+ * Transfer attempts repeated after a detected corruption or timeout
+ * before the engine gives up and returns the typed Status. 2
+ * tolerates every transient (one-shot) fault while a persistent fault
+ * still terminates promptly.
+ */
+inline constexpr int kMaxTransferRetries = 2;
+
+/** Transfer attempts slower than this (injected delay) time out. */
+inline constexpr double kTransferTimeoutNs = 1e8;
+
+/** Watchdog deadline multiplier over the calibrated per-window
+ *  estimate (MsmOptions::watchdog). */
+inline constexpr double kWatchdogSlack = 2.0;
 
 /**
  * Transfer retries back off exponentially instead of retrying
@@ -297,9 +299,8 @@ std::pair<unsigned, std::uint64_t> windowGeometry(unsigned scalar_bits,
 /**
  * Build the plan for @p n points on @p cluster, honoring
  * MsmOptions::planner: the legacy heuristics, or the cost-model
- * search (optionally behind the persisted plan cache). Quarantined
- * devices of MsmOptions::health are removed first (planningCluster),
- * once, whichever planner runs.
+ * search. Quarantined devices of MsmOptions::health are removed
+ * first (planningCluster), once, whichever planner runs.
  */
 MsmPlan planMsm(const gpusim::CurveProfile &curve, std::uint64_t n,
                 const gpusim::Cluster &cluster,
@@ -323,10 +324,9 @@ MsmPlan planMsmHeuristic(const gpusim::CurveProfile &curve,
  * nothing is quarantined (or everything is — an empty cluster cannot
  * be planned; the engine reports the error instead), otherwise a
  * copy whose topology holds only the schedulable device count.
- * planMsm applies it before dispatching, so the plan-cache key
- * (which covers the topology) distinguishes shrunken fleets
- * automatically. Not idempotent: a shrunken cluster still numbers
- * its devices from 0, so apply it once per plan.
+ * planMsm applies it before dispatching, so either planner sizes the
+ * plan for the shrunken fleet. Not idempotent: a shrunken cluster
+ * still numbers its devices from 0, so apply it once per plan.
  */
 gpusim::Cluster planningCluster(const gpusim::Cluster &cluster,
                                 const gpusim::HealthTracker *health);

@@ -31,7 +31,7 @@ enum class StatusCode {
     DeviceLost,
     /** A host<->device payload failed its RLC checksum. */
     TransferCorrupt,
-    /** A transfer exceeded MsmOptions::transferTimeoutNs. */
+    /** A transfer exceeded msm::kTransferTimeoutNs. */
     TransferTimeout,
     /** A kernel could not launch (bad geometry, shared memory). */
     KernelFault,

@@ -1,0 +1,102 @@
+/**
+ * @file
+ * Seeded mutation fuzzing for the spec parsers (fault plans,
+ * topologies, collective names): valid specs from the accept tests
+ * become near-miss inputs by flipping, inserting, deleting and
+ * duplicating bytes and by splicing clauses between specs. The seed
+ * is fixed, so every run checks the same corpus.
+ */
+
+#ifndef DISTMSM_TESTS_SPEC_MUTATOR_H
+#define DISTMSM_TESTS_SPEC_MUTATOR_H
+
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "src/support/prng.h"
+
+namespace distmsm {
+
+/** Mutants per parser: 2,000, or DISTMSM_SWEEP_CASES when larger. */
+inline int
+specFuzzMutants()
+{
+    long cases = 2000;
+    if (const char *env = std::getenv("DISTMSM_SWEEP_CASES"))
+        cases = std::max(cases, std::strtol(env, nullptr, 10));
+    return static_cast<int>(std::min(cases, 1L << 24));
+}
+
+/** @p spec split on @p sep, empty clauses kept. */
+inline std::vector<std::string>
+specClauses(const std::string &spec, char sep)
+{
+    std::vector<std::string> out(1);
+    for (const char c : spec) {
+        if (c == sep)
+            out.emplace_back();
+        else
+            out.back() += c;
+    }
+    return out;
+}
+
+/**
+ * One mutant of a seed spec drawn from @p seeds: one to four stacked
+ * edits, each a bit flip, a byte insert, a byte delete, a duplicated
+ * run of up to 8 bytes, or a clause of another seed spliced in at a
+ * clause boundary (clauses separated by @p sep).
+ */
+inline std::string
+mutateSpec(const std::vector<std::string> &seeds, char sep,
+           Prng &prng)
+{
+    // Half the inserted bytes come from the grammar's own alphabet,
+    // so edits land on the parsers' decisions; the rest are any byte.
+    static constexpr char kGrammar[] = "0123456789:;,=@.-+ex";
+    std::string s = seeds[prng.below(seeds.size())];
+    const int edits = 1 + static_cast<int>(prng.below(4));
+    for (int e = 0; e < edits; ++e) {
+        const std::size_t pos = prng.below(s.size() + 1);
+        switch (prng.below(5)) {
+          case 0:
+            if (pos < s.size())
+                s[pos] = static_cast<char>(
+                    s[pos] ^ (1 << prng.below(8)));
+            break;
+          case 1:
+            s.insert(pos, 1,
+                     prng.below(2) != 0
+                         ? kGrammar[prng.below(sizeof kGrammar - 1)]
+                         : static_cast<char>(prng.below(256)));
+            break;
+          case 2:
+            if (pos < s.size())
+                s.erase(pos, 1);
+            break;
+          case 3:
+            if (pos < s.size())
+                s.insert(pos, s.substr(pos, 1 + prng.below(8)));
+            break;
+          default: {
+            const std::vector<std::string> donor =
+                specClauses(seeds[prng.below(seeds.size())], sep);
+            std::vector<std::string> clauses = specClauses(s, sep);
+            clauses.insert(clauses.begin() +
+                               static_cast<std::ptrdiff_t>(
+                                   prng.below(clauses.size() + 1)),
+                           donor[prng.below(donor.size())]);
+            s = clauses.front();
+            for (std::size_t i = 1; i < clauses.size(); ++i)
+                s += sep + clauses[i];
+          }
+        }
+    }
+    return s;
+}
+
+} // namespace distmsm
+
+#endif // DISTMSM_TESTS_SPEC_MUTATOR_H

@@ -5,13 +5,10 @@
  * The contracts under test:
  *  - Search never loses: the searched plan's analytic totalNs is <=
  *    the heuristic plan's across a randomized (curve, N, topology,
- *    option-mask) sweep — guaranteed by seeding the SearchDriver
- *    with the heuristic candidate and displacing it only on a
- *    strictly better score. Ties return the heuristic's exact plan.
- *  - The plan cache: a hit returns a bit-identical plan, records
- *    plan_cache/{hits,misses}, and performs ZERO cost-model
- *    evaluations (CostModel::evaluations() delta) — both from the
- *    in-process map and from the persisted file after a reload.
+ *    option-mask, fault plan, watchdog) sweep — guaranteed by
+ *    seeding the SearchDriver with the heuristic candidate and
+ *    displacing it only on a strictly better score. Ties return the
+ *    heuristic's exact plan.
  *  - Engine differential: an engine driven by the searched plan
  *    computes the same MSM value as the heuristic engine and the
  *    serial Pippenger reference.
@@ -22,12 +19,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/ec/curves.h"
 #include "src/msm/autoplan.h"
@@ -35,7 +28,6 @@
 #include "src/msm/reference.h"
 #include "src/msm/workload.h"
 #include "src/support/prng.h"
-#include "src/support/trace.h"
 #include "tests/same_plan.h"
 
 namespace distmsm::msm {
@@ -43,9 +35,9 @@ namespace {
 
 using gpusim::Cluster;
 using gpusim::CollectivePolicy;
-using gpusim::CostModel;
 using gpusim::CurveProfile;
 using gpusim::DeviceSpec;
+using gpusim::FaultPlan;
 using gpusim::FieldBackend;
 using gpusim::Topology;
 
@@ -66,8 +58,8 @@ curveByIndex(unsigned i)
 
 // ---------------------------------------------------------------
 // Search-never-loses sweep: randomized (curve, N, topology, option
-// mask) cases, fixed seed for a stable tier-1 corpus;
-// DISTMSM_SWEEP_CASES deepens the sweep in CI soak runs.
+// mask, fault plan, watchdog) cases, fixed seeds for a stable tier-1
+// corpus; DISTMSM_SWEEP_CASES deepens the sweep in CI soak runs.
 // ---------------------------------------------------------------
 TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
 {
@@ -78,6 +70,13 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
             cases = static_cast<int>(v);
     }
     Prng prng(0xA070);
+    // Faults and the watchdog move totalNs, so the search must win
+    // under them too. They come from their own stream, which keeps
+    // every other draw of the fault-free corpus.
+    Prng fault_prng(0xFA17);
+    constexpr const char *kFaultSpecs[] = {
+        "", "degrade:dev=0,factor=8", "hang:dev=0", "flaky:dev=0,p=1",
+        "corrupt:dev=0"};
     for (int c = 0; c < cases; ++c) {
         const CurveProfile curve =
             curveByIndex(static_cast<unsigned>(prng.below(4)));
@@ -122,6 +121,16 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
             FieldBackend::Auto, FieldBackend::CudaCore,
             FieldBackend::TensorCore};
         base.fieldBackend = kBackends[prng.below(3)];
+        const char *fault_spec = kFaultSpecs[fault_prng.below(5)];
+        const auto faults_or = FaultPlan::parse(fault_spec);
+        ASSERT_TRUE(faults_or.isOk()) << fault_spec;
+        base.faults = *faults_or;
+        base.watchdog = fault_prng.below(2) != 0;
+        const std::string where =
+            "case " + std::to_string(c) + ": " + curve.name +
+            " N=2^" + std::to_string(log_n) + " on " +
+            topology.describe() + ", faults '" + fault_spec +
+            "', watchdog " + (base.watchdog ? "on" : "off");
 
         const std::uint64_t n = std::uint64_t{1} << log_n;
         MsmOptions heur = base;
@@ -133,9 +142,7 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
             estimateDistMsm(curve, n, cluster, heur).totalNs();
         const double search_ns =
             estimateDistMsm(curve, n, cluster, search).totalNs();
-        EXPECT_LE(search_ns, heur_ns)
-            << "case " << c << ": " << curve.name << " N=2^"
-            << log_n << " on " << topology.describe();
+        EXPECT_LE(search_ns, heur_ns) << where;
 
         // The plan alone reprices the search: priced under the
         // caller's own options it reproduces the searched score
@@ -145,13 +152,13 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
                                           r.plan)
                       .totalNs(),
                   r.searchedNs)
-            << "case " << c << ": " << curve.name << " N=2^"
-            << log_n << " on " << topology.describe();
+            << where;
 
         // The search is deterministic: re-planning returns the
         // same plan bit-identically.
         EXPECT_TRUE(samePlan(planMsm(curve, n, cluster, search),
-                             planMsm(curve, n, cluster, search)));
+                             planMsm(curve, n, cluster, search)))
+            << where;
     }
 }
 
@@ -180,135 +187,6 @@ TEST(AutoplanSweep, SeedIsHeuristicPlan)
     EXPECT_TRUE(r.plan.fieldBackendAuto);
     EXPECT_LE(r.searchedNs, r.heuristicNs);
     EXPECT_GE(r.evaluated, 1u);
-}
-
-// ---------------------------------------------------------------
-// Plan cache: hit/miss metrics, bit-identical plans, and the
-// zero-cost-model-evaluations guarantee on warm hits — through the
-// in-process map and through the persisted file.
-// ---------------------------------------------------------------
-TEST(PlanCache, WarmHitIsBitIdenticalAndFree)
-{
-    const std::string path =
-        ::testing::TempDir() + "distmsm_plan_cache_test.tsv";
-    std::remove(path.c_str());
-    ASSERT_EQ(setenv("DISTMSM_PLAN_CACHE", path.c_str(), 1), 0);
-    resetPlanCacheForTesting();
-
-    const CurveProfile curve = CurveProfile::bls381();
-    const Cluster cluster(DeviceSpec::a100(), 8);
-    const std::uint64_t n = 1ull << 18;
-
-    support::TraceRecorder trace;
-    MsmOptions options;
-    options.planner = PlannerMode::Cached;
-    options.trace = &trace;
-
-    // Cold: miss, search runs, entry persisted.
-    const MsmPlan cold = planMsm(curve, n, cluster, options);
-    EXPECT_EQ(trace.metrics().value("plan_cache/misses"), 1.0);
-    EXPECT_EQ(trace.metrics().value("plan_cache/hits"), 0.0);
-    EXPECT_EQ(trace.metrics().value("autoplan/cache_hit"), 0.0);
-    EXPECT_GT(trace.metrics().value("autoplan/cost_model_evals"),
-              0.0);
-
-    // Warm (in-process map): bit-identical plan, zero cost-model
-    // evaluations — the acceptance gate.
-    const std::uint64_t evals_before = CostModel::evaluations();
-    const MsmPlan warm = planMsm(curve, n, cluster, options);
-    EXPECT_EQ(CostModel::evaluations(), evals_before);
-    EXPECT_TRUE(samePlan(cold, warm));
-    EXPECT_EQ(trace.metrics().value("plan_cache/hits"), 1.0);
-    EXPECT_EQ(trace.metrics().value("plan_cache/misses"), 1.0);
-    EXPECT_EQ(trace.metrics().value("autoplan/cache_hit"), 1.0);
-    EXPECT_EQ(trace.metrics().value("autoplan/cost_model_evals"),
-              0.0);
-
-    // Reload from disk: drop the in-process map, hit the persisted
-    // file, still bit-identical and still free.
-    resetPlanCacheForTesting();
-    const std::uint64_t evals_before2 = CostModel::evaluations();
-    const MsmPlan reloaded = planMsm(curve, n, cluster, options);
-    EXPECT_EQ(CostModel::evaluations(), evals_before2);
-    EXPECT_TRUE(samePlan(cold, reloaded));
-    EXPECT_EQ(trace.metrics().value("plan_cache/hits"), 2.0);
-    EXPECT_EQ(trace.metrics().value("plan_cache/misses"), 1.0);
-
-    // A different problem misses (the key covers N).
-    const MsmPlan other =
-        planMsm(curve, n * 2, cluster, options);
-    EXPECT_EQ(trace.metrics().value("plan_cache/misses"), 2.0);
-    (void)other;
-
-    std::remove(path.c_str());
-    unsetenv("DISTMSM_PLAN_CACHE");
-    resetPlanCacheForTesting();
-}
-
-// A row the v4 loader cannot trust is a cache miss, never a plan: a
-// row with extra columns and a row naming an out-of-range collective
-// both fall back to a fresh search, which reproduces the cold plan,
-// and plan_cache/rejected_rows counts each of them.
-TEST(PlanCache, MalformedRowsAreMisses)
-{
-    const std::string path =
-        ::testing::TempDir() + "distmsm_plan_cache_strict.tsv";
-    std::remove(path.c_str());
-    ASSERT_EQ(setenv("DISTMSM_PLAN_CACHE", path.c_str(), 1), 0);
-    resetPlanCacheForTesting();
-
-    const CurveProfile curve = CurveProfile::bn254();
-    const Cluster cluster(DeviceSpec::a100(), 8);
-    const std::uint64_t n = 1ull << 18;
-    support::TraceRecorder trace;
-    MsmOptions options;
-    options.planner = PlannerMode::Cached;
-    options.trace = &trace;
-    const MsmPlan cold = planMsm(curve, n, cluster, options);
-
-    std::string row;
-    {
-        std::ifstream is(path);
-        std::getline(is, row);
-    }
-    std::vector<std::string> fields;
-    {
-        std::istringstream cols(row);
-        for (std::string f; std::getline(cols, f, '\t');)
-            fields.push_back(f);
-    }
-    ASSERT_EQ(fields.size(), 23u) << row;
-    EXPECT_EQ(trace.metrics().value("plan_cache/rejected_rows"), 0.0);
-
-    const auto reload_misses = [&](const std::string &bad_row) {
-        {
-            std::ofstream os(path, std::ios::trunc);
-            os << bad_row << '\n';
-        }
-        resetPlanCacheForTesting();
-        const double misses = trace.metrics().value("plan_cache/misses");
-        const double rejected =
-            trace.metrics().value("plan_cache/rejected_rows");
-        const MsmPlan plan = planMsm(curve, n, cluster, options);
-        EXPECT_EQ(trace.metrics().value("plan_cache/misses"),
-                  misses + 1.0)
-            << bad_row;
-        EXPECT_EQ(trace.metrics().value("plan_cache/rejected_rows"),
-                  rejected + 1.0)
-            << bad_row;
-        EXPECT_TRUE(samePlan(plan, cold)) << bad_row;
-    };
-    reload_misses(row + "\t1\t1");
-    std::vector<std::string> bogus = fields;
-    bogus[13] = "99"; // MsmPlan::collective
-    std::string bogus_row = bogus[0];
-    for (std::size_t i = 1; i < bogus.size(); ++i)
-        bogus_row += '\t' + bogus[i];
-    reload_misses(bogus_row);
-
-    std::remove(path.c_str());
-    unsetenv("DISTMSM_PLAN_CACHE");
-    resetPlanCacheForTesting();
 }
 
 // ---------------------------------------------------------------

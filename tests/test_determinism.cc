@@ -373,7 +373,8 @@ TEST(Determinism, ClusterForEachGpuSlotWrites)
     auto run = [&](int threads) {
         std::vector<std::uint64_t> slots(
             static_cast<std::size_t>(cluster.numGpus()), 0);
-        cluster.forEachGpu(
+        cluster.forEachDevice(
+            cluster.numGpus(),
             [&](int g) {
                 slots[static_cast<std::size_t>(g)] =
                     0xC0FFEEull * (g + 1);

@@ -7,15 +7,17 @@
  * survivors, transient corruption, transfer timeout within the retry
  * budget) is absorbed and the result is bit-identical to the
  * fault-free run — value, simulator statistics and host-op count.
- * An unrecoverable fault (persistent corruption past maxRetries, all
- * devices lost) surfaces as a typed support::Status from tryCompute /
- * tryProve, not as an abort. The whole fault pipeline is
- * deterministic across hostThreads, traces included.
+ * An unrecoverable fault (persistent corruption past
+ * kMaxTransferRetries, all devices lost) surfaces as a typed
+ * support::Status from tryCompute / tryProve, not as an abort. The
+ * whole fault pipeline is deterministic across hostThreads, traces
+ * included.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,6 +33,7 @@
 #include "src/support/trace.h"
 #include "src/zksnark/groth16.h"
 #include "src/zksnark/workloads.h"
+#include "tests/spec_mutator.h"
 
 namespace distmsm::msm {
 namespace {
@@ -39,6 +42,7 @@ using gpusim::Cluster;
 using gpusim::DeviceSpec;
 using gpusim::FaultKind;
 using gpusim::FaultPlan;
+using gpusim::TransferFault;
 using support::StatusCode;
 
 MsmOptions
@@ -89,12 +93,13 @@ TEST(FaultPlanParse, AcceptsFullGrammar)
     EXPECT_EQ(plan.killWindow(0), -1);
 
     EXPECT_EQ(plan.events[1].kind, FaultKind::CorruptTransfer);
-    EXPECT_TRUE(plan.corruptsTransfer(3, 5));
-    EXPECT_FALSE(plan.corruptsTransfer(4, 5));
+    EXPECT_EQ(plan.transferFault(3, 5), TransferFault::Corrupt);
+    EXPECT_EQ(plan.transferFault(4, 5), TransferFault::None);
 
     EXPECT_EQ(plan.events[2].kind,
               FaultKind::CorruptDeviceTransfers);
-    EXPECT_TRUE(plan.corruptsTransfer(99, 0)); // every xfer of dev 0
+    // Every transfer of dev 0.
+    EXPECT_EQ(plan.transferFault(99, 0), TransferFault::Corrupt);
 
     EXPECT_EQ(plan.events[3].kind, FaultKind::DelayTransfer);
     EXPECT_DOUBLE_EQ(plan.transferDelayNs(1, 0), 5e8);
@@ -120,6 +125,13 @@ TEST(FaultPlanParse, RejectsMalformedSpecs)
         "delay:dev=1",         // delay without ns
         "delay:ns=5e8",        // delay without dev
         "seed:",               // empty seed
+        "kill:dev=010",        // leading zero (was octal 8)
+        "kill:dev=08",         // leading zero
+        "kill:dev=0x2",        // hex prefix
+        "kill:dev=+3",         // sign
+        "kill:dev= 3",         // whitespace
+        "corrupt:xfer=-1",     // negative (was index 2^64 - 1)
+        "seed:-5",             // negative seed
     };
     for (const char *spec : bad) {
         const auto plan_or = FaultPlan::parse(spec);
@@ -141,6 +153,48 @@ TEST(FaultPlanParse, EmptySpecIsEmptyPlan)
     const auto trailing = FaultPlan::parse("kill:dev=1;;");
     ASSERT_TRUE(trailing.isOk());
     EXPECT_EQ(trailing->events.size(), 1u);
+}
+
+// Mutants of the accepted specs above (and of StragglerGrammar's in
+// test_health.cc) parse to a typed error or to a plan the engine can
+// index: no device below 0 outside corrupt:xfer, finite numbers.
+TEST(FaultPlanParse, MutantsAreRejectedOrWellFormed)
+{
+    const std::vector<std::string> seeds = {
+        "kill:dev=2@win=1;corrupt:xfer=3;corrupt:dev=0;"
+        "delay:dev=1,ns=5e8;seed:77",
+        "kill:dev=1@win=3;kill:dev=1@win=1",
+        "kill:dev=1;;",
+        "degrade:dev=0,factor=4@win=1;flaky:dev=3,p=0.5;"
+        "hang:dev=2@win=2;delay:dev=1,ns=5e8@attempt=1",
+    };
+    Prng prng(0xF022);
+    const int mutants = specFuzzMutants();
+    for (int i = 0; i < mutants; ++i) {
+        const std::string spec = mutateSpec(seeds, ';', prng);
+        const auto plan_or = FaultPlan::parse(spec);
+        if (!plan_or.isOk()) {
+            ASSERT_EQ(plan_or.status().code(),
+                      StatusCode::InvalidArgument)
+                << spec;
+            continue;
+        }
+        for (const gpusim::FaultEvent &ev : plan_or->events) {
+            ASSERT_TRUE(ev.kind == FaultKind::CorruptTransfer ||
+                        ev.device >= 0)
+                << spec;
+            ASSERT_GE(ev.window, 0) << spec;
+            ASSERT_GE(ev.attempt, 0) << spec;
+            ASSERT_TRUE(std::isfinite(ev.delayNs) && ev.delayNs >= 0.0)
+                << spec;
+            ASSERT_TRUE(std::isfinite(ev.factor) && ev.factor >= 1.0)
+                << spec;
+            ASSERT_TRUE(std::isfinite(ev.probability) &&
+                        ev.probability >= 0.0 &&
+                        ev.probability <= 1.0)
+                << spec;
+        }
+    }
 }
 
 // --- Checksum primitives ---------------------------------------------
@@ -388,20 +442,6 @@ TEST(Corruption, UndetectableWithoutChecksumsButStillInjected)
            "pick a different seed";
 }
 
-TEST(Corruption, ZeroRetriesTurnsTransientIntoFatal)
-{
-    const auto w = makeWorkload<Bn254>(512, 0xFA07);
-    const Cluster cluster(DeviceSpec::a100(), 4);
-    auto options = faultTestOptions();
-    options.maxRetries = 0;
-    options.faults.events.push_back(
-        {FaultKind::CorruptTransfer, -1, 0, 0, 0.0});
-    const auto result_or = tryComputeDistMsm<Bn254>(
-        w.points, w.scalars, cluster, options);
-    ASSERT_FALSE(result_or.isOk());
-    EXPECT_EQ(result_or.status().code(), StatusCode::TransferCorrupt);
-}
-
 // --- Transfer delay / timeout ----------------------------------------
 
 TEST(Timeout, DelayedTransferTimesOutThenRetriesClean)
@@ -414,7 +454,6 @@ TEST(Timeout, DelayedTransferTimesOutThenRetriesClean)
     ASSERT_TRUE(clean_or.isOk());
 
     auto options = faultTestOptions();
-    options.transferTimeoutNs = 1e6;
     options.faults.events.push_back(
         {FaultKind::DelayTransfer, 2, 0, 0, /*delayNs=*/1e9});
     const auto result_or = tryComputeDistMsm<Bn254>(
@@ -430,7 +469,6 @@ TEST(Timeout, SlowButWithinBudgetJustAccumulatesDelay)
     const auto w = makeWorkload<Bn254>(512, 0xFA09);
     const Cluster cluster(DeviceSpec::a100(), 4);
     auto options = faultTestOptions();
-    options.transferTimeoutNs = 1e8;
     options.faults.events.push_back(
         {FaultKind::DelayTransfer, 0, 0, 0, /*delayNs=*/1e6});
     const auto result_or = tryComputeDistMsm<Bn254>(
@@ -682,7 +720,6 @@ TEST(FaultDeterminism, TraceBytesIdenticalAcrossHostThreads)
             {FaultKind::CorruptTransfer, -1, 0, 1, 0.0});
         options.faults.events.push_back(
             {FaultKind::DelayTransfer, 0, 0, 0, /*delayNs=*/1e9});
-        options.transferTimeoutNs = 1e6;
         const auto result_or = tryComputeDistMsm<Bn254>(
             w.points, w.scalars, cluster, options);
         ASSERT_TRUE(result_or.isOk())

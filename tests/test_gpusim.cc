@@ -324,12 +324,6 @@ TEST(CostModel, HostIs128xSlowerThanDevice)
     EXPECT_NEAR(host_ns / gpu_ns, 128.0, 1.0);
 }
 
-TEST(Cluster, MakespanIsMax)
-{
-    EXPECT_DOUBLE_EQ(Cluster::makespanNs({1.0, 5.0, 3.0}), 5.0);
-    EXPECT_DOUBLE_EQ(Cluster::makespanNs({}), 0.0);
-}
-
 TEST(KernelStats, MergeSumsPhasesAcrossSerialLaunches)
 {
     KernelStats a, b;

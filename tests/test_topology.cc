@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "src/msm/reference.h"
 #include "src/msm/workload.h"
 #include "src/support/prng.h"
+#include "tests/spec_mutator.h"
 
 namespace distmsm::msm {
 namespace {
@@ -96,6 +98,11 @@ TEST(TopologyParse, RejectsMalformedSpecs)
         "nvlink=-1",        // non-positive
         "nvlink=0",         // non-positive
         "ib_us=oops",       // non-numeric
+        "nodes=100000,gpus=100000", // device count overflows int
+        "gpus=1e30",        // out of int range
+        "nvlink=nan",       // non-finite
+        "nvlink_us=nan",    // non-finite
+        "ib=inf",           // non-finite
     };
     for (const char *spec : bad) {
         const auto topo_or = Topology::parse(spec);
@@ -117,6 +124,61 @@ TEST(TopologyParse, BadCollectiveNameRejected)
               CollectivePolicy::Auto);
     EXPECT_EQ(*gpusim::parseCollectivePolicy("ring"),
               CollectivePolicy::Ring);
+}
+
+// Mutants of the accepted specs above parse to a typed error or to a
+// topology a Cluster can be built on: at least one GPU, finite
+// positive links.
+TEST(TopologyParse, MutantsAreRejectedOrWellFormed)
+{
+    const std::vector<std::string> seeds = {
+        "nodes=4,gpus=8,intra=ring,nvlink=300,nvlink_us=1.5,"
+        "ib=50,ib_us=8,nics=4",
+        "",
+        "nodes=2,gpus=4,intra=ring,nics=2",
+    };
+    const auto finite_positive = [](const gpusim::LinkSpec &l) {
+        return std::isfinite(l.bandwidthGBs) && l.bandwidthGBs > 0.0 &&
+               std::isfinite(l.latencyUs) && l.latencyUs > 0.0;
+    };
+    Prng prng(0x7020);
+    const int mutants = specFuzzMutants();
+    for (int i = 0; i < mutants; ++i) {
+        const std::string spec = mutateSpec(seeds, ',', prng);
+        const auto topo_or = Topology::parse(spec);
+        if (!topo_or.isOk()) {
+            ASSERT_EQ(topo_or.status().code(),
+                      StatusCode::InvalidArgument)
+                << spec;
+            continue;
+        }
+        ASSERT_GE(topo_or->totalGpus, 1) << spec;
+        ASSERT_GE(topo_or->gpusPerNode, 1) << spec;
+        ASSERT_GE(topo_or->nicsPerNode, 1) << spec;
+        ASSERT_TRUE(finite_positive(topo_or->intraLink)) << spec;
+        ASSERT_TRUE(finite_positive(topo_or->interLink)) << spec;
+    }
+}
+
+// Mutants of the five collective names are either rejected or are
+// exactly one of the names.
+TEST(TopologyParse, CollectiveNameMutantsAreRejectedOrExact)
+{
+    const std::vector<std::string> seeds = {
+        "gather", "ring", "tree", "reduce-scatter", "auto"};
+    Prng prng(0xC011);
+    const int mutants = specFuzzMutants();
+    for (int i = 0; i < mutants; ++i) {
+        const std::string name = mutateSpec(seeds, '-', prng);
+        const auto policy_or = gpusim::parseCollectivePolicy(name);
+        if (!policy_or.isOk()) {
+            ASSERT_EQ(policy_or.status().code(),
+                      StatusCode::InvalidArgument)
+                << name;
+            continue;
+        }
+        ASSERT_EQ(name, gpusim::collectivePolicyName(*policy_or));
+    }
 }
 
 // --- Shape helpers ---------------------------------------------------

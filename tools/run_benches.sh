@@ -17,8 +17,8 @@
 # watchdog + health tracker moves a fault-free run by 1% or more. The simulated one-knob ablation
 # table (bench/bench_ablation_msm.cc) rides along verbatim for
 # context, and a planner_ablation table (heuristic vs cost-model
-# search vs persisted plan cache, gated: search never loses, a warm
-# cache hit is free) is appended from msm_cli --planner runs.
+# search, gated: search never loses) is appended from msm_cli
+# --planner runs.
 #
 # Timing rows are only meaningful from an optimized build: the script
 # refuses to write BENCH_msm.json when the build tree or the bench
@@ -194,29 +194,14 @@ for fb in cuda-core tensor-core auto; do
 done
 
 # Autoscheduler ablation (analytic, instant): the acceptance
-# geometry planned three ways — the hand-tuned heuristics, the
-# cost-model search, and the persisted plan cache. The cached rows
-# run in two separate processes against a fresh cache file (cold
-# miss, then a warm hit that must re-load the plan from disk),
-# proving the on-disk round trip. The python stage gates: search
-# never loses to the heuristic, both cached rows price identically
-# to the searched plan, and the warm process performs ZERO
-# cost-model evaluations (metrics-verified).
-plan_cache="${build_dir}/plan_cache.tsv"
-rm -f "${plan_cache}"
+# geometry planned two ways — the hand-tuned heuristics and the
+# cost-model search. The python stage gates: search never loses to
+# the heuristic.
 for p in heuristic search; do
     DISTMSM_TRACE="${build_dir}/planner_${p}.json" \
         "${build_dir}/examples/msm_cli" bn254 20 8 \
         --planner="${p}" > /dev/null
 done
-DISTMSM_PLAN_CACHE="${plan_cache}" \
-    DISTMSM_TRACE="${build_dir}/planner_cached_cold.json" \
-    "${build_dir}/examples/msm_cli" bn254 20 8 --planner=cached \
-    > /dev/null
-DISTMSM_PLAN_CACHE="${plan_cache}" \
-    DISTMSM_TRACE="${build_dir}/planner_cached_warm.json" \
-    "${build_dir}/examples/msm_cli" bn254 20 8 --planner=cached \
-    > /dev/null
 
 SMOKE="${smoke}" MICRO_JSON="${micro_json}" \
     ABLATION_TXT="${ablation_txt}" OUT="${repo_root}/BENCH_msm.json" \
@@ -559,21 +544,16 @@ for row in tc_rows:
         sys.exit(1)
 
 # Autoscheduler ablation (analytic timelines from msm_cli
-# --planner): the hand-tuned heuristics vs the cost-model search vs
-# the persisted plan cache. Gates: the searched plan must never
-# price worse than the heuristic one; both cached rows (cold miss,
-# warm disk hit in a fresh process) must price identically to the
-# searched plan; and the warm process must report zero cost-model
-# evaluations — a cache hit that re-scores candidates is a cache in
-# name only. msm_cli plans twice per process (the plan print and the
-# timeline table), hence cold shows one miss and one hit.
+# --planner): the hand-tuned heuristics vs the cost-model search.
+# Gate: the searched plan must never price worse than the heuristic
+# one.
 def planner_metrics(tag):
     path = os.path.join(os.environ["BUILD_DIR"],
                         f"planner_{tag}.metrics.json")
     with open(path) as f:
         return json.load(f)
 
-PLANNER_TAGS = ("heuristic", "search", "cached_cold", "cached_warm")
+PLANNER_TAGS = ("heuristic", "search")
 pm = {tag: planner_metrics(tag) for tag in PLANNER_TAGS}
 planner_rows = []
 for tag in PLANNER_TAGS:
@@ -583,8 +563,6 @@ for tag in PLANNER_TAGS:
         "total_ms": m["timeline/total_ns"] / 1e6,
         "plans_evaluated": int(m.get("autoplan/evaluated", 0)),
         "cost_model_evals": int(m.get("autoplan/cost_model_evals", 0)),
-        "cache_hits": int(m.get("plan_cache/hits", 0)),
-        "cache_misses": int(m.get("plan_cache/misses", 0)),
     })
 
 heur_ns = pm["heuristic"]["timeline/total_ns"]
@@ -593,31 +571,6 @@ if search_ns > heur_ns * (1.0 + 1e-9):
     print(f"error: searched plan ({search_ns / 1e6:.3f} ms) prices "
           f"worse than the heuristic one ({heur_ns / 1e6:.3f} ms) — "
           "the search lost to its own seed.", file=sys.stderr)
-    sys.exit(1)
-for tag in ("cached_cold", "cached_warm"):
-    cached_ns = pm[tag]["timeline/total_ns"]
-    if cached_ns != search_ns:
-        print(f"error: {tag} plan prices {cached_ns / 1e6:.6f} ms "
-              f"but the live search gives {search_ns / 1e6:.6f} ms — "
-              "the plan cache is not returning the searched plan "
-              "bit-identically.", file=sys.stderr)
-        sys.exit(1)
-cold = pm["cached_cold"]
-if int(cold.get("plan_cache/misses", 0)) < 1:
-    print("error: cold cached run reports no plan-cache miss — the "
-          "cache file was not fresh.", file=sys.stderr)
-    sys.exit(1)
-warm = pm["cached_warm"]
-if int(warm.get("plan_cache/misses", 0)) != 0 or \
-        int(warm.get("plan_cache/hits", 0)) < 1:
-    print("error: warm cached run did not hit the on-disk plan "
-          f"cache (hits={warm.get('plan_cache/hits')}, "
-          f"misses={warm.get('plan_cache/misses')}).", file=sys.stderr)
-    sys.exit(1)
-if int(warm.get("autoplan/cost_model_evals", -1)) != 0:
-    print("error: warm plan-cache hit performed "
-          f"{warm.get('autoplan/cost_model_evals')} cost-model "
-          "evaluations; a hit must be free.", file=sys.stderr)
     sys.exit(1)
 
 # Machine/load guard: the conditions the timing rows were taken
@@ -665,9 +618,7 @@ doc = {
     },
     "planner_ablation": {
         "curve": "BN254", "log2_n": 20, "gpus": 8,
-        "gate": "search <= heuristic; cached rows price identically "
-                "to search; warm cache hit performs zero cost-model "
-                "evaluations",
+        "gate": "search <= heuristic",
         "search_speedup_vs_heuristic": round(heur_ns / search_ns, 3)
             if search_ns else None,
         "rows": planner_rows,
@@ -731,7 +682,5 @@ for row in tc_rows:
           f"{row['auto_resolved']}")
 print(f"  planner at n=2^20: heuristic {heur_ns / 1e6:.3f} ms vs "
       f"search {search_ns / 1e6:.3f} ms = "
-      f"{round(heur_ns / search_ns, 3)}x; warm cache hit: "
-      f"{int(warm.get('plan_cache/hits', 0))} hits, 0 cost-model "
-      "evals")
+      f"{round(heur_ns / search_ns, 3)}x")
 PY

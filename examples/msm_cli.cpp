@@ -400,7 +400,9 @@ main(int argc, char **argv)
 
     // A malformed DISTMSM_FAULT_SPEC is a typed parse error, not a
     // crash: surface it up front, before any work runs against a
-    // plan the user didn't ask for.
+    // plan the user didn't ask for. Without --faults the environment
+    // plan is the run's plan, so the printed plan and timeline price
+    // the faults the functional run injects.
     {
         const auto env_or = gpusim::globalFaultPlanFromEnv();
         if (!env_or.isOk()) {
@@ -408,6 +410,8 @@ main(int argc, char **argv)
                          env_or.status().toString().c_str());
             return 2;
         }
+        if (options.faults.empty() && *env_or != nullptr)
+            options.faults = **env_or;
     }
 
     // DISTMSM_TRACE=path.json records the simulated timeline (and,

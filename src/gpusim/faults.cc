@@ -204,6 +204,17 @@ FaultPlan::hangWindow(int device) const
     return win;
 }
 
+bool
+FaultPlan::survives(int device) const
+{
+    for (const FaultEvent &ev : events)
+        if ((ev.kind == FaultKind::KillDevice ||
+             ev.kind == FaultKind::HangDevice) &&
+            ev.device == device)
+            return false;
+    return true;
+}
+
 double
 FaultPlan::degradeFactor(int device, int window_ordinal) const
 {

@@ -14,8 +14,10 @@
  * path and the final result are bit-identical for every hostThreads
  * setting.
  *
- * Plans come from MsmOptions::faults or from the DISTMSM_FAULT_SPEC
- * environment variable. Spec grammar (clauses joined by ';'):
+ * A run's plan is MsmOptions::faults; MsmEngine folds the
+ * DISTMSM_FAULT_SPEC environment plan into it at construction when
+ * the caller set none, so planning, pricing and injection all read
+ * the same plan. Spec grammar (clauses joined by ';'):
  *
  *   kill:dev=K[@win=J]     device K dies at its J-th assigned window
  *                          (J defaults to 0: before any work)
@@ -122,6 +124,14 @@ struct FaultPlan
      */
     double degradeFactor(int device, int window_ordinal) const;
 
+    /**
+     * True when no kill clause and no hang clause names @p device:
+     * the device can take over another device's work. The one
+     * survivor rule the engine's reshard, respawn and failover
+     * targets and the timeline's respawn pricing share.
+     */
+    bool survives(int device) const;
+
     /** True when any degrade clause targets @p device. */
     bool degraded(int device) const;
 
@@ -176,11 +186,9 @@ support::StatusOr<const FaultPlan *> globalFaultPlanFromEnv();
  * simulator statistics stay bit-identical to a build without the
  * fault layer.
  *
- * Every field is an 8-byte counter (u64 or double ns) and merge()
- * must fold each one; kFieldCount and the static_assert below pin
- * the layout so a newly added field fails compilation until both
- * the count and merge() (checked by the round-trip KAT in
- * test_health.cc) are updated.
+ * Every field is an 8-byte counter (u64 or double ns); kFieldCount
+ * and the static_assert below pin the layout, which comparisons by
+ * memcmp rely on.
  */
 struct FaultReport
 {
@@ -220,42 +228,13 @@ struct FaultReport
     /** Counterfactual stall had no watchdog respawned the windows. */
     double stragglerStallNs = 0.0;
 
-    /** 8-byte fields above; bump when adding one, then extend both
-     *  merge() and the test_health.cc round-trip KAT. */
+    /** 8-byte fields above; bump when adding one. */
     static constexpr std::size_t kFieldCount = 22;
-
-    void
-    merge(const FaultReport &other)
-    {
-        faultsInjected += other.faultsInjected;
-        corruptInjected += other.corruptInjected;
-        corruptDetected += other.corruptDetected;
-        timeouts += other.timeouts;
-        retries += other.retries;
-        windowsResharded += other.windowsResharded;
-        reshardsIntraNode += other.reshardsIntraNode;
-        reshardsCrossNode += other.reshardsCrossNode;
-        devicesLost += other.devicesLost;
-        transfers += other.transfers;
-        checksummed += other.checksummed;
-        verifyEcOps += other.verifyEcOps;
-        delayNs += other.delayNs;
-        stragglersDetected += other.stragglersDetected;
-        stragglerRespawns += other.stragglerRespawns;
-        speculativeWins += other.speculativeWins;
-        speculativeLosses += other.speculativeLosses;
-        hangs += other.hangs;
-        transferFailovers += other.transferFailovers;
-        backoffNs += other.backoffNs;
-        stragglerWaitNs += other.stragglerWaitNs;
-        stragglerStallNs += other.stragglerStallNs;
-    }
 };
 
 static_assert(sizeof(FaultReport) ==
                   FaultReport::kFieldCount * sizeof(std::uint64_t),
-              "FaultReport gained a field: bump kFieldCount and "
-              "extend merge() plus the test_health.cc KAT");
+              "FaultReport gained a field: bump kFieldCount");
 
 } // namespace distmsm::gpusim
 

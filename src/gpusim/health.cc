@@ -1,6 +1,5 @@
 #include "src/gpusim/health.h"
 
-#include <algorithm>
 #include <string>
 
 #include "src/support/check.h"
@@ -22,36 +21,12 @@ healthStateName(HealthState state)
     return "?";
 }
 
-void
-DeviceHealth::merge(const DeviceHealth &other)
-{
-    timeouts += other.timeouts;
-    checksumFailures += other.checksumFailures;
-    stragglerEvents += other.stragglerEvents;
-    hangs += other.hangs;
-    cleanWindows += other.cleanWindows;
-    probes += other.probes;
-    faultScore += other.faultScore;
-    cleanStreak = std::min(cleanStreak, other.cleanStreak);
-    if (static_cast<std::uint32_t>(other.state) >
-        static_cast<std::uint32_t>(state))
-        state = other.state;
-}
-
-HealthTracker::HealthTracker(int num_devices, HealthPolicy policy)
-    : policy_(policy), devices_(static_cast<std::size_t>(
-                           num_devices > 0 ? num_devices : 0))
+HealthTracker::HealthTracker(int num_devices)
+    : devices_(static_cast<std::size_t>(
+          num_devices > 0 ? num_devices : 0))
 {
     DISTMSM_REQUIRE(num_devices > 0,
                     "HealthTracker wants at least one device");
-    DISTMSM_REQUIRE(policy_.probationThreshold > 0 &&
-                        policy_.quarantineThreshold >=
-                            policy_.probationThreshold,
-                    "HealthPolicy thresholds must satisfy "
-                    "0 < probation <= quarantine");
-    DISTMSM_REQUIRE(policy_.reintegrateCleanWindows > 0,
-                    "HealthPolicy reintegrateCleanWindows must be "
-                    "positive");
 }
 
 const DeviceHealth &
@@ -99,9 +74,9 @@ HealthTracker::escalate(int device, int weight)
     h.faultScore += weight;
     h.cleanStreak = 0;
     HealthState next = h.state;
-    if (h.faultScore >= policy_.quarantineThreshold)
+    if (h.faultScore >= kQuarantineThreshold)
         next = HealthState::Quarantined;
-    else if (h.faultScore >= policy_.probationThreshold &&
+    else if (h.faultScore >= kProbationThreshold &&
              h.state == HealthState::Healthy)
         next = HealthState::Probation;
     if (next != h.state) {
@@ -135,7 +110,7 @@ void
 HealthTracker::recordHang(int device)
 {
     ++devices_[static_cast<std::size_t>(device)].hangs;
-    escalate(device, policy_.quarantineThreshold);
+    escalate(device, kQuarantineThreshold);
 }
 
 void
@@ -148,7 +123,7 @@ HealthTracker::recordCleanWindow(int device)
     ++h.cleanWindows;
     ++h.cleanStreak;
     if (h.state == HealthState::Probation &&
-        h.cleanStreak >= policy_.reintegrateCleanWindows) {
+        h.cleanStreak >= kReintegrateCleanWindows) {
         h.state = HealthState::Healthy;
         h.faultScore = 0;
         ++generation_;
@@ -166,8 +141,8 @@ HealthTracker::recordCleanProbe(int device)
     h.state = HealthState::Probation;
     // Parole, not acquittal: the score sits at the probation
     // threshold and the streak restarts, so the device still has to
-    // earn reintegrateCleanWindows clean windows to become Healthy.
-    h.faultScore = policy_.probationThreshold;
+    // earn kReintegrateCleanWindows clean windows to become Healthy.
+    h.faultScore = kProbationThreshold;
     h.cleanStreak = 0;
     ++generation_;
 }

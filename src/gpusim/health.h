@@ -45,23 +45,16 @@ enum class HealthState : std::uint32_t {
 
 const char *healthStateName(HealthState state);
 
-/** Ladder thresholds; defaults quarantine after 3 weighted faults
- *  and reintegrate probation after 4 consecutive clean windows. */
-struct HealthPolicy
-{
-    /** Weighted fault score at which Healthy becomes Probation. */
-    int probationThreshold = 1;
-    /** Weighted fault score at which a device is quarantined.
-     *  A hang carries this full weight: immediate quarantine. */
-    int quarantineThreshold = 3;
-    /** Consecutive clean windows before Probation returns to
-     *  Healthy (and the fault score resets). */
-    int reintegrateCleanWindows = 4;
-};
+/** Weighted fault score at which Healthy becomes Probation. */
+inline constexpr int kProbationThreshold = 1;
+/** Weighted fault score at which a device is quarantined. A hang
+ *  carries this full weight: immediate quarantine. */
+inline constexpr int kQuarantineThreshold = 3;
+/** Consecutive clean windows before Probation returns to Healthy
+ *  (and the fault score resets). */
+inline constexpr int kReintegrateCleanWindows = 4;
 
-/** Rolling per-device health record. Every field is 8-byte-aligned
- *  and merge() must fold each one — the static_assert and the
- *  test_health.cc round-trip KAT pin the layout. */
+/** Rolling per-device health record. */
 struct DeviceHealth
 {
     std::uint64_t timeouts = 0;         ///< transfer attempts timed out
@@ -76,34 +69,17 @@ struct DeviceHealth
     /** Consecutive clean windows since the last fault. */
     std::int32_t cleanStreak = 0;
     HealthState state = HealthState::Healthy;
-    std::uint32_t pad_ = 0; ///< keeps sizeof a multiple of 8
-
-    /** 8-byte slots; bump when adding a field, then extend merge()
-     *  and the test_health.cc KAT. */
-    static constexpr std::size_t kSlotCount = 8;
-
-    /** Fold @p other into this record: counters add, the streak
-     *  takes the pessimistic minimum, the state the more severe
-     *  rung. Used when aggregating reports across runs. */
-    void merge(const DeviceHealth &other);
 };
-
-static_assert(sizeof(DeviceHealth) ==
-                  DeviceHealth::kSlotCount * sizeof(std::uint64_t),
-              "DeviceHealth gained a field: bump kSlotCount and "
-              "extend merge() plus the test_health.cc KAT");
 
 class HealthTracker
 {
   public:
-    explicit HealthTracker(int num_devices,
-                           HealthPolicy policy = HealthPolicy{});
+    explicit HealthTracker(int num_devices);
 
     int numDevices() const
     {
         return static_cast<int>(devices_.size());
     }
-    const HealthPolicy &policy() const { return policy_; }
 
     const DeviceHealth &device(int index) const;
     HealthState state(int index) const
@@ -132,12 +108,12 @@ class HealthTracker
     void recordTimeout(int device);
     void recordChecksumFailure(int device);
     void recordStraggler(int device);
-    /** A hang carries quarantineThreshold weight: the device is
+    /** A hang carries kQuarantineThreshold weight: the device is
      *  quarantined immediately. */
     void recordHang(int device);
 
     /** Device finished a window with no faults observed. Probation
-     *  devices reintegrate after policy().reintegrateCleanWindows
+     *  devices reintegrate after kReintegrateCleanWindows
      *  consecutive clean windows; quarantined devices do NOT redeem
      *  themselves this way (they are not scheduled — a clean window
      *  for them would be vacuous). */
@@ -146,7 +122,7 @@ class HealthTracker
     /** A quarantine probe (out-of-band verified transfer) came back
      *  clean: the device re-enters the ladder at Probation with a
      *  fresh streak, so reintegration still requires
-     *  reintegrateCleanWindows real clean windows. */
+     *  kReintegrateCleanWindows real clean windows. */
     void recordCleanProbe(int device);
 
     /** Export health/<prefix>* gauges (states, counters,
@@ -157,7 +133,6 @@ class HealthTracker
   private:
     void escalate(int device, int weight);
 
-    HealthPolicy policy_;
     std::vector<DeviceHealth> devices_;
     std::uint64_t generation_ = 0;
 };

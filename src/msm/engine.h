@@ -139,6 +139,18 @@ class MsmEngine
         // call sites; an explicit MsmOptions::trace wins.
         if (options_.trace == nullptr)
             options_.trace = support::globalTraceFromEnv();
+        // DISTMSM_FAULT_SPEC likewise, resolved once before the first
+        // plan so planning, pricing and injection all read
+        // options_.faults; an explicit MsmOptions::faults wins. A
+        // malformed spec is kept and returned by every tryCompute.
+        if (options_.faults.empty()) {
+            const support::StatusOr<const gpusim::FaultPlan *> env =
+                gpusim::globalFaultPlanFromEnv();
+            if (!env.isOk())
+                fault_status_ = env.status();
+            else if (*env != nullptr)
+                options_.faults = **env;
+        }
         curve_profile_ = gpusim::CurveProfile{
             Curve::kName, Curve::Fq::Params::kBits,
             Curve::kScalarBits, Curve::kAIsZero,
@@ -204,12 +216,10 @@ class MsmEngine
         if (options_.health != nullptr &&
             options_.health->generation() != planned_generation_)
             planAndStage();
-        const support::StatusOr<const gpusim::FaultPlan *> fplan_or =
-            activeFaultPlan();
-        if (!fplan_or.isOk())
-            return fplan_or.status();
+        if (!fault_status_.isOk())
+            return fault_status_;
 
-        MsmRun run(**fplan_or);
+        MsmRun run;
         run.result.plan = plan_;
         run.devFaulted.assign(
             static_cast<std::size_t>(cluster_.numGpus()), 0);
@@ -266,9 +276,6 @@ class MsmEngine
      */
     struct MsmRun
     {
-        explicit MsmRun(const gpusim::FaultPlan &plan) : faults(plan) {}
-
-        const gpusim::FaultPlan &faults;
         MsmResult<Curve> result;
         /** Injections/detections in their deterministic order, for
          *  the fault trace track. */
@@ -300,6 +307,12 @@ class MsmEngine
         ReduceStats reduceStats;
         std::vector<Xyzz> keyed;
 
+        /** Devices that can take over work — FaultPlan::survives and
+         *  not quarantined when assign ran — ascending. Quarantine
+         *  never lifts inside a tryCompute, so this list filtered by
+         *  the tracker's live schedulable() is exactly the devices
+         *  alive and schedulable now. */
+        std::vector<int> survivors;
         /** Device each unit executes and ships on. */
         std::vector<int> execDev;
         /** Straggling windows re-executed beside their original. */
@@ -459,12 +472,13 @@ class MsmEngine
     }
 
     /**
-     * Assign phase: place every unit on a device, classify the fault
-     * plan's device faults, and decide each unit's fate — run where
-     * placed, reshard onto a survivor, or (watchdog) respawn on the
-     * fastest healthy candidate. Sequential, devices and units
-     * ascending, so detection, health escalation and target choice
-     * are identical at every hostThreads setting.
+     * Assign phase: place every unit on a device, list the run's
+     * survivors, classify the fault plan's device faults, and decide
+     * each unit's fate — run where placed, reshard onto a survivor
+     * (pickSurvivor), or (watchdog) respawn on the fastest survivor.
+     * Sequential, devices and units ascending, so detection, health
+     * escalation and target choice are identical at every
+     * hostThreads setting.
      *
      * Windows round-robin over the *schedulable* devices (quarantined
      * ones sit out; without a tracker that is every device, the
@@ -478,7 +492,7 @@ class MsmEngine
     support::Status
     assign(MsmRun &run) const
     {
-        const gpusim::FaultPlan &fp = run.faults;
+        const gpusim::FaultPlan &fp = options_.faults;
         gpusim::FaultReport &report = run.result.fault;
         gpusim::HealthTracker *const health = options_.health;
         const int num_gpus = cluster_.numGpus();
@@ -510,19 +524,18 @@ class MsmEngine
             run.execDev[u] = placement[static_cast<int>(u) % n_place];
         std::vector<std::uint8_t> lost(n_units, 0);
         run.dual.assign(n_units, 0);
+        // Hung devices cannot take over work either; with the
+        // watchdog off a hang is rejected below before any reshard
+        // happens.
+        for (int d = 0; d < num_gpus; ++d)
+            if (fp.survives(d) && !quarantined(d))
+                run.survivors.push_back(d);
 
         // --- Device faults ---
-        // Hung devices cannot receive resharded units either; with
-        // the watchdog off a hang is rejected below before any
-        // reshard happens.
-        std::vector<int> survivors;
         for (int d = 0; d < num_gpus; ++d) {
             const int kw = fp.killWindow(d);
-            if (kw < 0) {
-                if (!quarantined(d) && fp.hangWindow(d) < 0)
-                    survivors.push_back(d);
+            if (kw < 0)
                 continue;
-            }
             ++report.devicesLost;
             ++report.faultsInjected;
             run.devFaulted[static_cast<std::size_t>(d)] = 1;
@@ -590,8 +603,8 @@ class MsmEngine
         // --- Watchdog: straggling and hung windows ---
         // A window whose projected completion blows its deadline —
         // kWatchdogSlack x the calibrated per-window estimate — is
-        // speculatively re-dispatched onto the fastest healthy
-        // candidate. The adopted copy is the one with the earlier
+        // speculatively re-dispatched onto the fastest survivor. The
+        // adopted copy is the one with the earlier
         // *priced* completion, the original canonical on ties; both
         // copies execute the same deterministic unit, so the adopted
         // point is bit-identical either way (execute asserts it).
@@ -623,12 +636,11 @@ class MsmEngine
                     ++report.stragglersDetected;
                     if (health != nullptr && !hang)
                         health->recordStraggler(d);
-                    // Fastest healthy candidate: schedulable, alive,
-                    // not hung, not the straggler itself; the lowest
-                    // index breaks factor ties (deterministic).
-                    for (const int c : placement) {
-                        if (c == d || fp.killWindow(c) >= 0 ||
-                            fp.hangWindow(c) >= 0)
+                    // Fastest survivor other than the straggler
+                    // itself; the lowest index breaks factor ties
+                    // (deterministic).
+                    for (const int c : run.survivors) {
+                        if (c == d)
                             continue;
                         const double cf = fp.degradeFactor(c, 0);
                         if (cf < target_f) {
@@ -687,14 +699,20 @@ class MsmEngine
         for (unsigned u = 0; u < n_units; ++u) {
             if (!lost[u])
                 continue;
-            if (survivors.empty())
+            const int dead = run.execDev[u];
+            const int target = pickSurvivor(run, dead, resharded++,
+                                            [](int) { return true; });
+            if (target < 0)
                 return support::Status(
                     support::StatusCode::DeviceLost,
                     "all " + std::to_string(num_gpus) +
                         " devices lost; no survivor to reshard "
                         "onto");
-            run.execDev[u] = pickSurvivor(survivors, run.execDev[u],
-                                          resharded++, report);
+            if (cluster_.topology().sameNode(target, dead))
+                ++report.reshardsIntraNode;
+            else
+                ++report.reshardsCrossNode;
+            run.execDev[u] = target;
         }
         report.windowsResharded += resharded;
         return support::Status::ok();
@@ -845,12 +863,19 @@ class MsmEngine
      * land identically at every hostThreads setting. Each device
      * ships one payload (its units ascending); slices under a
      * plan-Gather ship one each, so a survivor carrying a resharded
-     * slice ships it separately. A Gather ships straight to the host,
-     * ring / tree / reduce-scatter route device-to-device first
-     * (mergeViaCollective). Under an Auto policy
+     * slice ships it separately. One walk over the merge's
+     * CollectiveSchedule serves every strategy: a Gather schedule
+     * has no steps and no root, so every payload ships straight to
+     * the host; ring / tree / reduce-scatter route each step's keys
+     * k with shard < 0 || k % shardCount == shard device-to-device
+     * (the receiver concatenating), then ship the root's union. The
+     * keys are disjoint, so no point is combined in flight and the
+     * union is bit-identical to a gather; the RLC digests are keyed
+     * by global index, so re-routing never changes the digest a
+     * payload must match. Under an Auto policy
      * (plan.collectiveAuto) a collective plan is re-resolved against
-     * the busiest payload actually shipped; kill semantics stay keyed
-     * off the planned strategy.
+     * the busiest payload actually shipped; kill semantics stay
+     * keyed off the planned strategy.
      */
     support::Status
     ship(MsmRun &run) const
@@ -884,25 +909,98 @@ class MsmEngine
             max_bytes = std::max<std::uint64_t>(
                 max_bytes, payloads[k].size() * sizeof(Xyzz));
         }
+        const gpusim::Topology &topo = cluster_.topology();
         gpusim::CollectiveAlgo algo = plan_.collective;
         if (algo != gpusim::CollectiveAlgo::Gather && plan_.collectiveAuto)
-            algo = gpusim::CollectiveTimeEstimator(cluster_.topology(),
-                                                   cluster_.device())
+            algo = gpusim::CollectiveTimeEstimator(topo, cluster_.device())
                        .pick(gpusim::CollectivePolicy::Auto,
                              static_cast<int>(members.size()),
                              max_bytes);
-        if (algo != gpusim::CollectiveAlgo::Gather)
-            return mergeViaCollective(run, algo, members, payloads,
-                                      keys);
-        for (const int k : members) {
+        const gpusim::CollectiveSchedule sched =
+            gpusim::buildCollectiveSchedule(algo, topo, members);
+
+        namespace lane = support::tracelane;
+        support::TraceRecorder *const trace = options_.trace;
+        const std::uint64_t digest_pts =
+            options_.verifyChecksums ? 1 : 0;
+        double cursor = 0.0;
+        std::uint64_t bytes_intra = 0;
+        std::uint64_t bytes_inter = 0;
+        for (const gpusim::CollectiveStep &step : sched.steps) {
+            auto &src_pts = payloads[step.src];
+            auto &src_keys = keys[step.src];
+            // Split the sender's payload into the forwarded part and
+            // the rest, preserving order on both sides.
+            std::vector<Xyzz> ship_pts, stay_pts;
+            std::vector<std::uint64_t> ship_keys, stay_keys;
+            for (std::size_t i = 0; i < src_keys.size(); ++i) {
+                const bool moves =
+                    step.shard < 0 ||
+                    static_cast<int>(src_keys[i] %
+                                     static_cast<std::uint64_t>(
+                                         sched.shardCount)) == step.shard;
+                (moves ? ship_pts : stay_pts).push_back(src_pts[i]);
+                (moves ? ship_keys : stay_keys).push_back(src_keys[i]);
+            }
+            src_pts = std::move(stay_pts);
+            src_keys = std::move(stay_keys);
             std::vector<Xyzz> received;
-            const support::Status shipped =
-                shipPayload(run, sender[k], payloads[k], keys[k],
-                            received);
+            const support::Status shipped = shipPayload(
+                run, step.src, ship_pts, ship_keys, received);
+            if (!shipped.isOk())
+                return shipped;
+            const std::uint64_t wire_bytes =
+                (received.size() + digest_pts) * sizeof(Xyzz);
+            if (topo.sameNode(step.src, step.dst))
+                bytes_intra += wire_bytes;
+            else
+                bytes_inter += wire_bytes;
+            if (trace != nullptr) {
+                const double dur =
+                    topo.linkNs(step.src, step.dst, wire_bytes);
+                trace->labelThread(lane::engineDevicePid(step.src),
+                                   lane::kTransferTid, "transfer");
+                trace->span(
+                    "collective/" + run.tracePrefix +
+                        std::string(gpusim::collectiveAlgoName(algo)),
+                    "transfer", lane::engineDevicePid(step.src),
+                    lane::kTransferTid, cursor, dur,
+                    support::TraceArgs()
+                        .arg("dst", std::to_string(step.dst))
+                        .arg("points",
+                             static_cast<double>(received.size())));
+                cursor += dur;
+            }
+            payloads[step.dst].insert(payloads[step.dst].end(),
+                                      received.begin(), received.end());
+            keys[step.dst].insert(keys[step.dst].end(), ship_keys.begin(),
+                                  ship_keys.end());
+        }
+
+        const std::vector<int> to_host =
+            sched.root < 0 ? members : std::vector<int>{sched.root};
+        std::uint64_t bytes_host = 0;
+        for (const int k : to_host) {
+            std::vector<Xyzz> received;
+            const support::Status shipped = shipPayload(
+                run, sender[k], payloads[k], keys[k], received);
             if (!shipped.isOk())
                 return shipped;
             for (std::size_t i = 0; i < received.size(); ++i)
                 run.keyed[keys[k][i]] = received[i];
+            bytes_host += (received.size() + digest_pts) * sizeof(Xyzz);
+        }
+        if (trace != nullptr && sched.root >= 0) {
+            auto &metrics = trace->metrics();
+            const std::string cp = "collective/" + run.tracePrefix;
+            metrics.add(cp + "steps",
+                        static_cast<double>(sched.steps.size()));
+            metrics.add(cp + "bytes_intra",
+                        static_cast<double>(bytes_intra));
+            metrics.add(cp + "bytes_inter",
+                        static_cast<double>(bytes_inter));
+            metrics.add(cp + "bytes_host",
+                        static_cast<double>(bytes_host));
         }
         return support::Status::ok();
     }
@@ -1146,27 +1244,6 @@ class MsmEngine
     }
 
     /**
-     * Resolve the active fault plan: an explicit MsmOptions::faults
-     * wins, then the DISTMSM_FAULT_SPEC environment variable, then
-     * no faults. A malformed environment spec surfaces as the typed
-     * parse Status — tryCompute propagates it instead of exiting.
-     */
-    support::StatusOr<const gpusim::FaultPlan *>
-    activeFaultPlan() const
-    {
-        static const gpusim::FaultPlan kNoFaults;
-        if (!options_.faults.empty())
-            return &options_.faults;
-        support::StatusOr<const gpusim::FaultPlan *> env =
-            gpusim::globalFaultPlanFromEnv();
-        if (!env.isOk())
-            return env;
-        if (*env != nullptr)
-            return *env;
-        return &kNoFaults;
-    }
-
-    /**
      * Plan and stage everything the plan needs: the constructor's
      * first plan, and the re-plan after a health-generation change.
      * planMsm plans the caller's options in their own planner mode,
@@ -1221,10 +1298,8 @@ class MsmEngine
     refreshWindowEstimate() const
     {
         window_estimate_ns_ = 0.0;
-        const support::StatusOr<const gpusim::FaultPlan *> fplan =
-            activeFaultPlan();
         if (options_.health == nullptr &&
-            !(fplan.isOk() && (*fplan)->hasStragglerFaults()))
+            !options_.faults.hasStragglerFaults())
             return;
         MsmOptions est_opts = options_;
         // The estimate prices the *healthy* window (the deadline
@@ -1255,13 +1330,9 @@ class MsmEngine
     probeQuarantinedDevices() const
     {
         gpusim::HealthTracker *const health = options_.health;
-        if (health == nullptr)
+        if (health == nullptr || !fault_status_.isOk())
             return 0;
-        const support::StatusOr<const gpusim::FaultPlan *> fp =
-            activeFaultPlan();
-        if (!fp.isOk())
-            return 0;
-        const gpusim::FaultPlan &fplan = **fp;
+        const gpusim::FaultPlan &fplan = options_.faults;
         int paroled = 0;
         const int n_dev =
             std::min(cluster_.numGpus(), health->numDevices());
@@ -1317,42 +1388,62 @@ class MsmEngine
     }
 
     /**
-     * One simulated device->host transfer under the fault plan:
-     * append the device-side RLC digest, serialize, apply any
-     * injected delay or byte corruption, deserialize, re-derive the
-     * digest host-side and compare limb-for-limb — retrying (with a
-     * fresh canonical attempt index) up to kMaxTransferRetries
-     * times. Every retry waits out an exponential backoff
-     * (retryBackoffNs: kBackoffBaseNs doubling per attempt, capped at
-     * kBackoffMaxNs) plus a deterministic seeded jitter — simulated
-     * time, priced into FaultReport::backoffNs, never wall clock. On
-     * success @p received holds the accepted points, bit-identical to
-     * @p points whenever nothing corrupted the wire. On exhaustion,
-     * returns the typed Status of the final failed attempt. Each
-     * observed fault marks the device faulted (it forfeits its clean
-     * window) and feeds the health tracker when one is attached.
+     * Ship one payload under the fault plan: append the device-side
+     * RLC digest, serialize, apply any injected delay or byte
+     * corruption, deserialize, re-derive the digest host-side and
+     * compare limb-for-limb — retrying (with a fresh canonical
+     * attempt index) up to kMaxTransferRetries times. Every retry
+     * waits out an exponential backoff (retryBackoffNs:
+     * kBackoffBaseNs doubling per attempt, capped at kBackoffMaxNs)
+     * plus a deterministic seeded jitter — simulated time, priced
+     * into FaultReport::backoffNs, never wall clock. Each observed
+     * fault marks the sender faulted (it forfeits its clean window)
+     * and feeds the health tracker when one is attached. When every
+     * attempt from @p device fails and a tracker is attached, the
+     * payload fails over once: a second sender, picked among the
+     * survivors the tracker still schedules, runs the same attempts.
+     * The payload bytes live host-side either way and the RLC
+     * digests are keyed by global index, so the redirect is purely a
+     * routing decision. On success @p received holds the accepted
+     * points, bit-identical to @p points whenever nothing corrupted
+     * the wire; otherwise the typed Status of the final failed
+     * attempt returns.
      */
     support::Status
-    transfer(MsmRun &run, int device, const std::vector<Xyzz> &points,
-             const std::vector<std::uint64_t> &rho_keys,
-             std::vector<Xyzz> &received) const
+    shipPayload(MsmRun &run, int device, const std::vector<Xyzz> &points,
+                const std::vector<std::uint64_t> &rho_keys,
+                std::vector<Xyzz> &received) const
     {
-        const gpusim::FaultPlan &fplan = run.faults;
+        const gpusim::FaultPlan &fplan = options_.faults;
         gpusim::FaultReport &report = run.result.fault;
-        gpusim::HealthTracker *const health =
-            (options_.health != nullptr &&
-             device < options_.health->numDevices())
-                ? options_.health
-                : nullptr;
-        const auto mark_faulted = [&] {
-            if (static_cast<std::size_t>(device) <
-                run.devFaulted.size())
-                run.devFaulted[static_cast<std::size_t>(device)] = 1;
-        };
+        gpusim::HealthTracker *const tracker = options_.health;
         support::Status last(support::StatusCode::TransferTimeout,
                              "transfer never attempted");
-        for (int attempt = 0; attempt <= kMaxTransferRetries;
-             ++attempt) {
+        int sender = device;
+        for (int attempt = 0;; ++attempt) {
+            if (attempt > kMaxTransferRetries) {
+                // The failover target is never the origin, so a
+                // second sender means the one failover is spent.
+                if (tracker == nullptr || sender != device)
+                    return last;
+                sender = pickSurvivor(
+                    run, device, report.transferFailovers, [&](int c) {
+                        return c != device &&
+                               (c >= tracker->numDevices() ||
+                                tracker->schedulable(c));
+                    });
+                if (sender < 0)
+                    return last;
+                ++report.transferFailovers;
+                run.faultLog.push_back("failover/dev" +
+                                       std::to_string(device) + "->dev" +
+                                       std::to_string(sender));
+                attempt = 0;
+            }
+            gpusim::HealthTracker *const health =
+                (tracker != nullptr && sender < tracker->numDevices())
+                    ? tracker
+                    : nullptr;
             const std::uint64_t xfer = run.xferCounter++;
             ++report.transfers;
             if (attempt > 0) {
@@ -1372,21 +1463,21 @@ class MsmEngine
                 report.backoffNs += backoff + jitter;
             }
             const double delay =
-                fplan.transferDelayNs(device, attempt);
+                fplan.transferDelayNs(sender, attempt);
             if (delay > 0.0) {
                 report.delayNs += delay;
                 ++report.faultsInjected;
                 run.faultLog.push_back("delay/dev" +
-                                    std::to_string(device) +
+                                    std::to_string(sender) +
                                     "/xfer" + std::to_string(xfer));
                 if (delay > kTransferTimeoutNs) {
                     ++report.timeouts;
-                    mark_faulted();
+                    run.devFaulted[static_cast<std::size_t>(sender)] = 1;
                     if (health != nullptr)
-                        health->recordTimeout(device);
+                        health->recordTimeout(sender);
                     last = support::Status(
                         support::StatusCode::TransferTimeout,
-                        "device " + std::to_string(device) +
+                        "device " + std::to_string(sender) +
                             " transfer attempt " +
                             std::to_string(attempt) +
                             " exceeded the timeout");
@@ -1394,16 +1485,16 @@ class MsmEngine
                 }
             }
             const gpusim::TransferFault tf =
-                fplan.transferFault(xfer, device);
+                fplan.transferFault(xfer, sender);
             if (tf != gpusim::TransferFault::None) {
                 ++report.corruptInjected;
                 ++report.faultsInjected;
-                mark_faulted();
+                run.devFaulted[static_cast<std::size_t>(sender)] = 1;
                 run.faultLog.push_back(
                     (tf == gpusim::TransferFault::Flaky
                          ? "flaky/dev"
                          : "corrupt/dev") +
-                    std::to_string(device) + "/xfer" +
+                    std::to_string(sender) + "/xfer" +
                     std::to_string(xfer));
             }
             std::vector<Xyzz> got;
@@ -1412,13 +1503,13 @@ class MsmEngine
                           xfer, &report, got)) {
                 ++report.corruptDetected;
                 if (health != nullptr)
-                    health->recordChecksumFailure(device);
+                    health->recordChecksumFailure(sender);
                 run.faultLog.push_back("detect/dev" +
-                                       std::to_string(device) + "/xfer" +
+                                       std::to_string(sender) + "/xfer" +
                                        std::to_string(xfer));
                 last = support::Status(
                     support::StatusCode::TransferCorrupt,
-                    "device " + std::to_string(device) +
+                    "device " + std::to_string(sender) +
                         " transfer digest mismatch (attempt " +
                         std::to_string(attempt) + ")");
                 continue;
@@ -1426,224 +1517,28 @@ class MsmEngine
             received = std::move(got);
             return support::Status::ok();
         }
-        return last;
     }
 
     /**
-     * transfer() with one health-gated failover: when every retry
-     * from @p device fails AND a health tracker is attached, the
-     * payload is re-shipped once from the healthiest-preferred
-     * survivor (same node first, ascending — the pickSurvivor
-     * ordering, round-robined by the failover ordinal). In the
-     * simulation the payload bytes live host-side either way, so
-     * the redirect is purely a routing decision; the RLC digests are
-     * keyed by global index, so the new sender must match the same
-     * digest. Without a tracker this is exactly transfer() — the
-     * persistent-corruption error paths are untouched.
+     * The one survivor picker of reshard and transfer failover: the
+     * @p ordinal -th, round-robin, of the run's survivors that
+     * @p eligible admits, ordered @p origin's node first (NVLink-local
+     * recovery), then cross-node, both ascending; -1 when none is
+     * eligible. On a single-node cluster the order IS the ascending
+     * survivor list, so a reshard lands on survivors[i % size].
      */
-    support::Status
-    shipPayload(MsmRun &run, int device, const std::vector<Xyzz> &points,
-                const std::vector<std::uint64_t> &rho_keys,
-                std::vector<Xyzz> &received) const
-    {
-        const support::Status first =
-            transfer(run, device, points, rho_keys, received);
-        gpusim::HealthTracker *const health = options_.health;
-        if (first.isOk() || health == nullptr)
-            return first;
-        if (first.code() != support::StatusCode::TransferCorrupt &&
-            first.code() != support::StatusCode::TransferTimeout)
-            return first;
-        std::vector<int> alive;
-        for (int c = 0; c < cluster_.numGpus(); ++c)
-            if (c != device && run.faults.killWindow(c) < 0 &&
-                run.faults.hangWindow(c) < 0 &&
-                (c >= health->numDevices() || health->schedulable(c)))
-                alive.push_back(c);
-        const std::vector<int> pref = sameNodeFirst(alive, device);
-        if (pref.empty())
-            return first;
-        gpusim::FaultReport &report = run.result.fault;
-        const int target = pref[static_cast<std::size_t>(
-            report.transferFailovers % pref.size())];
-        ++report.transferFailovers;
-        run.faultLog.push_back("failover/dev" +
-                            std::to_string(device) + "->dev" +
-                            std::to_string(target));
-        return transfer(run, target, points, rho_keys, received);
-    }
-
-    /** @p candidates on @p device's node first (NVLink-local), then
-     *  the cross-node ones, both ascending. */
-    std::vector<int>
-    sameNodeFirst(const std::vector<int> &candidates, int device) const
+    template <typename Eligible>
+    int
+    pickSurvivor(const MsmRun &run, int origin, std::size_t ordinal,
+                 Eligible &&eligible) const
     {
         std::vector<int> pref;
         for (const bool same : {true, false})
-            for (const int c : candidates)
-                if (cluster_.topology().sameNode(c, device) == same)
+            for (const int c : run.survivors)
+                if (eligible(c) &&
+                    cluster_.topology().sameNode(c, origin) == same)
                     pref.push_back(c);
-        return pref;
-    }
-
-    /**
-     * Topology-aware reshard target: the preference list puts the
-     * dead device's same-node survivors first (NVLink-local
-     * recovery), then cross-node survivors, both ascending; the
-     * global reshard ordinal round-robins over it. On a single-node
-     * cluster the preference list IS the ascending survivor list, so
-     * the assignment is bit-for-bit the legacy
-     * survivors[i % survivors.size()].
-     */
-    int
-    pickSurvivor(const std::vector<int> &survivors, int original,
-                 std::size_t ordinal,
-                 gpusim::FaultReport &report) const
-    {
-        const std::vector<int> pref = sameNodeFirst(survivors, original);
-        const int target = pref[ordinal % pref.size()];
-        if (cluster_.topology().sameNode(target, original))
-            ++report.reshardsIntraNode;
-        else
-            ++report.reshardsCrossNode;
-        return target;
-    }
-
-    /**
-     * Functional ring/tree/reduce-scatter merge: route the
-     * per-device (points, keys) payloads of @p members
-     * device-to-device along the @p algo schedule — each hop a
-     * checksummed shipPayload, receivers concatenating — then one
-     * root->host hop carrying the union into run.keyed. A sharded
-     * step (reduce-scatter rounds) moves only the keys k with
-     * k % shardCount == step.shard, leaving the rest on the sender.
-     * The keys are disjoint (each window/bucket has exactly one
-     * contributor), so no point is ever combined in-flight and the
-     * union reaching the host is bit-identical to the all-to-host
-     * gather; the RLC digests are keyed by global index, so
-     * re-routing never changes the digest a payload must match.
-     * Steps execute sequentially in schedule order — one
-     * deterministic transfer-counter stream, so injected faults hit
-     * the same hop at every hostThreads setting. @p payloads and
-     * @p keys are consumed.
-     */
-    support::Status
-    mergeViaCollective(MsmRun &run, gpusim::CollectiveAlgo algo,
-                       const std::vector<int> &members,
-                       std::vector<std::vector<Xyzz>> &payloads,
-                       std::vector<std::vector<std::uint64_t>> &keys) const
-    {
-        if (members.empty())
-            return support::Status::ok();
-        const gpusim::Topology &topo = cluster_.topology();
-        const gpusim::CollectiveSchedule sched =
-            gpusim::buildCollectiveSchedule(algo, topo, members);
-        namespace lane = support::tracelane;
-        support::TraceRecorder *trace = options_.trace;
-        const std::uint64_t digest_pts =
-            options_.verifyChecksums ? 1 : 0;
-        double cursor = 0.0;
-        std::uint64_t bytes_intra = 0;
-        std::uint64_t bytes_inter = 0;
-        std::vector<Xyzz> ship_pts;
-        std::vector<std::uint64_t> ship_keys;
-        for (const gpusim::CollectiveStep &step : sched.steps) {
-            auto &src_pts = payloads[
-                static_cast<std::size_t>(step.src)];
-            auto &src_keys = keys[
-                static_cast<std::size_t>(step.src)];
-            if (step.shard < 0) {
-                ship_pts = std::move(src_pts);
-                ship_keys = std::move(src_keys);
-            } else {
-                // Sharded step: split the sender's payload into the
-                // forwarded shard and the rest, preserving order on
-                // both sides (deterministic at every hostThreads).
-                ship_pts.clear();
-                ship_keys.clear();
-                std::vector<Xyzz> stay_pts;
-                std::vector<std::uint64_t> stay_keys;
-                for (std::size_t i = 0; i < src_keys.size(); ++i) {
-                    if (static_cast<int>(
-                            src_keys[i] %
-                            static_cast<std::uint64_t>(
-                                sched.shardCount)) == step.shard) {
-                        ship_pts.push_back(src_pts[i]);
-                        ship_keys.push_back(src_keys[i]);
-                    } else {
-                        stay_pts.push_back(src_pts[i]);
-                        stay_keys.push_back(src_keys[i]);
-                    }
-                }
-                src_pts = std::move(stay_pts);
-                src_keys = std::move(stay_keys);
-            }
-            std::vector<Xyzz> received;
-            const support::Status shipped = shipPayload(
-                run, step.src, ship_pts, ship_keys, received);
-            if (!shipped.isOk())
-                return shipped;
-            const std::uint64_t wire_bytes =
-                (received.size() + digest_pts) * sizeof(Xyzz);
-            if (topo.sameNode(step.src, step.dst))
-                bytes_intra += wire_bytes;
-            else
-                bytes_inter += wire_bytes;
-            if (trace != nullptr) {
-                const double dur =
-                    topo.linkNs(step.src, step.dst, wire_bytes);
-                trace->labelThread(
-                    lane::engineDevicePid(step.src),
-                    lane::kTransferTid, "transfer");
-                trace->span(
-                    "collective/" + run.tracePrefix +
-                        std::string(
-                            gpusim::collectiveAlgoName(algo)),
-                    "transfer", lane::engineDevicePid(step.src),
-                    lane::kTransferTid, cursor, dur,
-                    support::TraceArgs()
-                        .arg("dst", std::to_string(step.dst))
-                        .arg("points", static_cast<double>(
-                                           received.size())));
-                cursor += dur;
-            }
-            auto &dst_pts = payloads[
-                static_cast<std::size_t>(step.dst)];
-            auto &dst_keys = keys[
-                static_cast<std::size_t>(step.dst)];
-            dst_pts.insert(dst_pts.end(), received.begin(),
-                           received.end());
-            dst_keys.insert(dst_keys.end(), ship_keys.begin(),
-                            ship_keys.end());
-            ship_pts.clear();
-            ship_keys.clear();
-        }
-        auto &root_pts = payloads[
-            static_cast<std::size_t>(sched.root)];
-        auto &root_keys = keys[
-            static_cast<std::size_t>(sched.root)];
-        std::vector<Xyzz> received;
-        const support::Status shipped = shipPayload(
-            run, sched.root, root_pts, root_keys, received);
-        if (!shipped.isOk())
-            return shipped;
-        for (std::size_t i = 0; i < received.size(); ++i)
-            run.keyed[root_keys[i]] = received[i];
-        if (trace != nullptr) {
-            auto &metrics = trace->metrics();
-            const std::string cp = "collective/" + run.tracePrefix;
-            metrics.add(cp + "steps",
-                        static_cast<double>(sched.steps.size()));
-            metrics.add(cp + "bytes_intra",
-                        static_cast<double>(bytes_intra));
-            metrics.add(cp + "bytes_inter",
-                        static_cast<double>(bytes_inter));
-            metrics.add(
-                cp + "bytes_host",
-                static_cast<double>(
-                    (received.size() + digest_pts) * sizeof(Xyzz)));
-        }
-        return support::Status::ok();
+        return pref.empty() ? -1 : pref[ordinal % pref.size()];
     }
 
     /**
@@ -1811,6 +1706,9 @@ class MsmEngine
     gpusim::Cluster cluster_;
     /** What the caller asked for; the plan decides what runs. */
     MsmOptions options_;
+    /** A malformed DISTMSM_FAULT_SPEC, returned by every tryCompute
+     *  (ok otherwise). */
+    support::Status fault_status_;
     gpusim::CurveProfile curve_profile_;
     mutable MsmPlan plan_;
     /**

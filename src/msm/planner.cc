@@ -555,8 +555,9 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     // --- Straggler + backoff pricing (fault layer) ---
     // Degrade/hang clauses stall the lockstep merge behind the
     // slowest device. With the watchdog on, a window that blows its
-    // slack x estimate deadline respawns on the fastest healthy
-    // survivor, so the exposed penalty per device is
+    // slack x estimate deadline respawns on the fastest survivor
+    // (FaultPlan::survives: neither killed nor hung — the engine's
+    // respawn candidates), so the exposed penalty per device is
     // gpu_side x (min(F, slack + best) - 1) — the straggling
     // original (factor F) raced against waiting out the deadline
     // plus the survivor's copy (slack + best). Without the watchdog
@@ -569,7 +570,7 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
         const gpusim::FaultPlan &fplan = options.faults;
         double best = std::numeric_limits<double>::infinity();
         for (int d = 0; d < cluster.numGpus(); ++d)
-            if (fplan.hangWindow(d) < 0)
+            if (fplan.survives(d))
                 best = std::min(best, fplan.degradeFactor(d, 0));
         if (!std::isfinite(best))
             best = 1.0;

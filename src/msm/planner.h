@@ -125,9 +125,11 @@ struct MsmOptions
      */
     int hostThreads = 0;
     /**
-     * Fault injection plan (gpusim/faults.h). Empty (the default)
-     * falls back to the DISTMSM_FAULT_SPEC environment variable; an
-     * explicit plan wins over the environment.
+     * Fault injection plan (gpusim/faults.h). When it is empty (the
+     * default) MsmEngine fills it from DISTMSM_FAULT_SPEC at
+     * construction, before planning; an explicit plan wins over the
+     * environment. The planner and the estimators read only this
+     * field.
      */
     gpusim::FaultPlan faults;
     /**

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -33,6 +34,7 @@
 #include "src/support/trace.h"
 #include "src/zksnark/groth16.h"
 #include "src/zksnark/workloads.h"
+#include "tests/same_plan.h"
 #include "tests/spec_mutator.h"
 
 namespace distmsm::msm {
@@ -153,6 +155,33 @@ TEST(FaultPlanParse, EmptySpecIsEmptyPlan)
     const auto trailing = FaultPlan::parse("kill:dev=1;;");
     ASSERT_TRUE(trailing.isOk());
     EXPECT_EQ(trailing->events.size(), 1u);
+}
+
+TEST(FaultPlanSource, EnvSpecPlansLikeOptionsFaults)
+{
+    // DISTMSM_FAULT_SPEC is parsed once per process, so the engine
+    // runs in a child that sets it first. The global thread pool may
+    // already run here: the threadsafe style re-executes the binary
+    // for the child instead of forking this process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("DISTMSM_FAULT_SPEC", "hang:dev=0", 1);
+            Prng prng(0xE5F);
+            const auto points = generatePoints<Bn254>(1 << 10, prng);
+            const Cluster cluster(DeviceSpec::a100(), 2);
+            MsmOptions options;
+            options.planner = PlannerMode::Search;
+            const MsmEngine<Bn254> engine(points, cluster, options);
+            // The engine plans the environment plan exactly as it
+            // plans the same spec passed in MsmOptions::faults.
+            options.faults = *FaultPlan::parse("hang:dev=0");
+            const MsmPlan expect =
+                planMsm(gpusim::CurveProfile::bn254(), points.size(),
+                        cluster, options);
+            std::exit(samePlan(engine.plan(), expect) ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 // Mutants of the accepted specs above (and of StragglerGrammar's in

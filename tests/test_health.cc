@@ -1,8 +1,7 @@
 /**
  * @file
  * Straggler-aware degradation tests: the fault grammar's
- * degrade/flaky/hang clauses, the FaultReport and DeviceHealth
- * merge-completeness KATs, the HealthTracker escalation ladder, the
+ * degrade/flaky/hang clauses, the HealthTracker escalation ladder, the
  * engine's watchdog speculation, quarantine-driven re-planning, and
  * the chaos-soak differential sweep.
  *
@@ -34,11 +33,8 @@ namespace {
 
 using gpusim::Cluster;
 using gpusim::DeviceSpec;
-using gpusim::DeviceHealth;
 using gpusim::FaultKind;
 using gpusim::FaultPlan;
-using gpusim::FaultReport;
-using gpusim::HealthPolicy;
 using gpusim::HealthState;
 using gpusim::HealthTracker;
 using gpusim::TransferFault;
@@ -171,90 +167,6 @@ TEST(StragglerGrammar, FlakyCoinIsSeededAndDeterministic)
     }
 }
 
-// --- Merge-completeness KATs -----------------------------------------
-
-TEST(MergeKat, FaultReportMergeFoldsEveryField)
-{
-    // Layout pin: 22 8-byte fields, no padding.
-    static_assert(sizeof(FaultReport) ==
-                  FaultReport::kFieldCount * sizeof(std::uint64_t));
-
-    // Give every field a distinct non-zero value, in declaration
-    // order. A field added to the struct without extending this KAT
-    // trips the kFieldCount static_assert first.
-    FaultReport src;
-    std::uint64_t v = 1;
-    src.faultsInjected = v++;
-    src.corruptInjected = v++;
-    src.corruptDetected = v++;
-    src.timeouts = v++;
-    src.retries = v++;
-    src.windowsResharded = v++;
-    src.reshardsIntraNode = v++;
-    src.reshardsCrossNode = v++;
-    src.devicesLost = v++;
-    src.transfers = v++;
-    src.checksummed = v++;
-    src.verifyEcOps = v++;
-    src.delayNs = static_cast<double>(v++);
-    src.stragglersDetected = v++;
-    src.stragglerRespawns = v++;
-    src.speculativeWins = v++;
-    src.speculativeLosses = v++;
-    src.hangs = v++;
-    src.transferFailovers = v++;
-    src.backoffNs = static_cast<double>(v++);
-    src.stragglerWaitNs = static_cast<double>(v++);
-    src.stragglerStallNs = static_cast<double>(v++);
-    ASSERT_EQ(v, FaultReport::kFieldCount + 1);
-
-    // Round trip: merging into a zeroed report must reproduce the
-    // source byte-for-byte — any field merge() forgot stays zero and
-    // fails the memcmp.
-    FaultReport dst;
-    dst.merge(src);
-    EXPECT_EQ(0, std::memcmp(&dst, &src, sizeof(FaultReport)));
-
-    dst.merge(src);
-    EXPECT_EQ(dst.faultsInjected, 2 * src.faultsInjected);
-    EXPECT_EQ(dst.transferFailovers, 2 * src.transferFailovers);
-    EXPECT_DOUBLE_EQ(dst.backoffNs, 2 * src.backoffNs);
-    EXPECT_DOUBLE_EQ(dst.stragglerStallNs,
-                     2 * src.stragglerStallNs);
-}
-
-TEST(MergeKat, DeviceHealthMergeFoldsEveryField)
-{
-    static_assert(sizeof(DeviceHealth) ==
-                  DeviceHealth::kSlotCount * sizeof(std::uint64_t));
-
-    DeviceHealth src;
-    src.timeouts = 1;
-    src.checksumFailures = 2;
-    src.stragglerEvents = 3;
-    src.hangs = 4;
-    src.cleanWindows = 5;
-    src.probes = 6;
-    src.faultScore = 7;
-    src.cleanStreak = 8;
-    src.state = HealthState::Probation;
-
-    DeviceHealth dst;
-    dst.state = HealthState::Quarantined;
-    dst.cleanStreak = 2;
-    dst.merge(src);
-    EXPECT_EQ(dst.timeouts, 1u);
-    EXPECT_EQ(dst.checksumFailures, 2u);
-    EXPECT_EQ(dst.stragglerEvents, 3u);
-    EXPECT_EQ(dst.hangs, 4u);
-    EXPECT_EQ(dst.cleanWindows, 5u);
-    EXPECT_EQ(dst.probes, 6u);
-    EXPECT_EQ(dst.faultScore, 7);
-    // Streak takes the pessimistic minimum, state the worse rung.
-    EXPECT_EQ(dst.cleanStreak, 2);
-    EXPECT_EQ(dst.state, HealthState::Quarantined);
-}
-
 // --- HealthTracker ladder --------------------------------------------
 
 TEST(HealthLadder, EscalatesThroughProbationToQuarantine)
@@ -298,7 +210,7 @@ TEST(HealthLadder, CleanWindowsReintegrateProbation)
     ASSERT_EQ(t.state(0), HealthState::Probation);
     const std::uint64_t g = t.generation();
 
-    const int need = t.policy().reintegrateCleanWindows;
+    const int need = gpusim::kReintegrateCleanWindows;
     for (int i = 0; i < need - 1; ++i)
         t.recordCleanWindow(0);
     EXPECT_EQ(t.state(0), HealthState::Probation);
@@ -327,7 +239,7 @@ TEST(HealthLadder, CleanProbeParolesQuarantineToProbation)
     EXPECT_EQ(t.state(1), HealthState::Probation);
     EXPECT_EQ(t.device(1).probes, 1u);
     EXPECT_EQ(t.device(1).cleanStreak, 0);
-    const int need = t.policy().reintegrateCleanWindows;
+    const int need = gpusim::kReintegrateCleanWindows;
     for (int i = 0; i < need; ++i)
         t.recordCleanWindow(1);
     EXPECT_EQ(t.state(1), HealthState::Healthy);
@@ -517,6 +429,48 @@ TEST(WatchdogTimeline, SpeculationBeatsTheStall)
     EXPECT_LT(base.totalNs(), watched.totalNs());
 }
 
+TEST(WatchdogTimeline, KilledDevicesAreNoRespawnTarget)
+{
+    // Every fast device is killed, so the engine's watchdog finds no
+    // respawn target faster than the 8x stragglers (FaultPlan::
+    // survives) and waits the full factor. The timeline must price
+    // the same 7x stall, not a respawn onto a dead device.
+    const auto curve = gpusim::CurveProfile::bn254();
+    const auto w = makeWorkload<Bn254>(1 << 10, 0x4EA2);
+    struct Row
+    {
+        int gpus;
+        const char *spec;
+    };
+    for (const Row row :
+         {Row{2, "kill:dev=0;degrade:dev=1,factor=8"},
+          Row{4, "kill:dev=0;kill:dev=2;degrade:dev=1,factor=8;"
+                 "degrade:dev=3,factor=8"}}) {
+        SCOPED_TRACE(row.spec);
+        const Cluster cluster(DeviceSpec::a100(), row.gpus);
+        auto options = healthTestOptions();
+        const auto plan_or = FaultPlan::parse(row.spec);
+        ASSERT_TRUE(plan_or.isOk());
+        options.faults = *plan_or;
+
+        const auto result_or = tryComputeDistMsm<Bn254>(
+            w.points, w.scalars, cluster, options);
+        ASSERT_TRUE(result_or.isOk())
+            << result_or.status().toString();
+        // Two GPUs leave the straggler no peer at all; four leave an
+        // equally slow one, whose copy never wins.
+        if (row.gpus == 2) {
+            EXPECT_EQ(result_or->fault.stragglerRespawns, 0u);
+        }
+        EXPECT_EQ(result_or->fault.speculativeWins, 0u);
+
+        const MsmTimeline t = estimateDistMsmWithPlan(
+            curve, w.points.size(), cluster, options, result_or->plan);
+        EXPECT_DOUBLE_EQ(t.stragglerNs,
+                         7.0 * (t.scatterNs + t.bucketSumNs));
+    }
+}
+
 TEST(WatchdogTimeline, FlakyLinksPriceTheirBackoff)
 {
     const auto curve = gpusim::CurveProfile::bn254();
@@ -698,7 +652,7 @@ TEST(Quarantine, CleanProbeParolesAndCleanWindowsReintegrate)
     EXPECT_EQ(tracker.device(1).faultScore, 0);
     EXPECT_GE(tracker.device(1).cleanWindows,
               static_cast<std::uint64_t>(
-                  tracker.policy().reintegrateCleanWindows));
+                  gpusim::kReintegrateCleanWindows));
 }
 
 TEST(Quarantine, MetricsSurfaceHealthAndStragglerCounters)

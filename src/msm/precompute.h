@@ -12,25 +12,34 @@
  * so the digit of *any* window lands in the *same* bucket array: the
  * per-window passes collapse into one combined bucket accumulation
  * and the serial inter-window double-and-add (Horner) reduction
- * disappears. Tables are stored affine — one shared zero-skipping
- * batch inversion per row — because every accumulation path (pacc and
- * the batched-affine adds) consumes affine operands.
+ * disappears. Tables are stored affine (zero-skipping batch
+ * inversions) because every accumulation path (pacc and the
+ * batched-affine adds) consumes affine operands.
  *
- * Cost shape: building costs (W-1) * s * n point doublings plus W-1
- * batch normalizations, and the table multiplies base storage by W
- * (bytes = W * n * 2 * fieldBytes). Both are scalar-independent, so
- * BaseTableCache amortizes them across proofs: tables are keyed by a
- * fingerprint of the base points plus the table geometry, and
- * repeated Groth16 proofs against the same proving key reuse the
- * tables across MsmEngine instances. The planner (planner.cc) owns
- * the memory-budget decision — shrink the window count (grow c) or
- * decline precompute when the device's global-memory model cannot
- * hold the table.
+ * Cost shape: the table multiplies base storage by W (bytes =
+ * W * n_eff * 2 * fieldBytes, n_eff = n, or 2n with the GLV images).
+ * The host build doubles only the n point chains, (W-1) * s
+ * doublings each: phi commutes with doubling and affine coordinates
+ * are canonical, so the phi half of every row is (beta * x, y) of the
+ * point half, one field multiplication per point. Each row is
+ * batch-normalized with one inversion per chunk of bases. The cost
+ * model (precomputeBuildPdbls, PrecomputeTable::buildPdbls and
+ * MsmTimeline::tableBuildNs) still prices n_eff chains, so with GLV
+ * the simulated build does twice the host's doublings. Both are
+ * scalar-independent, so BaseTableCache amortizes them across proofs:
+ * tables are keyed by a fingerprint of the base points plus the table
+ * geometry, and repeated Groth16 proofs against the same proving key
+ * reuse the tables across MsmEngine instances. The planner
+ * (planner.cc) owns the memory-budget decision — shrink the window
+ * count (grow c) or decline precompute when the device's
+ * global-memory model cannot hold the table.
  */
 
 #ifndef DISTMSM_MSM_PRECOMPUTE_H
 #define DISTMSM_MSM_PRECOMPUTE_H
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -39,6 +48,7 @@
 
 #include "src/ec/point.h"
 #include "src/field/batch_inverse.h"
+#include "src/msm/glv.h"
 #include "src/support/check.h"
 #include "src/support/thread_pool.h"
 
@@ -46,69 +56,52 @@ namespace distmsm::msm {
 
 namespace detail {
 
+/** Buffers of toAffineBatch, reused across one thread's calls. */
+template <typename Fq>
+struct AffineBatchScratch
+{
+    std::vector<Fq> denoms;
+    std::vector<Fq> prefix;
+    std::vector<std::uint8_t> skipped;
+};
+
 /**
- * Batch-normalize XYZZ points to affine form. Identity points have
- * zz == zzz == 0, which the zero-skipping batch inversion routes
- * around; the corresponding outputs stay the affine identity.
+ * Batch-normalize XYZZ points to affine form into
+ * out[0, points.size()).
+ * Identity points have zz == zzz == 0, which the zero-skipping batch
+ * inversion routes around; their outputs are the affine identity.
  */
 template <typename Curve>
-std::vector<AffinePoint<Curve>>
-toAffineBatch(const std::vector<XYZZPoint<Curve>> &points)
+void
+toAffineBatch(const std::vector<XYZZPoint<Curve>> &points,
+              AffinePoint<Curve> *out,
+              AffineBatchScratch<typename Curve::Fq> &scratch)
 {
-    using Fq = typename Curve::Fq;
-    std::vector<Fq> denoms;
-    denoms.reserve(2 * points.size());
+    auto &denoms = scratch.denoms;
+    denoms.clear();
     for (const auto &p : points) {
         denoms.push_back(p.zz);
         denoms.push_back(p.zzz);
     }
-    std::vector<Fq> scratch;
-    std::vector<std::uint8_t> skipped;
-    batchInverseSkipZero(denoms, scratch, skipped);
-    std::vector<AffinePoint<Curve>> out(points.size());
+    batchInverseSkipZero(denoms, scratch.prefix, scratch.skipped);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!skipped[2 * i]) {
-            out[i] = AffinePoint<Curve>::fromXY(
-                points[i].x * denoms[2 * i],
-                points[i].y * denoms[2 * i + 1]);
-        }
+        out[i] = scratch.skipped[2 * i]
+                     ? AffinePoint<Curve>::identity()
+                     : AffinePoint<Curve>::fromXY(
+                           points[i].x * denoms[2 * i],
+                           points[i].y * denoms[2 * i + 1]);
     }
-    return out;
 }
 
-/**
- * Precomputation table rows (Section 2.3.1): row j holds 2^(j*s) P_i
- * for every input point, so points of different windows sum directly.
- * The per-point doubling chains are independent, so each table row
- * is built with @p host_threads cooperating threads; point i's chain
- * only ever touches slot i, so the table is bit-identical to the
- * sequential construction.
- */
+/** toAffineBatch into a new vector, with call-local scratch. */
 template <typename Curve>
-std::vector<std::vector<AffinePoint<Curve>>>
-precomputeWindowMultiples(
-    const std::vector<AffinePoint<Curve>> &points, unsigned windows,
-    unsigned window_bits, int host_threads = 1)
+std::vector<AffinePoint<Curve>>
+toAffineBatch(const std::vector<XYZZPoint<Curve>> &points)
 {
-    using Xyzz = XYZZPoint<Curve>;
-    std::vector<std::vector<AffinePoint<Curve>>> table;
-    table.reserve(windows);
-    table.push_back(points);
-    std::vector<Xyzz> current;
-    current.reserve(points.size());
-    for (const auto &p : points)
-        current.push_back(Xyzz::fromAffine(p));
-    for (unsigned j = 1; j < windows; ++j) {
-        support::ThreadPool::global().parallelFor(
-            0, current.size(),
-            [&](std::size_t i) {
-                for (unsigned b = 0; b < window_bits; ++b)
-                    current[i] = pdbl(current[i]);
-            },
-            host_threads);
-        table.push_back(toAffineBatch<Curve>(current));
-    }
-    return table;
+    std::vector<AffinePoint<Curve>> out(points.size());
+    AffineBatchScratch<typename Curve::Fq> scratch;
+    toAffineBatch<Curve>(points, out.data(), scratch);
+    return out;
 }
 
 /**
@@ -342,9 +335,25 @@ class BaseTableCache
 };
 
 /**
- * Build a PrecomputeTable for @p bases (points, plus the phi images
- * when the plan runs GLV — the endomorphism tables come free via the
- * same doubling chains).
+ * Bases per chunk of the table build: the unit of host parallelism
+ * and of batch normalization (one inversion per chunk per row). Any
+ * size gives the same table.
+ */
+inline constexpr std::size_t kTableChunkBases = 256;
+
+/**
+ * Build a PrecomputeTable for @p bases: the n MSM points, followed,
+ * when the plan runs GLV, by their n images phi(P_i) (the engine's
+ * layout), so rows[j][n + i] = phi(rows[j][i]).
+ *
+ * Only the n point chains are doubled; the phi half of each row is
+ * derived from the point half. Once the rows are allocated, the build
+ * is one pool pass over chunks of kTableChunkBases points: each chunk
+ * walks its chains through every row and normalizes its own slice of
+ * the row. A chain touches only its own slots and an inverse is
+ * unique, so the table is bit-identical at every @p host_threads.
+ * buildPdbls still counts a chain per base, phi images included (the
+ * simulated build).
  */
 template <typename Curve>
 std::shared_ptr<const PrecomputeTable<Curve>>
@@ -352,17 +361,64 @@ buildPrecomputeTable(const std::vector<AffinePoint<Curve>> &bases,
                      unsigned num_windows, unsigned window_bits,
                      bool glv, int host_threads)
 {
+    using Affine = AffinePoint<Curve>;
+    using Xyzz = XYZZPoint<Curve>;
+    DISTMSM_REQUIRE(!glv || bases.size() % 2 == 0,
+                    "GLV table bases must be points then phi images");
+    const std::size_t n = glv ? bases.size() / 2 : bases.size();
     auto table = std::make_shared<PrecomputeTable<Curve>>();
     table->windowBits = window_bits;
     table->numWindows = num_windows;
     table->glv = glv;
-    table->rows = detail::precomputeWindowMultiples<Curve>(
-        bases, num_windows, window_bits, host_threads);
     table->buildPdbls =
         precomputeBuildPdbls(bases.size(), num_windows, window_bits);
     table->bytes = precomputeTableBytes(
         bases.size(), num_windows,
         (Curve::Fq::Params::kBits + 7) / 8);
+    auto &rows = table->rows;
+    rows.resize(std::max(num_windows, 1u));
+    rows[0] = bases;
+    // Rows are allocated (and first touched) in parallel: serially
+    // this took about 6% of a 2^16-base GLV build on 4 vCPUs.
+    auto &pool = support::ThreadPool::global();
+    pool.parallelFor(
+        1, rows.size(),
+        [&](std::size_t j) { rows[j].resize(bases.size()); },
+        host_threads);
+
+    std::atomic<bool> bad_phi{false};
+    const std::size_t chunks =
+        (n + kTableChunkBases - 1) / kTableChunkBases;
+    pool.parallelFor(
+        0, chunks,
+        [&](std::size_t c) {
+            const std::size_t lo = c * kTableChunkBases;
+            const std::size_t hi = std::min(n, lo + kTableChunkBases);
+            std::vector<Xyzz> chains;
+            chains.reserve(hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+                chains.push_back(Xyzz::fromAffine(bases[i]));
+                if (glv && !(bases[n + i] ==
+                             glv::endomorphismIfSupported<Curve>(
+                                 bases[i])))
+                    bad_phi.store(true, std::memory_order_relaxed);
+            }
+            detail::AffineBatchScratch<typename Curve::Fq> scratch;
+            for (unsigned j = 1; j < num_windows; ++j) {
+                for (auto &p : chains)
+                    for (unsigned b = 0; b < window_bits; ++b)
+                        p = pdbl(p);
+                Affine *row = rows[j].data();
+                detail::toAffineBatch<Curve>(chains, row + lo, scratch);
+                if (glv)
+                    for (std::size_t i = lo; i < hi; ++i)
+                        row[n + i] =
+                            glv::endomorphismIfSupported<Curve>(row[i]);
+            }
+        },
+        host_threads);
+    DISTMSM_REQUIRE(!bad_phi.load(),
+                    "GLV table bases must be points then phi images");
     return table;
 }
 

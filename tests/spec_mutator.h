@@ -1,16 +1,18 @@
 /**
  * @file
  * Seeded mutation fuzzing for the spec parsers (fault plans,
- * topologies, collective names): valid specs from the accept tests
- * become near-miss inputs by flipping, inserting, deleting and
- * duplicating bytes and by splicing clauses between specs. The seed
- * is fixed, so every run checks the same corpus.
+ * topologies, collective names) and the binary decoders (points,
+ * proofs): valid inputs from the accept tests become near-miss
+ * inputs by flipping, inserting, deleting and duplicating bytes, by
+ * truncating encodings and by splicing clauses between specs. The
+ * seed is fixed, so every run checks the same corpus.
  */
 
 #ifndef DISTMSM_TESTS_SPEC_MUTATOR_H
 #define DISTMSM_TESTS_SPEC_MUTATOR_H
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -95,6 +97,43 @@ mutateSpec(const std::vector<std::string> &seeds, char sep,
         }
     }
     return s;
+}
+
+/**
+ * One mutant of a seed encoding drawn from @p seeds: one to four
+ * stacked edits. Half are bit flips, which keep the length that the
+ * fixed-size decoders check first; the rest are a byte insert, a
+ * byte delete or a truncation.
+ */
+inline std::vector<std::uint8_t>
+mutateBytes(const std::vector<std::vector<std::uint8_t>> &seeds,
+            Prng &prng)
+{
+    std::vector<std::uint8_t> b = seeds[prng.below(seeds.size())];
+    const int edits = 1 + static_cast<int>(prng.below(4));
+    for (int e = 0; e < edits; ++e) {
+        const std::size_t pos = prng.below(b.size() + 1);
+        const auto at = b.begin() + static_cast<std::ptrdiff_t>(pos);
+        switch (prng.below(6)) {
+          case 0:
+          case 1:
+          case 2:
+            if (pos < b.size())
+                b[pos] = static_cast<std::uint8_t>(
+                    b[pos] ^ (1u << prng.below(8)));
+            break;
+          case 3:
+            b.insert(at, static_cast<std::uint8_t>(prng.below(256)));
+            break;
+          case 4:
+            if (pos < b.size())
+                b.erase(at);
+            break;
+          default:
+            b.resize(pos);
+        }
+    }
+    return b;
 }
 
 } // namespace distmsm

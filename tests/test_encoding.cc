@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for compressed point encoding, proof serialization and the
- * dedicated squaring path.
+ * dedicated squaring path, including seeded mutation fuzzing of the
+ * point and proof decoders.
  */
 
 #include <gtest/gtest.h>
@@ -13,24 +14,27 @@
 #include "src/support/prng.h"
 #include "src/zksnark/proof_io.h"
 #include "src/zksnark/workloads.h"
+#include "tests/spec_mutator.h"
 
 namespace distmsm {
 namespace {
+
+/** A random small multiple of the generator. */
+template <typename C>
+AffinePoint<C>
+randomPoint(Prng &prng)
+{
+    const auto k = BigInt<1>::fromU64(2 + prng.below(1 << 20));
+    return pmul(XYZZPoint<C>::fromAffine(C::generator()), k).toAffine();
+}
 
 template <typename C>
 class EncodingTest : public ::testing::Test
 {
   protected:
-    using Xyzz = XYZZPoint<C>;
-
     Prng prng_{0xE4C0};
 
-    AffinePoint<C>
-    randPoint()
-    {
-        const auto k = BigInt<1>::fromU64(2 + prng_.below(1 << 20));
-        return pmul(Xyzz::fromAffine(C::generator()), k).toAffine();
-    }
+    AffinePoint<C> randPoint() { return randomPoint<C>(prng_); }
 };
 
 using AllCurves = ::testing::Types<Bn254, Bls377, Bls381, Mnt4753>;
@@ -147,6 +151,83 @@ TEST(ProofIo, RoundTripAndSize)
     if (tampered.has_value()) {
         EXPECT_FALSE(zk::verify<Bn254>(keys.vk, *tampered, inputs));
     }
+}
+
+/**
+ * Mutants of valid point encodings are rejected, or decode to an
+ * on-curve point whose encoding is the mutant byte for byte: every
+ * accepted input is the one canonical encoding of its point.
+ */
+template <typename C>
+void
+fuzzDecodePoint(std::uint64_t seed)
+{
+    Prng prng(seed);
+    std::vector<std::vector<std::uint8_t>> seeds = {
+        encodePoint<C>(AffinePoint<C>::identity())};
+    for (int i = 0; i < 4; ++i) {
+        const auto p = randomPoint<C>(prng);
+        seeds.push_back(encodePoint<C>(p));
+        seeds.push_back(encodePoint<C>(p.negated()));
+    }
+    const int mutants = specFuzzMutants();
+    int accepted = 0;
+    for (int i = 0; i < mutants; ++i) {
+        const std::vector<std::uint8_t> bytes = mutateBytes(seeds, prng);
+        const auto point = decodePoint<C>(bytes);
+        if (!point)
+            continue;
+        ++accepted;
+        ASSERT_TRUE(point->isOnCurve()) << "mutant " << i;
+        ASSERT_EQ(encodePoint<C>(*point), bytes) << "mutant " << i;
+    }
+    // Flipped x bits land on the curve about half the time, so the
+    // accepting branch is exercised too.
+    EXPECT_GT(accepted, mutants / 20);
+}
+
+TEST(EncodingFuzz, DecodePointMutantsBn254)
+{
+    fuzzDecodePoint<Bn254>(0xF0A1);
+}
+
+TEST(EncodingFuzz, DecodePointMutantsBls381)
+{
+    fuzzDecodePoint<Bls381>(0xF0A2);
+}
+
+// Mutants of serialized proofs are rejected, or deserialize to a
+// proof that serializes back to the mutant byte for byte.
+TEST(EncodingFuzz, DeserializeProofMutantsBn254)
+{
+    namespace zk = zksnark;
+    Prng prng(0xF0A3);
+    std::vector<std::vector<std::uint8_t>> seeds;
+    for (int i = 0; i < 3; ++i) {
+        zk::Proof<Bn254> proof;
+        proof.a = XYZZPoint<Bn254>::fromAffine(randomPoint<Bn254>(prng));
+        proof.b = XYZZPoint<Bn254>::fromAffine(randomPoint<Bn254>(prng));
+        // One seed carries the identity, so its flag byte mutates too.
+        proof.c = i == 0 ? XYZZPoint<Bn254>::identity()
+                         : XYZZPoint<Bn254>::fromAffine(
+                               randomPoint<Bn254>(prng));
+        proof.aScalar = Bn254Fr::random(prng);
+        proof.bScalar = Bn254Fr::random(prng);
+        proof.cScalar = Bn254Fr::random(prng);
+        seeds.push_back(zk::serializeProof<Bn254>(proof));
+    }
+    const int mutants = specFuzzMutants();
+    int accepted = 0;
+    for (int i = 0; i < mutants; ++i) {
+        const std::vector<std::uint8_t> bytes = mutateBytes(seeds, prng);
+        const auto proof = zk::deserializeProof<Bn254>(bytes);
+        if (!proof)
+            continue;
+        ++accepted;
+        ASSERT_EQ(zk::serializeProof<Bn254>(*proof), bytes)
+            << "mutant " << i;
+    }
+    EXPECT_GT(accepted, mutants / 20);
 }
 
 template <typename P>

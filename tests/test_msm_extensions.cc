@@ -240,8 +240,8 @@ TEST(Precompute, TableHoldsWindowMultiples)
     Prng prng(0x55);
     const auto points = generatePoints<Bn254>(6, prng);
     const unsigned s = 5, windows = 4;
-    const auto table = detail::precomputeWindowMultiples<Bn254>(
-        points, windows, s);
+    const auto table =
+        buildPrecomputeTable<Bn254>(points, windows, s, false, 1)->rows;
     ASSERT_EQ(table.size(), windows);
     using Xyzz = XYZZPoint<Bn254>;
     for (unsigned j = 0; j < windows; ++j) {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the fixed-base precomputation subsystem: the combined
- * single-bucket-pass engine path, the cross-proof BaseTableCache,
- * the planner's memory-budget decision, and the Groth16 prover
- * plumbed through engine-backed MSMs.
+ * Tests for the fixed-base precomputation subsystem: the table
+ * build, the combined single-bucket-pass engine path, the cross-proof
+ * BaseTableCache, the planner's memory-budget decision, and the
+ * Groth16 prover plumbed through engine-backed MSMs.
  */
 
 #include <gtest/gtest.h>
@@ -147,6 +147,75 @@ TEST(PrecomputeDeterminism, BitIdenticalAcrossHostThreads)
         EXPECT_EQ(other.stats.globalAtomics,
                   base.stats.globalAtomics);
     }
+}
+
+/** Same infinity flag and the same Montgomery limbs of x and y. */
+bool
+sameBits(const AffinePoint<Bn254> &a, const AffinePoint<Bn254> &b)
+{
+    return a.infinity == b.infinity && a.x == b.x && a.y == b.y;
+}
+
+TEST(PrecomputeTableBuild, RowsAreBitExactWindowMultiples)
+{
+    // More bases than one chunk and not a multiple of it, so a full
+    // and a partial chunk each normalize their own slice of a row.
+    const std::size_t n = kTableChunkBases + 37;
+    const unsigned windows = 4, s = 3;
+    Prng prng(0x7AB1E);
+    auto points = generatePoints<Bn254>(n, prng);
+    points[5] = AffinePoint<Bn254>::identity();
+    for (const bool glv : {false, true}) {
+        std::vector<AffinePoint<Bn254>> bases = points;
+        if (glv)
+            for (const auto &p : points)
+                bases.push_back(glv::endomorphism<Bn254>(p));
+        std::vector<std::vector<AffinePoint<Bn254>>> want(windows);
+        for (unsigned j = 0; j < windows; ++j) {
+            BigInt<4> factor{};
+            factor.setBit(j * s);
+            for (const auto &b : bases)
+                want[j].push_back(
+                    pmul(XYZZPoint<Bn254>::fromAffine(b), factor)
+                        .toAffine());
+        }
+        for (const int threads : {1, 4}) {
+            const auto table = buildPrecomputeTable<Bn254>(
+                bases, windows, s, glv, threads);
+            EXPECT_EQ(table->buildPdbls,
+                      precomputeBuildPdbls(bases.size(), windows, s));
+            EXPECT_EQ(table->bytes,
+                      precomputeTableBytes(bases.size(), windows, 32));
+            ASSERT_EQ(table->rows.size(), windows);
+            for (unsigned j = 0; j < windows; ++j) {
+                const auto &row = table->rows[j];
+                ASSERT_EQ(row.size(), bases.size());
+                for (std::size_t i = 0; i < bases.size(); ++i)
+                    EXPECT_TRUE(sameBits(row[i], want[j][i]))
+                        << "glv=" << glv << " threads=" << threads
+                        << " j=" << j << " i=" << i;
+                for (std::size_t i = 0; glv && i < n; ++i)
+                    EXPECT_TRUE(sameBits(
+                        row[n + i], glv::endomorphism<Bn254>(row[i])))
+                        << "threads=" << threads << " j=" << j
+                        << " i=" << i;
+            }
+        }
+    }
+}
+
+TEST(PrecomputeTableBuild, RejectsGlvBasesThatAreNotPhiImages)
+{
+    // Earlier cases have started the global thread pool: re-execute
+    // the binary for the death-test child.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Prng prng(0x7AB1F);
+    const auto points = generatePoints<Bn254>(8, prng);
+    // The points themselves in place of their phi images.
+    auto bases = points;
+    bases.insert(bases.end(), points.begin(), points.end());
+    EXPECT_EXIT(buildPrecomputeTable<Bn254>(bases, 3, 4, true, 1),
+                ::testing::ExitedWithCode(1), "phi images");
 }
 
 TEST(BaseTableCacheTest, SecondEngineSkipsTableBuild)

@@ -166,8 +166,9 @@ main()
                 "fixed-base precompute declined by the planner at "
                 "N = 2^26 (table exceeds the %.0f GiB device "
                 "budget); the precompute rows above ran the "
-                "per-window fallback. See BENCH_msm.json for "
-                "proving-key-scale rows where the table fits.\n",
+                "per-window fallback. See the perfbench workload "
+                "msm-precompute-2p16 for a proving-key-scale run "
+                "where the table fits.\n",
                 node.device().globalMemBytes / 2.0 /
                     (1024.0 * 1024 * 1024));
         }

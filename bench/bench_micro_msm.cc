@@ -80,12 +80,13 @@ BENCHMARK(BM_FunctionalDistMsm)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Engine hot path at fixed geometry: the BENCH_msm.json acceptance
- * rows. The engine (plan, phi points, precompute tables) is built
- * outside the timing loop, the way a prover reusing a fixed point
- * vector runs; flags toggle the GLV decomposition and batched-affine
- * accumulation. s = 13 keeps the hierarchical scatter feasible
- * (s > 14 exceeds shared memory) while staying near the 2^18 optimum.
+ * Engine hot path at fixed geometry (BN254, 8 GPUs), run by hand:
+ * legacy, each flag alone, and both flags. The engine (plan, phi
+ * points, precompute tables) is built outside the timing loop, the
+ * way a prover reusing a fixed point vector runs; flags toggle the
+ * GLV decomposition and batched-affine accumulation. s = 13 keeps
+ * the hierarchical scatter feasible (s > 14 exceeds shared memory)
+ * while staying near the 2^18 optimum.
  */
 void
 engineHotPath(benchmark::State &state, bool glv, bool batch_affine)
@@ -194,8 +195,9 @@ BENCHMARK(BM_EngineMsmPrecomputeWarm)
 /**
  * Cold cache: every iteration clears BaseTableCache and rebuilds the
  * engine, so the table construction (the amortized one-time cost) is
- * inside the measurement. Warm vs cold is the ablation row the CI
- * release-bench gate checks.
+ * inside the measurement. Warm vs cold is the table-reuse ablation;
+ * BaseTableCacheTest.SecondEngineSkipsTableBuild holds the reuse in
+ * tier-1.
  */
 void
 BM_EngineMsmPrecomputeCold(benchmark::State &state)

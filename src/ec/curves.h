@@ -16,8 +16,14 @@
 
 namespace distmsm {
 
-/** Expands one generated curve namespace into a traits struct. */
-#define DISTMSM_CURVE(Name, ns, FqT, FrT, a_is_zero)                    \
+/**
+ * Expands one generated curve namespace into a traits struct.
+ * subgroup_check makes decodePoint reject points outside the order-r
+ * subgroup. It is set on BLS12-381 only: BN254 G1 has cofactor 1,
+ * and the BLS12-377 and MNT4753 generators here lie outside the
+ * subgroup themselves (DESIGN.md Section 1).
+ */
+#define DISTMSM_CURVE(Name, ns, FqT, FrT, a_is_zero, subgroup_check)    \
     struct Name                                                         \
     {                                                                   \
         using Fq = FqT;                                                 \
@@ -25,6 +31,7 @@ namespace distmsm {
         static constexpr unsigned kScalarBits =                         \
             constants::ns::kScalarBits;                                 \
         static constexpr bool kAIsZero = a_is_zero;                     \
+        static constexpr bool kSubgroupCheck = subgroup_check;          \
         static constexpr const char *kName = #Name;                     \
         static constexpr Fq                                             \
         a()                                                             \
@@ -47,10 +54,10 @@ namespace distmsm {
         }                                                               \
     }
 
-DISTMSM_CURVE(Bn254, bn254, Bn254Fq, Bn254Fr, true);
-DISTMSM_CURVE(Bls377, bls377, Bls377Fq, Bls377Fr, true);
-DISTMSM_CURVE(Bls381, bls381, Bls381Fq, Bls381Fr, true);
-DISTMSM_CURVE(Mnt4753, mnt4753, Mnt4753Fq, Mnt4753Fr, false);
+DISTMSM_CURVE(Bn254, bn254, Bn254Fq, Bn254Fr, true, false);
+DISTMSM_CURVE(Bls377, bls377, Bls377Fq, Bls377Fr, true, false);
+DISTMSM_CURVE(Bls381, bls381, Bls381Fq, Bls381Fr, true, true);
+DISTMSM_CURVE(Mnt4753, mnt4753, Mnt4753Fq, Mnt4753Fr, false, false);
 
 #undef DISTMSM_CURVE
 

@@ -61,7 +61,8 @@ encodePoint(const AffinePoint<Curve> &p)
 
 /**
  * Decompress; returns nullopt for malformed input (bad flag, x not
- * on the curve, or x >= p).
+ * on the curve, or x >= p) and, on curves whose kSubgroupCheck is
+ * set, for a point outside the order-r subgroup ([r]P != O).
  */
 template <typename Curve>
 std::optional<AffinePoint<Curve>>
@@ -94,19 +95,23 @@ decodePoint(const std::vector<std::uint8_t> &bytes)
 
     const Fq x = Fq::fromRaw(raw);
     const Fq rhs = x.sqr() * x + Curve::a() * x + Curve::b();
-    if (rhs.legendre() != 1) {
-        if (rhs.isZero()) {
-            // y = 0: a two-torsion point.
-            return AffinePoint<Curve>::fromXY(x, Fq::zero());
-        }
-        return std::nullopt;
+    Fq y = Fq::zero(); // rhs == 0: a two-torsion point
+    if (!rhs.isZero()) {
+        if (rhs.legendre() != 1)
+            return std::nullopt;
+        y = rhs.sqrt();
+        const bool want_odd =
+            bytes[0] == static_cast<std::uint8_t>(PointFlag::OddY);
+        if (y.toRaw().bit(0) != want_odd)
+            y = -y;
     }
-    Fq y = rhs.sqrt();
-    const bool want_odd =
-        bytes[0] == static_cast<std::uint8_t>(PointFlag::OddY);
-    if (y.toRaw().bit(0) != want_odd)
-        y = -y;
-    return AffinePoint<Curve>::fromXY(x, y);
+    const auto p = AffinePoint<Curve>::fromXY(x, y);
+    if constexpr (Curve::kSubgroupCheck) {
+        if (!pmul(XYZZPoint<Curve>::fromAffine(p), Curve::Fr::modulus())
+                 .isIdentity())
+            return std::nullopt;
+    }
+    return p;
 }
 
 } // namespace distmsm

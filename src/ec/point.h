@@ -19,6 +19,7 @@
 #define DISTMSM_EC_POINT_H
 
 #include "src/ec/op_counters.h"
+#include "src/field/batch_inverse.h"
 #include "src/support/check.h"
 
 namespace distmsm {
@@ -137,6 +138,54 @@ struct XYZZPoint
         return x * o.zz == o.x * zz && y * o.zzz == o.y * zzz;
     }
 };
+
+/** Buffers of toAffineBatch, reused across one thread's calls. */
+template <typename Fq>
+struct AffineBatchScratch
+{
+    std::vector<Fq> denoms;
+    std::vector<Fq> prefix;
+    std::vector<std::uint8_t> skipped;
+};
+
+/**
+ * Batch-normalize XYZZ points to affine form into
+ * out[0, points.size()).
+ * Identity points have zz == zzz == 0, which the zero-skipping batch
+ * inversion routes around; their outputs are the affine identity.
+ */
+template <typename Curve>
+void
+toAffineBatch(const std::vector<XYZZPoint<Curve>> &points,
+              AffinePoint<Curve> *out,
+              AffineBatchScratch<typename Curve::Fq> &scratch)
+{
+    auto &denoms = scratch.denoms;
+    denoms.clear();
+    for (const auto &p : points) {
+        denoms.push_back(p.zz);
+        denoms.push_back(p.zzz);
+    }
+    batchInverseSkipZero(denoms, scratch.prefix, scratch.skipped);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        out[i] = scratch.skipped[2 * i]
+                     ? AffinePoint<Curve>::identity()
+                     : AffinePoint<Curve>::fromXY(
+                           points[i].x * denoms[2 * i],
+                           points[i].y * denoms[2 * i + 1]);
+    }
+}
+
+/** toAffineBatch into a new vector, with call-local scratch. */
+template <typename Curve>
+std::vector<AffinePoint<Curve>>
+toAffineBatch(const std::vector<XYZZPoint<Curve>> &points)
+{
+    std::vector<AffinePoint<Curve>> out(points.size());
+    AffineBatchScratch<typename Curve::Fq> scratch;
+    toAffineBatch<Curve>(points, out.data(), scratch);
+    return out;
+}
 
 /** Point doubling (EFD dbl-2008-s-1 adapted for XYZZ). */
 template <typename Curve>

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "src/ec/point.h"
-#include "src/field/batch_inverse.h"
 #include "src/msm/glv.h"
 #include "src/support/check.h"
 #include "src/support/thread_pool.h"
@@ -55,54 +54,6 @@
 namespace distmsm::msm {
 
 namespace detail {
-
-/** Buffers of toAffineBatch, reused across one thread's calls. */
-template <typename Fq>
-struct AffineBatchScratch
-{
-    std::vector<Fq> denoms;
-    std::vector<Fq> prefix;
-    std::vector<std::uint8_t> skipped;
-};
-
-/**
- * Batch-normalize XYZZ points to affine form into
- * out[0, points.size()).
- * Identity points have zz == zzz == 0, which the zero-skipping batch
- * inversion routes around; their outputs are the affine identity.
- */
-template <typename Curve>
-void
-toAffineBatch(const std::vector<XYZZPoint<Curve>> &points,
-              AffinePoint<Curve> *out,
-              AffineBatchScratch<typename Curve::Fq> &scratch)
-{
-    auto &denoms = scratch.denoms;
-    denoms.clear();
-    for (const auto &p : points) {
-        denoms.push_back(p.zz);
-        denoms.push_back(p.zzz);
-    }
-    batchInverseSkipZero(denoms, scratch.prefix, scratch.skipped);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        out[i] = scratch.skipped[2 * i]
-                     ? AffinePoint<Curve>::identity()
-                     : AffinePoint<Curve>::fromXY(
-                           points[i].x * denoms[2 * i],
-                           points[i].y * denoms[2 * i + 1]);
-    }
-}
-
-/** toAffineBatch into a new vector, with call-local scratch. */
-template <typename Curve>
-std::vector<AffinePoint<Curve>>
-toAffineBatch(const std::vector<XYZZPoint<Curve>> &points)
-{
-    std::vector<AffinePoint<Curve>> out(points.size());
-    AffineBatchScratch<typename Curve::Fq> scratch;
-    toAffineBatch<Curve>(points, out.data(), scratch);
-    return out;
-}
 
 /**
  * Feed a field element's canonical limbs into a fingerprint mixer.
@@ -403,13 +354,13 @@ buildPrecomputeTable(const std::vector<AffinePoint<Curve>> &bases,
                                  bases[i])))
                     bad_phi.store(true, std::memory_order_relaxed);
             }
-            detail::AffineBatchScratch<typename Curve::Fq> scratch;
+            AffineBatchScratch<typename Curve::Fq> scratch;
             for (unsigned j = 1; j < num_windows; ++j) {
                 for (auto &p : chains)
                     for (unsigned b = 0; b < window_bits; ++b)
                         p = pdbl(p);
                 Affine *row = rows[j].data();
-                detail::toAffineBatch<Curve>(chains, row + lo, scratch);
+                toAffineBatch<Curve>(chains, row + lo, scratch);
                 if (glv)
                     for (std::size_t i = lo; i < hi; ++i)
                         row[n + i] =

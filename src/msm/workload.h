@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/ec/point.h"
-#include "src/field/batch_inverse.h"
 #include "src/support/prng.h"
 
 namespace distmsm::msm {
@@ -43,23 +42,7 @@ generatePoints(std::size_t n, Prng &prng)
     }
 
     // Batch-normalize: invert all ZZ and ZZZ in one pass.
-    using Fq = typename Curve::Fq;
-    std::vector<Fq> denoms;
-    denoms.reserve(2 * n);
-    for (const auto &p : walk) {
-        denoms.push_back(p.zz);
-        denoms.push_back(p.zzz);
-    }
-    batchInverse(denoms);
-
-    std::vector<AffinePoint<Curve>> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        out.push_back(AffinePoint<Curve>::fromXY(
-            walk[i].x * denoms[2 * i],
-            walk[i].y * denoms[2 * i + 1]));
-    }
-    return out;
+    return toAffineBatch<Curve>(walk);
 }
 
 /** @return n uniformly random scalars of Curve::kScalarBits bits. */

@@ -173,24 +173,7 @@ fixedBaseMultiples(const AffinePoint<Curve> &g,
     for (const auto &k : scalars)
         raw.push_back(table.mul(k.toRaw()));
 
-    // Batch-normalize (identity entries keep denominator one).
-    using Fq = typename Curve::Fq;
-    std::vector<Fq> denoms;
-    denoms.reserve(2 * raw.size());
-    for (const auto &p : raw) {
-        denoms.push_back(p.isIdentity() ? Fq::one() : p.zz);
-        denoms.push_back(p.isIdentity() ? Fq::one() : p.zzz);
-    }
-    batchInverse(denoms);
-    std::vector<AffinePoint<Curve>> out(raw.size());
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (!raw[i].isIdentity()) {
-            out[i] = AffinePoint<Curve>::fromXY(
-                raw[i].x * denoms[2 * i],
-                raw[i].y * denoms[2 * i + 1]);
-        }
-    }
-    return out;
+    return toAffineBatch<Curve>(raw);
 }
 
 /** MSM over Fr scalars via the serial Pippenger reference, or the

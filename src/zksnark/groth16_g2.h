@@ -60,7 +60,7 @@ extendSetupG2(const ProvingKey<typename Pair::G1> &pk)
     raw.reserve(pk.bQuery.size());
     for (const auto &b : pk.bQuery)
         raw.push_back(table.mul(b.toRaw()));
-    ext.bPoints = msm::detail::toAffineBatch<G2>(raw);
+    ext.bPoints = toAffineBatch<G2>(raw);
     return ext;
 }
 

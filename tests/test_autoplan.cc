@@ -69,6 +69,43 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
         if (v >= 1)
             cases = static_cast<int>(v);
     }
+    const auto check = [](const CurveProfile &curve, unsigned log_n,
+                          const Cluster &cluster, const MsmOptions &base,
+                          const std::string &where) {
+        const std::uint64_t n = std::uint64_t{1} << log_n;
+        MsmOptions heur = base;
+        heur.planner = PlannerMode::Heuristic;
+        MsmOptions search = base;
+        search.planner = PlannerMode::Search;
+
+        const double heur_ns =
+            estimateDistMsm(curve, n, cluster, heur).totalNs();
+        const double search_ns =
+            estimateDistMsm(curve, n, cluster, search).totalNs();
+        EXPECT_LE(search_ns, heur_ns) << where;
+
+        // The plan alone reprices the search: priced under the
+        // caller's own options it reproduces the searched score
+        // exactly, so no searched decision lives outside the plan.
+        const AutoPlanResult r = autoplanMsm(curve, n, cluster, search);
+        EXPECT_EQ(estimateDistMsmWithPlan(curve, n, cluster, search,
+                                          r.plan)
+                      .totalNs(),
+                  r.searchedNs)
+            << where;
+
+        // The search is deterministic: re-planning returns the
+        // same plan bit-identically.
+        EXPECT_TRUE(samePlan(planMsm(curve, n, cluster, search),
+                             planMsm(curve, n, cluster, search)))
+            << where;
+    };
+
+    // One fixed input first: BN254 at 2^20 on 8 flat GPUs with
+    // default options, the planner comparison the README quotes.
+    check(CurveProfile::bn254(), 20, Cluster(DeviceSpec::a100(), 8),
+          MsmOptions{}, "fixed: BN254 N=2^20 on flat 8, defaults");
+
     Prng prng(0xA070);
     // Faults and the watchdog move totalNs, so the search must win
     // under them too. They come from their own stream, which keeps
@@ -131,34 +168,7 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
             " N=2^" + std::to_string(log_n) + " on " +
             topology.describe() + ", faults '" + fault_spec +
             "', watchdog " + (base.watchdog ? "on" : "off");
-
-        const std::uint64_t n = std::uint64_t{1} << log_n;
-        MsmOptions heur = base;
-        heur.planner = PlannerMode::Heuristic;
-        MsmOptions search = base;
-        search.planner = PlannerMode::Search;
-
-        const double heur_ns =
-            estimateDistMsm(curve, n, cluster, heur).totalNs();
-        const double search_ns =
-            estimateDistMsm(curve, n, cluster, search).totalNs();
-        EXPECT_LE(search_ns, heur_ns) << where;
-
-        // The plan alone reprices the search: priced under the
-        // caller's own options it reproduces the searched score
-        // exactly, so no searched decision lives outside the plan.
-        const AutoPlanResult r = autoplanMsm(curve, n, cluster, search);
-        EXPECT_EQ(estimateDistMsmWithPlan(curve, n, cluster, search,
-                                          r.plan)
-                      .totalNs(),
-                  r.searchedNs)
-            << where;
-
-        // The search is deterministic: re-planning returns the
-        // same plan bit-identically.
-        EXPECT_TRUE(samePlan(planMsm(curve, n, cluster, search),
-                             planMsm(curve, n, cluster, search)))
-            << where;
+        check(curve, log_n, cluster, base, where);
     }
 }
 

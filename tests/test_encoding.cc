@@ -28,6 +28,44 @@ randomPoint(Prng &prng)
     return pmul(XYZZPoint<C>::fromAffine(C::generator()), k).toAffine();
 }
 
+/** x^3 + ax + b is a square or zero: some curve point has this x. */
+template <typename C>
+bool
+onCurveX(const typename C::Fq &x)
+{
+    return (x.sqr() * x + C::a() * x + C::b()).legendre() != -1;
+}
+
+/**
+ * @p bytes is a well-formed non-identity encoding whose x is on the
+ * curve, read here without the decoder.
+ */
+template <typename C>
+bool
+namesCurveX(const std::vector<std::uint8_t> &bytes)
+{
+    using Fq = typename C::Fq;
+    if (bytes.size() != encodedPointSize<C>() ||
+        (bytes[0] != static_cast<std::uint8_t>(PointFlag::EvenY) &&
+         bytes[0] != static_cast<std::uint8_t>(PointFlag::OddY)))
+        return false;
+    typename Fq::Base raw{};
+    const std::size_t n_bytes = bytes.size() - 1;
+    for (std::size_t b = 0; b < n_bytes; ++b)
+        raw.limb[b / 8] |=
+            static_cast<std::uint64_t>(bytes[n_bytes - b]) << (8 * (b % 8));
+    return raw < Fq::modulus() && onCurveX<C>(Fq::fromRaw(raw));
+}
+
+/** [r]P == O: @p p lies in the order-r subgroup. */
+template <typename C>
+bool
+inSubgroup(const AffinePoint<C> &p)
+{
+    return pmul(XYZZPoint<C>::fromAffine(p), C::Fr::modulus())
+        .isIdentity();
+}
+
 template <typename C>
 class EncodingTest : public ::testing::Test
 {
@@ -114,6 +152,32 @@ TYPED_TEST(EncodingTest, RejectsNonCurveX)
     GTEST_SKIP() << "no small non-curve x found";
 }
 
+TEST(EncodingSubgroup, RejectsBls381PointsOutsideG1)
+{
+    // BLS12-381 G1 has a cofactor, so most x on the curve name a
+    // point outside the order-r subgroup: the first 20 small ones
+    // all do, and each must be rejected.
+    using Fq = Bls381::Fq;
+    int found = 0;
+    for (std::uint64_t x = 0; x < 200 && found < 20; ++x) {
+        const Fq fx = Fq::fromU64(x);
+        if (!onCurveX<Bls381>(fx))
+            continue;
+        ++found;
+        Fq y = (fx.sqr() * fx + Bls381::a() * fx + Bls381::b()).sqrt();
+        if (y.toRaw().bit(0))
+            y = -y;
+        const auto p = AffinePoint<Bls381>::fromXY(fx, y);
+        ASSERT_TRUE(p.isOnCurve()) << "x = " << x;
+        ASSERT_FALSE(inSubgroup(p)) << "x = " << x;
+        const auto bytes = encodePoint<Bls381>(p);
+        ASSERT_EQ(bytes[0], static_cast<std::uint8_t>(PointFlag::EvenY));
+        EXPECT_FALSE(decodePoint<Bls381>(bytes).has_value())
+            << "x = " << x;
+    }
+    EXPECT_EQ(found, 20);
+}
+
 TEST(ProofIo, RoundTripAndSize)
 {
     namespace zk = zksnark;
@@ -156,7 +220,9 @@ TEST(ProofIo, RoundTripAndSize)
 /**
  * Mutants of valid point encodings are rejected, or decode to an
  * on-curve point whose encoding is the mutant byte for byte: every
- * accepted input is the one canonical encoding of its point.
+ * accepted input is the one canonical encoding of its point. On a
+ * curve whose decoder checks the subgroup, every accepted point also
+ * lies in it.
  */
 template <typename C>
 void
@@ -172,18 +238,34 @@ fuzzDecodePoint(std::uint64_t seed)
     }
     const int mutants = specFuzzMutants();
     int accepted = 0;
+    int curve_x = 0;
     for (int i = 0; i < mutants; ++i) {
         const std::vector<std::uint8_t> bytes = mutateBytes(seeds, prng);
+        if constexpr (C::kSubgroupCheck)
+            curve_x += namesCurveX<C>(bytes);
         const auto point = decodePoint<C>(bytes);
         if (!point)
             continue;
         ++accepted;
         ASSERT_TRUE(point->isOnCurve()) << "mutant " << i;
+        if constexpr (C::kSubgroupCheck) {
+            ASSERT_TRUE(inSubgroup(*point)) << "mutant " << i;
+        }
         ASSERT_EQ(encodePoint<C>(*point), bytes) << "mutant " << i;
     }
-    // Flipped x bits land on the curve about half the time, so the
-    // accepting branch is exercised too.
-    EXPECT_GT(accepted, mutants / 20);
+    if constexpr (C::kSubgroupCheck) {
+        // Flipped x bits land on the curve about half the time, but
+        // few of those points lie in the subgroup: the floor counts
+        // on-curve x, and both the subgroup's accepting and
+        // rejecting branches must run.
+        EXPECT_GT(curve_x, mutants / 20);
+        EXPECT_GT(accepted, 0);
+        EXPECT_LT(accepted, curve_x);
+    } else {
+        // Flipped x bits land on the curve about half the time, so
+        // the accepting branch is exercised too.
+        EXPECT_GT(accepted, mutants / 20);
+    }
 }
 
 TEST(EncodingFuzz, DecodePointMutantsBn254)

@@ -486,6 +486,65 @@ TEST(WatchdogTimeline, FlakyLinksPriceTheirBackoff)
     EXPECT_GT(t.totalNs(), t.gpuStageNs());
 }
 
+TEST(WatchdogTimeline, FaultFreeWatchdogAndHealthCostNothing)
+{
+    // On a fault-free run the watchdog and an attached health tracker
+    // are pure bookkeeping: the engine computes the same value, the
+    // same counters and the same report, and the timeline prices the
+    // same total as a run with both off.
+    const auto curve = gpusim::CurveProfile::bn254();
+    const Cluster cluster(DeviceSpec::a100(), 4);
+    const auto w = makeWorkload<Bn254>(1 << 10, 0x4EA3);
+    for (const bool glv : {false, true}) {
+        for (const bool precompute : {false, true}) {
+            SCOPED_TRACE(std::string("glv ") + (glv ? "on" : "off") +
+                         ", precompute " + (precompute ? "on" : "off"));
+            MsmOptions off = healthTestOptions();
+            off.batchAffine = true;
+            off.glv = glv;
+            off.precompute = precompute;
+            off.hierarchicalScatter = !precompute;
+            off.watchdog = false;
+            HealthTracker tracker(4);
+            MsmOptions on = off;
+            on.watchdog = true;
+            on.health = &tracker;
+
+            const auto on_or =
+                tryComputeDistMsm<Bn254>(w.points, w.scalars, cluster, on);
+            const auto off_or = tryComputeDistMsm<Bn254>(
+                w.points, w.scalars, cluster, off);
+            ASSERT_TRUE(on_or.isOk()) << on_or.status().toString();
+            ASSERT_TRUE(off_or.isOk()) << off_or.status().toString();
+            EXPECT_TRUE(bitEqual(on_or->value, off_or->value));
+            EXPECT_EQ(on_or->stats, off_or->stats);
+            EXPECT_EQ(on_or->hostOps, off_or->hostOps);
+            EXPECT_EQ(0, std::memcmp(&on_or->fault, &off_or->fault,
+                                     sizeof on_or->fault));
+            EXPECT_EQ(estimateDistMsmWithPlan(curve, w.points.size(),
+                                              cluster, on, on_or->plan)
+                          .totalNs(),
+                      estimateDistMsmWithPlan(curve, w.points.size(),
+                                              cluster, off,
+                                              off_or->plan)
+                          .totalNs());
+        }
+    }
+
+    // The same holds at the 2^18 geometry of the checksum gate.
+    const Cluster flat8(DeviceSpec::a100(), 8);
+    HealthTracker tracker(8);
+    MsmOptions off;
+    off.signedDigits = true;
+    off.windowBitsOverride = 13;
+    off.watchdog = false;
+    MsmOptions on = off;
+    on.watchdog = true;
+    on.health = &tracker;
+    EXPECT_EQ(estimateDistMsm(curve, 1ull << 18, flat8, on).totalNs(),
+              estimateDistMsm(curve, 1ull << 18, flat8, off).totalNs());
+}
+
 // --- Quarantine, re-planning and probes ------------------------------
 
 TEST(Quarantine, PlanningClusterExcludesQuarantinedDevices)

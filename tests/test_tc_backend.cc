@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/ec/curves.h"
@@ -391,13 +392,17 @@ TEST(TcBackendTimeline, AutoNeverLosesToEitherForcedBackend)
     // backends under the timeline model — on every curve and at
     // several scales (this is the point of the knob).
     const Cluster cluster(DeviceSpec::a100(), Topology::flat(8));
+    const std::string bn254 = CurveProfile::bn254().name;
+    const std::string mnt4753 = CurveProfile::mnt4753().name;
     for (const CurveProfile &curve :
          {CurveProfile::bn254(), CurveProfile::bls381(),
           CurveProfile::mnt4753()}) {
-        for (unsigned logn : {16u, 20u, 24u}) {
+        for (unsigned logn : {14u, 16u, 18u, 20u, 22u, 24u}) {
             MsmOptions options;
             const auto auto_t = estimateDistMsm(
                 curve, 1ull << logn, cluster, options);
+            const MsmPlan plan =
+                planMsm(curve, 1ull << logn, cluster, options);
             options.fieldBackend = FieldBackend::CudaCore;
             const auto cc_t = estimateDistMsm(
                 curve, 1ull << logn, cluster, options);
@@ -408,6 +413,19 @@ TEST(TcBackendTimeline, AutoNeverLosesToEitherForcedBackend)
                       std::min(cc_t.totalNs(), tc_t.totalNs()) *
                           (1.0 + 1e-12))
                 << curve.name << " 2^" << logn;
+            // The per-curve winner: tensor cores on BN254 from 2^14
+            // to 2^22, CUDA cores on MNT4753 (12-limb operands) at
+            // 2^20.
+            if (curve.name == bn254 && logn <= 22) {
+                EXPECT_LT(tc_t.totalNs(), cc_t.totalNs())
+                    << "2^" << logn;
+                EXPECT_EQ(plan.fieldBackend, FieldBackend::TensorCore)
+                    << "2^" << logn;
+            }
+            if (curve.name == mnt4753 && logn == 20) {
+                EXPECT_LT(cc_t.totalNs(), tc_t.totalNs());
+                EXPECT_EQ(plan.fieldBackend, FieldBackend::CudaCore);
+            }
         }
     }
 }

@@ -482,6 +482,14 @@ main(int argc, char **argv)
         table.row({"checksum verify",
                    TextTable::num(t.verifyNs / 1e6, 3)});
     }
+    if (t.stragglerNs > 0.0) {
+        table.row({"straggler wait",
+                   TextTable::num(t.stragglerNs / 1e6, 3)});
+    }
+    if (t.backoffNs > 0.0) {
+        table.row({"retry backoff",
+                   TextTable::num(t.backoffNs / 1e6, 3)});
+    }
     if (t.tableBuildNs > 0.0) {
         table.row({"table build (one-time)",
                    TextTable::num(t.tableBuildNs / 1e6, 3)});

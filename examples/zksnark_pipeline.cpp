@@ -70,7 +70,7 @@ main()
     const bool g2_ok = zk::verifyWithG2<zk::Bn254Pair>(
         keys.vk, proof, b2, public_inputs);
     const std::size_t wire_bytes =
-        2 * encodedPointSize<Bn254>() + zk::encodedG2PointSize();
+        2 * encodedPointSize<Bn254>() + encodedPointSize<Bn254G2>();
     std::printf("G2 element verified: %s; compressed proof wire "
                 "size: %zu bytes (paper: ~127)\n",
                 g2_ok ? "yes" : "NO", wire_bytes);

@@ -43,6 +43,9 @@ struct Bn254G2
     using Fr = Bn254Fr;
     static constexpr unsigned kScalarBits = 254;
     static constexpr bool kAIsZero = true;
+    /** decodePoint rejects twist points outside G2: the cofactor
+     *  2p - r leaves almost every twist point outside it. */
+    static constexpr bool kSubgroupCheck = true;
     static constexpr const char *kName = "BN254-G2";
 
     static Fq

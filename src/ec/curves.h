@@ -19,9 +19,10 @@ namespace distmsm {
 /**
  * Expands one generated curve namespace into a traits struct.
  * subgroup_check makes decodePoint reject points outside the order-r
- * subgroup. It is set on BLS12-381 only: BN254 G1 has cofactor 1,
- * and the BLS12-377 and MNT4753 generators here lie outside the
- * subgroup themselves (DESIGN.md Section 1).
+ * subgroup. It is set on BLS12-377 and BLS12-381, whose G1 has a
+ * cofactor; BN254 G1 has cofactor 1, and the MNT4753 generator here
+ * lies outside the subgroup itself, because its b is synthesized
+ * (DESIGN.md Section 1).
  */
 #define DISTMSM_CURVE(Name, ns, FqT, FrT, a_is_zero, subgroup_check)    \
     struct Name                                                         \
@@ -55,7 +56,7 @@ namespace distmsm {
     }
 
 DISTMSM_CURVE(Bn254, bn254, Bn254Fq, Bn254Fr, true, false);
-DISTMSM_CURVE(Bls377, bls377, Bls377Fq, Bls377Fr, true, false);
+DISTMSM_CURVE(Bls377, bls377, Bls377Fq, Bls377Fr, true, true);
 DISTMSM_CURVE(Bls381, bls381, Bls381Fq, Bls381Fr, true, true);
 DISTMSM_CURVE(Mnt4753, mnt4753, Mnt4753Fq, Mnt4753Fr, false, false);
 

@@ -473,9 +473,9 @@ class MsmEngine
 
     /**
      * Assign phase: place every unit on a device, list the run's
-     * survivors, classify the fault plan's device faults, and decide
-     * each unit's fate — run where placed, reshard onto a survivor
-     * (pickSurvivor), or (watchdog) respawn on the fastest survivor.
+     * survivors, classify the fault plan's device faults, and execute
+     * each unit's watchdogVerdict — run where placed, reshard onto a
+     * survivor (pickSurvivor), or respawn on the verdict's target.
      * Sequential, devices and units ascending, so detection, health
      * escalation and target choice are identical at every
      * hostThreads setting.
@@ -484,10 +484,9 @@ class MsmEngine
      * ones sit out; without a tracker that is every device, the
      * legacy w % numGpus layout); the fault grammar's win= names the
      * ordinal of a window on its device. Slices are one per device
-     * and have no window boundary or per-window deadline: a kill at
-     * any window, a hang or a quarantine loses the device's whole
-     * slice to a survivor, and a degrade is only logged (priced as
-     * the timeline's stragglerNs).
+     * and span every window (kSliceOrdinal): a kill at any window, a
+     * hang or a quarantine loses the device's whole slice to a
+     * survivor, and a degrade stretches it, never respawned.
      */
     support::Status
     assign(MsmRun &run) const
@@ -542,154 +541,82 @@ class MsmEngine
             run.faultLog.push_back("kill/dev" + std::to_string(d) +
                                    at_window(kw));
         }
-        if (fp.hasStragglerFaults()) {
-            for (int d = 0; d < num_gpus; ++d) {
-                if (fp.degraded(d)) {
-                    ++report.faultsInjected;
-                    run.devFaulted[static_cast<std::size_t>(d)] = 1;
-                    run.faultLog.push_back("degrade/dev" +
-                                           std::to_string(d));
-                }
-                const int hw = fp.hangWindow(d);
-                if (hw >= 0) {
-                    ++report.hangs;
-                    ++report.faultsInjected;
-                    run.devFaulted[static_cast<std::size_t>(d)] = 1;
-                    if (health != nullptr)
-                        health->recordHang(d);
-                    run.faultLog.push_back("hang/dev" +
-                                           std::to_string(d) +
-                                           at_window(hw));
-                }
+        for (int d = 0; d < num_gpus; ++d) {
+            if (fp.degraded(d)) {
+                ++report.faultsInjected;
+                run.devFaulted[static_cast<std::size_t>(d)] = 1;
+                run.faultLog.push_back("degrade/dev" + std::to_string(d));
+            }
+            const int hw = fp.hangWindow(d);
+            if (hw >= 0) {
+                ++report.hangs;
+                ++report.faultsInjected;
+                run.devFaulted[static_cast<std::size_t>(d)] = 1;
+                if (health != nullptr)
+                    health->recordHang(d);
+                run.faultLog.push_back("hang/dev" + std::to_string(d) +
+                                       at_window(hw));
             }
         }
 
-        // --- Device loss ---
-        // A device killed at its j-th window loses every window of
-        // ordinal >= j (results of earlier ordinals were already
-        // streamed out). Collective merges (plan_.collective !=
-        // Gather) and slices lose everything the device owned: a dead
-        // device can neither source nor relay reduce steps, so
-        // nothing was streamed out before the merge.
-        const bool whole_device =
-            run.slices ||
-            plan_.collective != gpusim::CollectiveAlgo::Gather;
+        // --- Watchdog verdicts: kills, hangs and stragglers ---
+        // Killed units, and hung or quarantined slices, go to the
+        // reshard below. Both copies of a respawned window execute the
+        // same deterministic unit, so the adopted point is
+        // bit-identical either way (execute asserts it). Waits are
+        // summed in per-unit estimates and priced once, as the
+        // timeline prices them.
+        double wait_units = 0.0;
+        double stall_units = 0.0;
         for (unsigned u = 0; u < n_units; ++u) {
             const int d = run.execDev[u];
-            const int kw = fp.killWindow(d);
-            if (kw >= 0 && (whole_device || ordinal(u) >= kw)) {
+            const WatchdogVerdict v = watchdogVerdict(
+                fp, d, run.slices ? kSliceOrdinal : ordinal(u),
+                plan_.collective != gpusim::CollectiveAlgo::Gather,
+                options_.watchdog, run.survivors);
+            if (v.killed || (run.slices && !v.hang && quarantined(d))) {
                 lost[u] = 1;
-            } else if (run.slices && fp.hangWindow(d) >= 0) {
-                // A hung slice never finishes: its speculative
-                // recompute on a survivor is a guaranteed win.
-                if (!options_.watchdog)
-                    return support::Status(
-                        support::StatusCode::TransferTimeout,
-                        "device " + std::to_string(d) +
-                            " hung in the combined pass and the "
-                            "watchdog is off");
+                continue;
+            }
+            if (v.hang && !options_.watchdog)
+                return support::Status(
+                    support::StatusCode::TransferTimeout,
+                    "device " + std::to_string(d) +
+                        " hung and the watchdog is off");
+            if (v.late) {
                 ++report.stragglersDetected;
-                ++report.stragglerRespawns;
-                ++report.speculativeWins;
-                lost[u] = 1;
-            } else if (run.slices && quarantined(d)) {
-                // Not a new fault — the tracker already counted
-                // whatever quarantined it; the slice just needs a
-                // healthy owner.
-                lost[u] = 1;
-            }
-        }
-
-        // --- Watchdog: straggling and hung windows ---
-        // A window whose projected completion blows its deadline —
-        // kWatchdogSlack x the calibrated per-window estimate — is
-        // speculatively re-dispatched onto the fastest survivor. The
-        // adopted copy is the one with the earlier
-        // *priced* completion, the original canonical on ties; both
-        // copies execute the same deterministic unit, so the adopted
-        // point is bit-identical either way (execute asserts it).
-        if (!run.slices && fp.hasStragglerFaults()) {
-            const double est = window_estimate_ns_;
-            for (unsigned w = 0; w < n_units; ++w) {
-                if (lost[w])
-                    continue;
-                const int d = run.execDev[w];
-                const int ord = ordinal(w);
-                const double f = fp.degradeFactor(d, ord);
-                const int hw = fp.hangWindow(d);
-                // A collective merge loses every window of a hung
-                // device (nothing streams out before the merge),
-                // exactly like the kill path.
-                const bool hang =
-                    hw >= 0 && (whole_device || ord >= hw);
-                if (hang && !options_.watchdog)
+                if (health != nullptr && !v.hang)
+                    health->recordStraggler(d);
+                if (v.hang && v.target < 0)
                     return support::Status(
-                        support::StatusCode::TransferTimeout,
+                        support::StatusCode::DeviceLost,
                         "device " + std::to_string(d) +
-                            " hung at window " + std::to_string(w) +
-                            " and the watchdog is off");
-                int target = -1;
-                double target_f =
-                    std::numeric_limits<double>::infinity();
-                if (options_.watchdog &&
-                    (hang || f > kWatchdogSlack)) {
-                    ++report.stragglersDetected;
-                    if (health != nullptr && !hang)
-                        health->recordStraggler(d);
-                    // Fastest survivor other than the straggler
-                    // itself; the lowest index breaks factor ties
-                    // (deterministic).
-                    for (const int c : run.survivors) {
-                        if (c == d)
-                            continue;
-                        const double cf = fp.degradeFactor(c, 0);
-                        if (cf < target_f) {
-                            target_f = cf;
-                            target = c;
-                        }
-                    }
-                    if (target < 0 && hang)
-                        return support::Status(
-                            support::StatusCode::DeviceLost,
-                            "device " + std::to_string(d) +
-                                " hung and no healthy candidate "
-                                "remains to respawn onto");
-                }
-                if (target < 0) {
-                    // No respawn (within the deadline, watchdog off,
-                    // or no candidate): the window stretches and the
-                    // merge waits the full factor behind it.
-                    report.stragglerWaitNs += (f - 1.0) * est;
-                    report.stragglerStallNs += (f - 1.0) * est;
-                    continue;
-                }
-                ++report.stragglerRespawns;
-                run.faultLog.push_back(
-                    "respawn/w" + std::to_string(w) + "/dev" +
-                    std::to_string(d) + "->dev" +
-                    std::to_string(target));
-                // Priced completions: the straggling original runs
-                // f x the estimate (a hang never completes); the
-                // speculative copy starts when the deadline fires
-                // and runs at the target's speed.
-                const double orig_ns =
-                    hang ? std::numeric_limits<double>::infinity()
-                         : f * est;
-                const double spec_ns =
-                    kWatchdogSlack * est + target_f * est;
-                run.dual[w] = !hang;
-                if (spec_ns < orig_ns) {
-                    ++report.speculativeWins;
-                    run.execDev[w] = target;
-                } else {
-                    ++report.speculativeLosses;
-                }
-                report.stragglerWaitNs +=
-                    std::min(orig_ns, spec_ns) - est;
-                report.stragglerStallNs +=
-                    hang ? kTransferTimeoutNs : (f - 1.0) * est;
+                            " hung and no healthy candidate remains "
+                            "to respawn onto");
             }
+            wait_units += v.adopted - 1.0;
+            if (v.hang)
+                report.stragglerStallNs += kTransferTimeoutNs;
+            else
+                stall_units += v.factor - 1.0;
+            if (v.target < 0)
+                continue;
+            ++report.stragglerRespawns;
+            ++(v.copyWins ? report.speculativeWins
+                          : report.speculativeLosses);
+            if (run.slices) {
+                lost[u] = 1; // a hung slice's copy is its reshard
+                continue;
+            }
+            run.faultLog.push_back("respawn/w" + std::to_string(u) +
+                                   "/dev" + std::to_string(d) + "->dev" +
+                                   std::to_string(v.target));
+            run.dual[u] = !v.hang;
+            if (v.copyWins)
+                run.execDev[u] = v.target;
         }
+        report.stragglerWaitNs += wait_units * unit_estimate_ns_;
+        report.stragglerStallNs += stall_units * unit_estimate_ns_;
 
         // --- Recovery: reshard lost units onto the survivors ---
         // A unit recomputes from the same scattered input on any
@@ -1284,35 +1211,33 @@ class MsmEngine
             acquireTable(host_threads);
         if (options_.health != nullptr)
             planned_generation_ = options_.health->generation();
-        refreshWindowEstimate();
+        refreshUnitEstimate();
     }
 
     /**
-     * Calibrated fault-free per-window GPU time — the base of the
-     * watchdog deadline (slack x this) and of the straggler
-     * pricing. Computed only when a tracker is attached or the
-     * fault plan contains degrade/hang clauses, so fault-free
+     * Calibrated fault-free per-unit GPU time (watchdogUnitNs) — the
+     * base of the watchdog deadline (slack x this) and of the
+     * straggler pricing. Computed only when a tracker is attached or
+     * the fault plan contains degrade/hang clauses, so fault-free
      * engines skip the cost-model call entirely (zero overhead).
      */
     void
-    refreshWindowEstimate() const
+    refreshUnitEstimate() const
     {
-        window_estimate_ns_ = 0.0;
+        unit_estimate_ns_ = 0.0;
         if (options_.health == nullptr &&
             !options_.faults.hasStragglerFaults())
             return;
         MsmOptions est_opts = options_;
-        // The estimate prices the *healthy* window (the deadline
+        // The estimate prices the *healthy* unit (the deadline
         // base), silently: no trace spans, no fault penalties.
         est_opts.trace = nullptr;
         est_opts.faults = gpusim::FaultPlan{};
-        const MsmTimeline t = estimateDistMsmWithPlan(
-            curve_profile_, points_.size(), cluster_, est_opts,
-            plan_);
-        const double wpg =
-            std::max(1.0, static_cast<double>(plan_.numWindows) /
-                              cluster_.numGpus());
-        window_estimate_ns_ = (t.scatterNs + t.bucketSumNs) / wpg;
+        unit_estimate_ns_ = watchdogUnitNs(
+            plan_,
+            estimateDistMsmWithPlan(curve_profile_, points_.size(),
+                                    cluster_, est_opts, plan_),
+            cluster_.numGpus());
     }
 
   public:
@@ -1722,12 +1647,8 @@ class MsmEngine
     mutable bool table_cache_hit_ = false;
     /** Health generation plan_ was computed against. */
     mutable std::uint64_t planned_generation_ = 0;
-    /**
-     * Calibrated fault-free per-window GPU time (ns): the watchdog
-     * deadline base. Zero when neither a tracker nor straggler
-     * clauses are present.
-     */
-    mutable double window_estimate_ns_ = 0.0;
+    /** Per-unit GPU time (ns) of refreshUnitEstimate. */
+    mutable double unit_estimate_ns_ = 0.0;
     /** Monotone probe ordinal (offsets kProbeXferBase). */
     mutable std::uint64_t probe_counter_ = 0;
     /** Orders trace labels of successive compute() calls. */

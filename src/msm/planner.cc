@@ -553,44 +553,39 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     }
 
     // --- Straggler + backoff pricing (fault layer) ---
-    // Degrade/hang clauses stall the lockstep merge behind the
-    // slowest device. With the watchdog on, a window that blows its
-    // slack x estimate deadline respawns on the fastest survivor
-    // (FaultPlan::survives: neither killed nor hung — the engine's
-    // respawn candidates), so the exposed penalty per device is
-    // gpu_side x (min(F, slack + best) - 1) — the straggling
-    // original (factor F) raced against waiting out the deadline
-    // plus the survivor's copy (slack + best). Without the watchdog
-    // the full (F - 1) stall lands on the critical path, and a hang
-    // costs the transfer timeout. Backoff prices the expected
-    // dead-wire wait of flaky / persistently corrupt devices'
-    // retries. Fault-free plans leave both fields zero, so every
-    // pre-existing timeline is unchanged.
+    // Stragglers price the engine's watchdog verdicts over its
+    // fault-free placement (window w on device w mod G at ordinal
+    // w / G, slice d on device d): each device waits its units'
+    // adopted completions past the estimate, and the merge waits for
+    // the worst device. A hang nobody takes over prices the
+    // kTransferTimeoutNs stand-in (the engine fails that run); a unit
+    // lost to a kill, and its reshard, price nothing. Backoff prices
+    // the expected dead-wire wait of flaky / persistently corrupt
+    // devices' retries. Fault-free plans leave both fields zero.
     if (!options.faults.empty()) {
         const gpusim::FaultPlan &fplan = options.faults;
-        double best = std::numeric_limits<double>::infinity();
-        for (int d = 0; d < cluster.numGpus(); ++d)
+        const int num_gpus = cluster.numGpus();
+        std::vector<int> survivors;
+        for (int d = 0; d < num_gpus; ++d)
             if (fplan.survives(d))
-                best = std::min(best, fplan.degradeFactor(d, 0));
-        if (!std::isfinite(best))
-            best = 1.0;
-        double worst = 0.0;
-        for (int d = 0; d < cluster.numGpus(); ++d) {
-            const double f = fplan.degradeFactor(d, 0);
-            const bool hang = fplan.hangWindow(d) >= 0;
-            double pen;
-            if (!options.watchdog) {
-                pen = hang ? kTransferTimeoutNs
-                           : (f - 1.0) * gpu_side_ns;
-            } else {
-                const double eff =
-                    hang ? kWatchdogSlack + best
-                         : std::min(f, kWatchdogSlack + best);
-                pen = (eff - 1.0) * gpu_side_ns;
-            }
-            worst = std::max(worst, pen);
+                survivors.push_back(d);
+        std::vector<double> wait_units(num_gpus, 0.0);
+        const int n_units =
+            plan.precompute ? num_gpus : static_cast<int>(plan.numWindows);
+        for (int u = 0; u < n_units; ++u) {
+            const int d = u % num_gpus;
+            const WatchdogVerdict v = watchdogVerdict(
+                fplan, d, plan.precompute ? kSliceOrdinal : u / num_gpus,
+                plan.collective != gpusim::CollectiveAlgo::Gather,
+                options.watchdog, survivors);
+            if (!v.killed)
+                wait_units[d] += v.adopted - 1.0;
         }
-        t.stragglerNs = worst;
+        const double unit_ns = watchdogUnitNs(plan, t, num_gpus);
+        for (const double wait : wait_units)
+            t.stragglerNs = std::max(
+                t.stragglerNs,
+                std::isinf(wait) ? kTransferTimeoutNs : wait * unit_ns);
 
         for (int d = 0; d < cluster.numGpus(); ++d) {
             double p = fplan.flakyProbability(d);
@@ -612,6 +607,40 @@ estimateDistMsmWithPlan(const CurveProfile &curve, std::uint64_t n,
     if (options.trace != nullptr)
         traceMsmTimeline(*options.trace, plan, t, cluster);
     return t;
+}
+
+WatchdogVerdict
+watchdogVerdict(const gpusim::FaultPlan &faults, int device, int ordinal,
+                bool whole_device, bool watchdog,
+                const std::vector<int> &survivors)
+{
+    const auto hits = [&](int onset) {
+        return onset >= 0 && (whole_device || ordinal >= onset);
+    };
+    WatchdogVerdict v;
+    v.killed = hits(faults.killWindow(device));
+    if (v.killed)
+        return v;
+    v.factor = faults.degradeFactor(device, ordinal);
+    v.hang = hits(faults.hangWindow(device));
+    v.late = watchdog && (v.hang || (ordinal != kSliceOrdinal &&
+                                     v.factor > kWatchdogSlack));
+    constexpr double kNever = std::numeric_limits<double>::infinity();
+    double target_factor = kNever;
+    if (v.late) {
+        for (const int c : survivors) {
+            const double cf = faults.degradeFactor(c, 0);
+            if (c != device && cf < target_factor) {
+                target_factor = cf;
+                v.target = c;
+            }
+        }
+    }
+    const double copy = kWatchdogSlack + target_factor;
+    const double original = v.hang ? kNever : v.factor;
+    v.copyWins = copy < original;
+    v.adopted = std::min(original, copy);
+    return v;
 }
 
 namespace {
@@ -704,6 +733,8 @@ traceMsmTimeline(support::TraceRecorder &trace, const MsmPlan &plan,
     metrics.set(mp + "window_reduce_ns", t.windowReduceNs);
     metrics.set(mp + "transfer_ns", t.transferNs);
     metrics.set(mp + "verify_ns", t.verifyNs);
+    metrics.set(mp + "straggler_ns", t.stragglerNs);
+    metrics.set(mp + "backoff_ns", t.backoffNs);
     metrics.set(mp + "total_ns", t.totalNs());
     metrics.set(mp + "cpu_reduce", t.cpuReduce ? 1.0 : 0.0);
     metrics.set(mp + "precompute", plan.precompute ? 1.0 : 0.0);

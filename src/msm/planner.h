@@ -17,9 +17,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/gpusim/cluster.h"
 #include "src/gpusim/collectives.h"
@@ -141,15 +143,15 @@ struct MsmOptions
      */
     bool verifyChecksums = true;
     /**
-     * Cost-model-derived straggler watchdog. Every window gets a
-     * deadline of kWatchdogSlack x the calibrated per-window
-     * estimate; a window that blows it (degrade beyond the slack, or
-     * a hang) is speculatively re-dispatched onto the fastest
-     * healthy survivor. The adopted copy is chosen by priced
-     * completion with a fixed canonical tie-break (the original
-     * wins ties), so results stay bit-identical at every
-     * hostThreads setting. Off: a hang is a typed error and a
-     * degrade merely stalls the merge.
+     * Cost-model-derived straggler watchdog (watchdogVerdict). Every
+     * unit gets a deadline of kWatchdogSlack x the calibrated
+     * per-unit estimate; a window that blows it (degrade beyond the
+     * slack, or a hang) is speculatively re-dispatched onto the
+     * fastest healthy survivor, and a hung slice is resharded. The
+     * adopted copy is chosen by priced completion with a fixed
+     * canonical tie-break (the original wins ties), so results stay
+     * bit-identical at every hostThreads setting. Off: a hang is a
+     * typed error and a degrade merely stalls the merge.
      */
     bool watchdog = true;
     /**
@@ -193,9 +195,43 @@ inline constexpr int kMaxTransferRetries = 2;
 /** Transfer attempts slower than this (injected delay) time out. */
 inline constexpr double kTransferTimeoutNs = 1e8;
 
-/** Watchdog deadline multiplier over the calibrated per-window
- *  estimate (MsmOptions::watchdog). */
+/** Watchdog deadline multiplier over the calibrated per-unit
+ *  estimate (MsmOptions::watchdog, watchdogUnitNs). */
 inline constexpr double kWatchdogSlack = 2.0;
+
+/** The window ordinal of a precompute slice: a slice spans every
+ *  window, so every kill, hang and degrade onset has passed. */
+inline constexpr int kSliceOrdinal = std::numeric_limits<int>::max();
+
+/** The watchdog's decision for one work unit (watchdogVerdict). */
+struct WatchdogVerdict
+{
+    bool killed = false;  ///< lost with its device; the reshard re-runs it
+    double factor = 1.0;  ///< slowdown on its device (degrade clauses)
+    bool hang = false;    ///< never completes on its device
+    bool late = false;    ///< the watchdog is on and the deadline blown
+    int target = -1;      ///< respawn device, -1 for none
+    bool copyWins = false; ///< the respawned copy is the one adopted
+    /** Completion of the adopted copy in per-unit estimates; infinite
+     *  for a hang that nobody takes over. */
+    double adopted = 1.0;
+};
+
+/**
+ * The one watchdog rule, which MsmEngine executes and
+ * estimateDistMsmWithPlan prices, for the unit at @p ordinal (or
+ * kSliceOrdinal) on @p device. Kills, hangs and degrades hit ordinals
+ * at or past their onset; kills and hangs hit every unit of the
+ * device when @p whole_device (a merge other than Gather). A hung
+ * unit, or a window slower than kWatchdogSlack, is late: its copy on
+ * the fastest other of @p survivors (lowest index on ties) starts at
+ * the deadline and is adopted only when it completes strictly
+ * earlier. A degraded slice is never respawned.
+ */
+WatchdogVerdict watchdogVerdict(const gpusim::FaultPlan &faults,
+                                int device, int ordinal,
+                                bool whole_device, bool watchdog,
+                                const std::vector<int> &survivors);
 
 /**
  * Transfer retries back off exponentially instead of retrying
@@ -287,6 +323,18 @@ struct MsmPlan
      */
     bool hierarchicalScatter = true;
 };
+
+/** Fault-free GPU time of one work unit priced by @p t — a window's
+ *  share of its device's scatter and bucket sum, or a whole slice:
+ *  the watchdog's deadline is kWatchdogSlack times this. */
+inline double
+watchdogUnitNs(const MsmPlan &plan, const MsmTimeline &t, int num_gpus)
+{
+    const double windows =
+        static_cast<double>(plan.numWindows) / num_gpus;
+    return (t.scatterNs + t.bucketSumNs) /
+           (plan.precompute ? 1.0 : std::max(1.0, windows));
+}
 
 /**
  * (numWindows, numBuckets) of @p window_bits windows over

@@ -39,13 +39,10 @@ struct MsmTimeline
      */
     double tableBuildNs = 0.0;
     /**
-     * Straggler penalty on the critical path (gpusim/faults.h
-     * degrade/hang clauses): with the watchdog on, the worst
-     * device's wait until its window's speculative copy (or the
-     * straggling original, whichever is priced earlier) completes;
-     * with it off, the full stall behind the slowest device — for a
-     * hang, the transfer timeout. Zero on fault-free runs, so every
-     * pre-existing timeline is unchanged.
+     * Straggler wait on the critical path: the worst device's
+     * watchdog verdicts (watchdogVerdict), the engine's
+     * FaultReport::stragglerWaitNs when one device straggles. Zero on
+     * fault-free runs, so every pre-existing timeline is unchanged.
      */
     double stragglerNs = 0.0;
     /**

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/bigint/squaring.h"
+#include "src/ec/bn254_g2.h"
 #include "src/ec/curves.h"
 #include "src/ec/encoding.h"
 #include "src/field/field_params.h"
@@ -152,30 +153,128 @@ TYPED_TEST(EncodingTest, RejectsNonCurveX)
     GTEST_SKIP() << "no small non-curve x found";
 }
 
-TEST(EncodingSubgroup, RejectsBls381PointsOutsideG1)
+/**
+ * The curve has a cofactor, so most x on it name a point outside the
+ * order-r subgroup: the first 20 small ones all do, and each must be
+ * rejected.
+ */
+template <typename C>
+void
+rejectsSmallXPointsOutsideG1()
 {
-    // BLS12-381 G1 has a cofactor, so most x on the curve name a
-    // point outside the order-r subgroup: the first 20 small ones
-    // all do, and each must be rejected.
-    using Fq = Bls381::Fq;
+    using Fq = typename C::Fq;
     int found = 0;
     for (std::uint64_t x = 0; x < 200 && found < 20; ++x) {
         const Fq fx = Fq::fromU64(x);
-        if (!onCurveX<Bls381>(fx))
+        if (!onCurveX<C>(fx))
             continue;
         ++found;
-        Fq y = (fx.sqr() * fx + Bls381::a() * fx + Bls381::b()).sqrt();
+        Fq y = (fx.sqr() * fx + C::a() * fx + C::b()).sqrt();
         if (y.toRaw().bit(0))
             y = -y;
-        const auto p = AffinePoint<Bls381>::fromXY(fx, y);
+        const auto p = AffinePoint<C>::fromXY(fx, y);
         ASSERT_TRUE(p.isOnCurve()) << "x = " << x;
         ASSERT_FALSE(inSubgroup(p)) << "x = " << x;
-        const auto bytes = encodePoint<Bls381>(p);
+        const auto bytes = encodePoint<C>(p);
         ASSERT_EQ(bytes[0], static_cast<std::uint8_t>(PointFlag::EvenY));
-        EXPECT_FALSE(decodePoint<Bls381>(bytes).has_value())
-            << "x = " << x;
+        EXPECT_FALSE(decodePoint<C>(bytes).has_value()) << "x = " << x;
     }
     EXPECT_EQ(found, 20);
+}
+
+TEST(EncodingSubgroup, RejectsBls381PointsOutsideG1)
+{
+    rejectsSmallXPointsOutsideG1<Bls381>();
+}
+
+TEST(EncodingSubgroup, RejectsBls377PointsOutsideG1)
+{
+    rejectsSmallXPointsOutsideG1<Bls377>();
+}
+
+TEST(EncodingSubgroup, RejectsBn254G2PointsOutsideG2)
+{
+    // BN254's G2 cofactor is 2p - r: the ten smallest n >= 1 for
+    // which x = n + u lies on the twist (where the generator search
+    // starts) all name points outside G2, and each must be rejected
+    // with either sign.
+    using Fq2 = Bn254G2::Fq;
+    std::vector<std::uint64_t> on_twist;
+    for (std::uint64_t n = 1; on_twist.size() < 10; ++n) {
+        const Fq2 x{Bn254Fq::fromU64(n), Bn254Fq::one()};
+        const Fq2 rhs = x.sqr() * x + Bn254G2::b();
+        if (rhs.isZero() || !rhs.isSquare())
+            continue;
+        on_twist.push_back(n);
+        const auto p = AffinePoint<Bn254G2>::fromXY(x, rhs.sqrt());
+        ASSERT_TRUE(p.isOnCurve()) << "n = " << n;
+        ASSERT_FALSE(inSubgroup(p)) << "n = " << n;
+        EXPECT_FALSE(
+            decodePoint<Bn254G2>(encodePoint<Bn254G2>(p)).has_value())
+            << "n = " << n;
+        EXPECT_FALSE(decodePoint<Bn254G2>(encodePoint<Bn254G2>(
+                         p.negated()))
+                         .has_value())
+            << "n = " << n;
+    }
+    EXPECT_EQ(on_twist, (std::vector<std::uint64_t>{2, 3, 4, 5, 6, 8, 11,
+                                                     12, 13, 14}));
+}
+
+/** Lower-case hex of @p bytes. */
+std::string
+toHex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const std::uint8_t b : bytes) {
+        out += kDigits[b >> 4];
+        out += kDigits[b & 15];
+    }
+    return out;
+}
+
+TEST(EncodingPins, G1AndG2BytesAreStable)
+{
+    // One codec serves Fp and Fp2 coordinates; the wire bytes of
+    // both groups stay what they were when each had its own codec.
+    const auto g1 = pmul(XYZZPoint<Bn254>::fromAffine(Bn254::generator()),
+                         BigInt<1>::fromU64(0x1234567))
+                        .toAffine();
+    EXPECT_EQ(toHex(encodePoint<Bn254>(g1)),
+              "031fa2f28623a9edb99fa68deaef7bcfff995513a4f650793015e434f0e"
+              "803f3ca");
+    EXPECT_EQ(toHex(encodePoint<Bn254>(g1.negated())),
+              "021fa2f28623a9edb99fa68deaef7bcfff995513a4f650793015e434f0e"
+              "803f3ca");
+    const auto g2 = Bn254G2::generator();
+    EXPECT_EQ(toHex(encodePoint<Bn254G2>(g2)),
+              "020cc52155d015f5bfe14a977f613d2d1fc2dd71966abf025a3dea3444a"
+              "fb7eeed27d409ede13256511fb71acc9b73965ec3ee0cf9768aa74bfdaa"
+              "33a3d1af123c");
+    EXPECT_EQ(toHex(encodePoint<Bn254G2>(g2.negated())),
+              "030cc52155d015f5bfe14a977f613d2d1fc2dd71966abf025a3dea3444a"
+              "fb7eeed27d409ede13256511fb71acc9b73965ec3ee0cf9768aa74bfdaa"
+              "33a3d1af123c");
+}
+
+template <typename C>
+class GeneratorOrder : public ::testing::Test
+{
+};
+
+using SubgroupCheckedGroups =
+    ::testing::Types<Bn254, Bls377, Bls381, Bn254G2>;
+TYPED_TEST_SUITE(GeneratorOrder, SubgroupCheckedGroups);
+
+TYPED_TEST(GeneratorOrder, GeneratorHasOrderR)
+{
+    // r is prime, so [r]G = O with G != O means G has order exactly r:
+    // the generator lies in the subgroup decodePoint accepts.
+    const auto g = TypeParam::generator();
+    ASSERT_FALSE(g.infinity);
+    EXPECT_TRUE(g.isOnCurve());
+    EXPECT_TRUE(inSubgroup(g));
 }
 
 TEST(ProofIo, RoundTripAndSize)

@@ -876,8 +876,9 @@ TEST(FaultOverhead, ChecksumOverheadUnderThreePercentAt2e18)
  * run, which itself equals serial Pippenger. The literals also pin
  * where the shapes differ: a combined precompute pass loses a killed
  * device's bucket slice whole (whatever the kill window), reshards a
- * hung or quarantined slice onto a survivor, only logs a degraded
- * one, and under a plan-Gather merge ships one transfer per slice.
+ * hung or quarantined slice onto a survivor, never respawns a
+ * degraded one, and under a plan-Gather merge ships one transfer per
+ * slice.
  */
 enum class Shape { Windowed, Combined };
 

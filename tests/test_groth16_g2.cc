@@ -104,41 +104,41 @@ TEST_F(Groth16G2Test, WireFormatIs131Bytes)
     // few bytes differ because the reference packs flags into the
     // coordinates' spare bits).
     const std::size_t wire_bytes =
-        2 * encodedPointSize<Bn254>() + encodedG2PointSize();
+        2 * encodedPointSize<Bn254>() + encodedPointSize<Bn254G2>();
     EXPECT_EQ(wire_bytes, 131u);
 }
 
 TEST_F(Groth16G2Test, G2PointCodecRoundTrip)
 {
     const auto p = b2_.toAffine();
-    const auto bytes = encodeG2Point(p);
-    ASSERT_EQ(bytes.size(), encodedG2PointSize());
-    const auto decoded = decodeG2Point(bytes);
+    const auto bytes = encodePoint<Bn254G2>(p);
+    ASSERT_EQ(bytes.size(), encodedPointSize<Bn254G2>());
+    const auto decoded = decodePoint<Bn254G2>(bytes);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, p);
     // Negation flips only the flag byte.
-    const auto neg_bytes = encodeG2Point(p.negated());
+    const auto neg_bytes = encodePoint<Bn254G2>(p.negated());
     EXPECT_NE(neg_bytes[0], bytes[0]);
     for (std::size_t i = 1; i < bytes.size(); ++i)
         EXPECT_EQ(neg_bytes[i], bytes[i]);
     // Identity and malformed cases.
     const auto id_bytes =
-        encodeG2Point(AffinePoint<Bn254G2>::identity());
-    ASSERT_TRUE(decodeG2Point(id_bytes).has_value());
-    EXPECT_TRUE(decodeG2Point(id_bytes)->infinity);
+        encodePoint<Bn254G2>(AffinePoint<Bn254G2>::identity());
+    ASSERT_TRUE(decodePoint<Bn254G2>(id_bytes).has_value());
+    EXPECT_TRUE(decodePoint<Bn254G2>(id_bytes)->infinity);
     auto bad = bytes;
     bad[0] = 9;
-    EXPECT_FALSE(decodeG2Point(bad).has_value());
+    EXPECT_FALSE(decodePoint<Bn254G2>(bad).has_value());
     bad = bytes;
     bad.pop_back();
-    EXPECT_FALSE(decodeG2Point(bad).has_value());
+    EXPECT_FALSE(decodePoint<Bn254G2>(bad).has_value());
 }
 
 TEST_F(Groth16G2Test, GeneratorEncodesCanonically)
 {
     const auto g = Bn254G2::generator();
-    const auto bytes = encodeG2Point(g);
-    const auto decoded = decodeG2Point(bytes);
+    const auto bytes = encodePoint<Bn254G2>(g);
+    const auto decoded = decodePoint<Bn254G2>(bytes);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, g);
     EXPECT_TRUE(decoded->isOnCurve());

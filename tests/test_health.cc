@@ -471,6 +471,79 @@ TEST(WatchdogTimeline, KilledDevicesAreNoRespawnTarget)
     }
 }
 
+TEST(WatchdogTimeline, TimelinePricesTheEngineVerdicts)
+{
+    // With one straggling device, the timeline's stragglerNs is the
+    // engine's own booked wait: the same watchdogVerdict per window
+    // ordinal or slice, at every onset, merge and watchdog setting.
+    // `units` pins the wait in per-unit estimates (watchdogUnitNs).
+    const auto curve = gpusim::CurveProfile::bn254();
+    const auto w = makeWorkload<Bn254>(1 << 10, 0x4EA4);
+    using gpusim::CollectivePolicy;
+    struct Row
+    {
+        const char *spec;
+        bool slices;
+        CollectivePolicy merge;
+        bool watchdog;
+        int gpus;
+        std::uint64_t respawns;
+        double units;
+    };
+    constexpr auto kGather = CollectivePolicy::Gather;
+    for (const Row row : {
+             // 8 windows per device; a respawned window adopts its
+             // copy at 2 + 1 estimates, a stretched one at 8.
+             Row{"degrade:dev=1,factor=8", false, kGather, true, 4, 8,
+                 16},
+             Row{"degrade:dev=1,factor=8@win=1", false, kGather, true, 4,
+                 7, 14},
+             Row{"degrade:dev=1,factor=8@win=7", false, kGather, true, 4,
+                 1, 2},
+             Row{"hang:dev=1@win=5", false, kGather, true, 4, 3, 6},
+             Row{"degrade:dev=1,factor=8@win=1", false,
+                 CollectivePolicy::Ring, true, 4, 7, 14},
+             Row{"degrade:dev=1,factor=8@win=1", false, kGather, false,
+                 4, 0, 49},
+             // A hung slice is resharded at its deadline; a degraded
+             // slice stretches and is never respawned.
+             Row{"hang:dev=1", true, kGather, true, 4, 1, 2},
+             Row{"degrade:dev=1,factor=8", true, kGather, true, 4, 0, 7},
+             // 32 windows on 64 GPUs: device 3 holds one.
+             Row{"degrade:dev=3,factor=8", false, kGather, true, 64, 1,
+                 2},
+         }) {
+        SCOPED_TRACE(std::string(row.spec) + " on " +
+                     std::to_string(row.gpus) + " GPUs, " +
+                     (row.slices ? "slices" : "windows") +
+                     (row.watchdog ? "" : ", watchdog off"));
+        const Cluster cluster(DeviceSpec::a100(), row.gpus);
+        auto options = healthTestOptions();
+        options.hostThreads = 1;
+        options.precompute = row.slices;
+        options.hierarchicalScatter = !row.slices;
+        options.collective = row.merge;
+        options.watchdog = row.watchdog;
+        const auto plan_or = FaultPlan::parse(row.spec);
+        ASSERT_TRUE(plan_or.isOk());
+        options.faults = *plan_or;
+
+        const auto result_or = tryComputeDistMsm<Bn254>(
+            w.points, w.scalars, cluster, options);
+        ASSERT_TRUE(result_or.isOk())
+            << result_or.status().toString();
+        const MsmPlan &plan = result_or->plan;
+        ASSERT_EQ(plan.precompute, row.slices);
+        EXPECT_EQ(result_or->fault.stragglerRespawns, row.respawns);
+
+        const MsmTimeline t = estimateDistMsmWithPlan(
+            curve, w.points.size(), cluster, options, plan);
+        EXPECT_DOUBLE_EQ(t.stragglerNs, result_or->fault.stragglerWaitNs);
+        EXPECT_DOUBLE_EQ(t.stragglerNs,
+                         row.units * watchdogUnitNs(plan, t, row.gpus));
+    }
+}
+
 TEST(WatchdogTimeline, FlakyLinksPriceTheirBackoff)
 {
     const auto curve = gpusim::CurveProfile::bn254();

@@ -204,6 +204,30 @@ TEST(Trace, TimelineSpansEndAtTotalNs)
     }
 }
 
+TEST(Trace, TimelineRecordsStragglerAndBackoff)
+{
+    // Both are part of total_ns, so the trace shows them too. A
+    // straggler past its onset and a flaky link make both non-zero.
+    const auto curve = gpusim::CurveProfile::bn254();
+    const Cluster cluster(DeviceSpec::a100(), 4);
+    TraceRecorder trace;
+    msm::MsmOptions options;
+    options.windowBitsOverride = 8;
+    const auto plan_or = gpusim::FaultPlan::parse(
+        "degrade:dev=1,factor=8@win=1;flaky:dev=2,p=0.5");
+    ASSERT_TRUE(plan_or.isOk());
+    options.faults = *plan_or;
+    options.trace = &trace;
+    const auto t = msm::estimateDistMsm(curve, 1ull << 10, cluster,
+                                        options);
+    EXPECT_GT(t.stragglerNs, 0.0);
+    EXPECT_GT(t.backoffNs, 0.0);
+    EXPECT_DOUBLE_EQ(trace.metrics().value("timeline/straggler_ns"),
+                     t.stragglerNs);
+    EXPECT_DOUBLE_EQ(trace.metrics().value("timeline/backoff_ns"),
+                     t.backoffNs);
+}
+
 TEST(Trace, PipelineLanesMatchSchedule)
 {
     const auto curve = gpusim::CurveProfile::bn254();

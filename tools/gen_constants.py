@@ -174,6 +174,8 @@ CURVES = {
 # r*(h*G) == O).
 COFACTORS = {
     "bn254": 1,
+    # (x - 1)^2 / 3 for the BLS12-377 parameter x = 0x8508c00000000001.
+    "bls377": 0x170B5D44300000000000000000000000,
     "bls381": 0x396C8C005555E1568C00AAAB0000AAAB,
 }
 

@@ -60,6 +60,8 @@ PHASES = [
     ("transfer_ns", "transfer"),
     ("bucket_reduce_ns", "bucket reduce"),
     ("verify_ns", "checksum verify"),
+    ("straggler_ns", "straggler wait"),
+    ("backoff_ns", "retry backoff"),
     ("window_reduce_ns", "window reduce"),
 ]
 

@@ -2,8 +2,13 @@
  * @file
  * Microbenchmarks of the big-integer and field substrate on this
  * host: the three Montgomery variants (SOS / CIOS / FIOS) per field
- * width, plus field addition, squaring and inversion. These numbers
- * calibrate the per-operation costs behind the simulator.
+ * width, the carry-flag kernel montMulAdx4 (BM_MontMulAdx, the four
+ * 4-limb fields; skipped with an error on a CPU without BMI2 + ADX),
+ * and the field operations Fp dispatches: multiplication (the ADX
+ * kernel where it runs, else CIOS), addition, subtraction, squaring
+ * and inversion. Every row is a dependent chain, so it reads latency,
+ * not throughput. These numbers calibrate the per-operation costs
+ * behind the simulator.
  */
 
 #include <benchmark/benchmark.h>
@@ -61,6 +66,26 @@ BM_MontMulFIOS(benchmark::State &state)
     }
 }
 
+template <typename P>
+void
+BM_MontMulAdx(benchmark::State &state)
+{
+#if defined(__x86_64__)
+    if (!montAdxSupported()) {
+        state.SkipWithError("this CPU lacks BMI2 or ADX");
+        return;
+    }
+    BigInt<P::kLimbs> a, b, mod;
+    setupOperands<P>(a, b, mod);
+    for (auto _ : state) {
+        a = montMulAdx4(a, b, mod, P::kInv64);
+        benchmark::DoNotOptimize(a);
+    }
+#else
+    state.SkipWithError("the ADX kernel is built on x86-64 only");
+#endif
+}
+
 /** Dedicated Montgomery squaring (sqrFull + one reduce): compare
  *  against BM_MontMul* to read the sqr-vs-mul saving directly. */
 template <typename P>
@@ -84,6 +109,32 @@ BM_FieldAdd(benchmark::State &state)
     const auto b = Fp<P>::random(prng);
     for (auto _ : state) {
         a += b;
+        benchmark::DoNotOptimize(a);
+    }
+}
+
+template <typename P>
+void
+BM_FieldSub(benchmark::State &state)
+{
+    Prng prng(0x5B);
+    auto a = Fp<P>::random(prng);
+    const auto b = Fp<P>::random(prng);
+    for (auto _ : state) {
+        a -= b;
+        benchmark::DoNotOptimize(a);
+    }
+}
+
+template <typename P>
+void
+BM_FieldMul(benchmark::State &state)
+{
+    Prng prng(0x3E1);
+    auto a = Fp<P>::random(prng);
+    const auto b = Fp<P>::random(prng);
+    for (auto _ : state) {
+        a *= b;
         benchmark::DoNotOptimize(a);
     }
 }
@@ -118,6 +169,8 @@ BM_FieldInverse(benchmark::State &state)
     BENCHMARK(BM_MontMulFIOS<P>);                                    \
     BENCHMARK(BM_MontSqr<P>);                                        \
     BENCHMARK(BM_FieldAdd<P>);                                       \
+    BENCHMARK(BM_FieldSub<P>);                                       \
+    BENCHMARK(BM_FieldMul<P>);                                       \
     BENCHMARK(BM_FieldSqr<P>);                                       \
     BENCHMARK(BM_FieldInverse<P>)
 
@@ -125,6 +178,11 @@ DISTMSM_FIELD_BENCH(Bn254FqParams);
 DISTMSM_FIELD_BENCH(Bls377FqParams);
 DISTMSM_FIELD_BENCH(Bls381FqParams);
 DISTMSM_FIELD_BENCH(Mnt4753FqParams);
+
+BENCHMARK(BM_MontMulAdx<Bn254FqParams>);
+BENCHMARK(BM_MontMulAdx<Bn254FrParams>);
+BENCHMARK(BM_MontMulAdx<Bls377FrParams>);
+BENCHMARK(BM_MontMulAdx<Bls381FrParams>);
 
 } // namespace
 } // namespace distmsm

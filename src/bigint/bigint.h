@@ -24,26 +24,48 @@
 #include "src/support/hex.h"
 #include "src/support/prng.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace distmsm {
 
-/** Add with carry-in; returns sum and sets @p carry to the carry-out. */
+/**
+ * Add with carry-in (0 or 1); returns the sum and sets @p carry to
+ * the carry-out. On x86-64 it is one ADC on the CPU's carry flag.
+ */
 inline std::uint64_t
 addc(std::uint64_t a, std::uint64_t b, std::uint64_t &carry)
 {
+#if defined(__x86_64__)
+    unsigned long long s = 0;
+    carry = _addcarry_u64(static_cast<unsigned char>(carry), a, b, &s);
+    return s;
+#else
     const unsigned __int128 s =
         static_cast<unsigned __int128>(a) + b + carry;
     carry = static_cast<std::uint64_t>(s >> 64);
     return static_cast<std::uint64_t>(s);
+#endif
 }
 
-/** Subtract with borrow-in; returns difference, sets @p borrow (0/1). */
+/**
+ * Subtract with borrow-in (0 or 1); returns the difference and sets
+ * @p borrow (0/1). On x86-64 it is one SBB on the CPU's carry flag.
+ */
 inline std::uint64_t
 subb(std::uint64_t a, std::uint64_t b, std::uint64_t &borrow)
 {
+#if defined(__x86_64__)
+    unsigned long long d = 0;
+    borrow = _subborrow_u64(static_cast<unsigned char>(borrow), a, b, &d);
+    return d;
+#else
     const unsigned __int128 d = static_cast<unsigned __int128>(a) - b -
                                 borrow;
     borrow = static_cast<std::uint64_t>(d >> 64) & 1;
     return static_cast<std::uint64_t>(d);
+#endif
 }
 
 /** a * b + c + d without overflow; returns low limb, sets @p hi. */
@@ -328,27 +350,46 @@ mulLow(const BigInt<N> &a, const BigInt<N> &b)
     return t;
 }
 
-/** (a + b) mod m, assuming a, b < m. */
+/**
+ * (a + b) mod m, assuming a, b < m. Both a + b and a + b - m are
+ * computed and one is selected by mask, so no branch depends on the
+ * operands.
+ */
 template <std::size_t N>
 constexpr BigInt<N>
 addMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &m)
 {
-    BigInt<N> r = a;
-    const std::uint64_t carry = r.addInPlace(b);
-    if (carry != 0 || r >= m)
-        r.subInPlace(m);
-    return r;
+    BigInt<N> s{}, d{};
+    std::uint64_t carry = 0, borrow = 0;
+    for (std::size_t i = 0; i < N; ++i)
+        s.limb[i] = addc(a.limb[i], b.limb[i], carry);
+    for (std::size_t i = 0; i < N; ++i)
+        d.limb[i] = subb(s.limb[i], m.limb[i], borrow);
+    // The carry is limb N of the sum: a + b < m exactly when the
+    // (N+1)-limb subtraction still borrows there.
+    subb(carry, 0, borrow);
+    const std::uint64_t keep_sum = 0 - borrow;
+    for (std::size_t i = 0; i < N; ++i)
+        d.limb[i] ^= (s.limb[i] ^ d.limb[i]) & keep_sum;
+    return d;
 }
 
-/** (a - b) mod m, assuming a, b < m. */
+/**
+ * (a - b) mod m, assuming a, b < m: m is added back under the
+ * borrow mask, with no branch on the operands.
+ */
 template <std::size_t N>
 constexpr BigInt<N>
 subMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &m)
 {
-    BigInt<N> r = a;
-    if (r.subInPlace(b) != 0)
-        r.addInPlace(m);
-    return r;
+    BigInt<N> d{};
+    std::uint64_t borrow = 0, carry = 0;
+    for (std::size_t i = 0; i < N; ++i)
+        d.limb[i] = subb(a.limb[i], b.limb[i], borrow);
+    const std::uint64_t add_mod = 0 - borrow;
+    for (std::size_t i = 0; i < N; ++i)
+        d.limb[i] = addc(d.limb[i], m.limb[i] & add_mod, carry);
+    return d;
 }
 
 } // namespace distmsm

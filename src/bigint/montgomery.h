@@ -12,8 +12,12 @@
  *    variant whose second wide multiplication (m * n) DistMSM deploys
  *    to tensor cores (src/tcmul).
  *  - CIOS (Coarsely Integrated Operand Scanning): multiplication and
- *    reduction interleaved per outer limb; the default fast path.
+ *    reduction interleaved per outer limb; the portable fast path.
  *  - FIOS (Finely Integrated Operand Scanning): both inner loops fused.
+ *
+ * On x86-64, montMulAdx4 is CIOS for 4 limbs in inline assembly with
+ * MULX and the two carry flags (ADCX/ADOX); Fp dispatches to it when
+ * the CPU has BMI2 and ADX.
  *
  * All variants assume inputs < modulus and R = 2^(64N), and return a
  * value < modulus. n0' ("inv64") is -modulus^-1 mod 2^64, the
@@ -101,7 +105,7 @@ montMulSOS(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &mod,
     return montReduce<N>(mulFull(a, b), mod, inv64);
 }
 
-/** CIOS Montgomery multiplication; the default fast path. */
+/** CIOS Montgomery multiplication; the portable fast path. */
 template <std::size_t N>
 constexpr BigInt<N>
 montMulCIOS(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &mod,
@@ -176,14 +180,133 @@ montSqr(const BigInt<N> &a, const BigInt<N> &mod, std::uint64_t inv64)
     return montReduce<N>(sqrFull(a), mod, inv64);
 }
 
-/** Historic alias for montSqr (both use the dedicated square). */
-template <std::size_t N>
-constexpr BigInt<N>
-montSqrDedicated(const BigInt<N> &a, const BigInt<N> &mod,
-                 std::uint64_t inv64)
+/**
+ * Largest top limb of a modulus for which the 4-limb CIOS below may
+ * drop the (N+1)-th carry word ("no-carry" CIOS): with the top limb
+ * below 2^63 - 1, every intermediate t stays below 2^256 and the
+ * carry into limb N never overflows. Every 4-limb field here meets
+ * it (Fp static_asserts so).
+ */
+inline constexpr std::uint64_t kMontNoCarryTopLimb = 0x7ffffffffffffffeull;
+
+#if defined(__x86_64__)
+
+/**
+ * True when this CPU has BMI2 (MULX) and ADX (ADCX/ADOX), the
+ * instructions montMulAdx4 uses. Detected once per process; the CPU
+ * model is initialized here because a dynamic initializer may
+ * multiply before main runs.
+ */
+inline bool
+montAdxSupported()
 {
-    return montSqr(a, mod, inv64);
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("bmi2") &&
+               __builtin_cpu_supports("adx");
+    }();
+    return supported;
 }
+
+/**
+ * 4-limb no-carry CIOS Montgomery multiplication with MULX and two
+ * independent carry chains (ADCX on CF, ADOX on OF). Returns the same
+ * fully reduced product as montMulCIOS for a, b < mod, provided
+ * mod.limb[3] <= kMontNoCarryTopLimb; requires montAdxSupported().
+ * Each outer step adds a * b[i] into t (lo words on OF, hi words on
+ * CF), then adds m * mod with m = t[0] * inv64 and shifts t down one
+ * limb; the final conditional subtraction is a borrow and cmov.
+ * Always inlined: GCC sizes an asm statement by its line count and
+ * would otherwise call it, paying a return through memory on every
+ * product.
+ */
+[[gnu::always_inline]] inline BigInt<4>
+montMulAdx4(const BigInt<4> &a, const BigInt<4> &b, const BigInt<4> &mod,
+            std::uint64_t inv64)
+{
+    std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, lo = 0, hi = 0, s = 0;
+    // t += m * mod, then t >>= 64, with m = t0 * inv64. hi holds
+    // limb 4 of t on entry; s takes the new t0.
+#define DISTMSM_MONT_ADX_REDUCE                                         \
+    "movq %[inv], %%rdx\n\t"                                          \
+    "imulq %[t0], %%rdx\n\t"                                          \
+    "xorl %k[lo], %k[lo]\n\t"                                         \
+    "mulxq 0(%[q]), %[lo], %[s]\n\t"                                  \
+    "adcxq %[t0], %[lo]\n\t"                                          \
+    "adcxq %[t1], %[s]\n\t"                                           \
+    "mulxq 8(%[q]), %[lo], %[t1]\n\t"                                 \
+    "adoxq %[lo], %[s]\n\t"                                           \
+    "adcxq %[t2], %[t1]\n\t"                                          \
+    "mulxq 16(%[q]), %[lo], %[t2]\n\t"                                \
+    "adoxq %[lo], %[t1]\n\t"                                          \
+    "adcxq %[t3], %[t2]\n\t"                                          \
+    "mulxq 24(%[q]), %[lo], %[t3]\n\t"                                \
+    "adoxq %[lo], %[t2]\n\t"                                          \
+    "movl $0, %k[lo]\n\t"                                             \
+    "adcxq %[lo], %[t3]\n\t"                                          \
+    "adoxq %[hi], %[t3]\n\t"                                          \
+    "movq %[s], %[t0]\n\t"
+    // t += a * b[i]: lo words on the OF chain, hi words on CF; both
+    // chains end in hi, the new limb 4.
+#define DISTMSM_MONT_ADX_ROW(OFF)                                       \
+    "movq " #OFF "(%[b]), %%rdx\n\t"                                  \
+    "xorl %k[lo], %k[lo]\n\t"                                         \
+    "mulxq 0(%[a]), %[lo], %[hi]\n\t"                                 \
+    "adoxq %[lo], %[t0]\n\t"                                          \
+    "adcxq %[hi], %[t1]\n\t"                                          \
+    "mulxq 8(%[a]), %[lo], %[hi]\n\t"                                 \
+    "adoxq %[lo], %[t1]\n\t"                                          \
+    "adcxq %[hi], %[t2]\n\t"                                          \
+    "mulxq 16(%[a]), %[lo], %[hi]\n\t"                                \
+    "adoxq %[lo], %[t2]\n\t"                                          \
+    "adcxq %[hi], %[t3]\n\t"                                          \
+    "mulxq 24(%[a]), %[lo], %[hi]\n\t"                                \
+    "adoxq %[lo], %[t3]\n\t"                                          \
+    "movl $0, %k[lo]\n\t"                                             \
+    "adcxq %[lo], %[hi]\n\t"                                          \
+    "adoxq %[lo], %[hi]\n\t"
+    __asm__(
+        // Row 0 starts from t = 0: one plain ADD/ADC chain.
+        "movq 0(%[b]), %%rdx\n\t"
+        "mulxq 0(%[a]), %[t0], %[t1]\n\t"
+        "mulxq 8(%[a]), %[lo], %[t2]\n\t"
+        "addq %[lo], %[t1]\n\t"
+        "mulxq 16(%[a]), %[lo], %[t3]\n\t"
+        "adcq %[lo], %[t2]\n\t"
+        "mulxq 24(%[a]), %[lo], %[hi]\n\t"
+        "adcq %[lo], %[t3]\n\t"
+        "adcq $0, %[hi]\n\t"
+        DISTMSM_MONT_ADX_REDUCE
+        DISTMSM_MONT_ADX_ROW(8)
+        DISTMSM_MONT_ADX_REDUCE
+        DISTMSM_MONT_ADX_ROW(16)
+        DISTMSM_MONT_ADX_REDUCE
+        DISTMSM_MONT_ADX_ROW(24)
+        DISTMSM_MONT_ADX_REDUCE
+        // t < 2 * mod: keep t - mod unless the subtraction borrows.
+        "movq %[t0], %[lo]\n\t"
+        "subq 0(%[q]), %[lo]\n\t"
+        "movq %[t1], %[hi]\n\t"
+        "sbbq 8(%[q]), %[hi]\n\t"
+        "movq %[t2], %%rdx\n\t"
+        "sbbq 16(%[q]), %%rdx\n\t"
+        "movq %[t3], %[s]\n\t"
+        "sbbq 24(%[q]), %[s]\n\t"
+        "cmovncq %[lo], %[t0]\n\t"
+        "cmovncq %[hi], %[t1]\n\t"
+        "cmovncq %%rdx, %[t2]\n\t"
+        "cmovncq %[s], %[t3]"
+        : [t0] "=&r"(t0), [t1] "=&r"(t1), [t2] "=&r"(t2), [t3] "=&r"(t3),
+          [lo] "=&r"(lo), [hi] "=&r"(hi), [s] "=&r"(s)
+        : [a] "r"(a.limb), [b] "r"(b.limb), [q] "r"(mod.limb),
+          [inv] "rm"(inv64)
+        : "rdx", "cc", "memory");
+#undef DISTMSM_MONT_ADX_ROW
+#undef DISTMSM_MONT_ADX_REDUCE
+    return BigInt<4>{{t0, t1, t2, t3}};
+}
+
+#endif // __x86_64__
 
 /**
  * Montgomery exponentiation: base (Montgomery form) raised to the raw

@@ -3,14 +3,16 @@
  * Thread-local field-arithmetic backend selection.
  *
  * The simulated kernels can route every Fp multiplication through the
- * tensor-core Montgomery model (tcmul/mont_tc.h) instead of CIOS.
- * The choice is a thread-local flag so the engine can scope it to the
- * simulated-kernel bodies it runs on pool workers without touching
- * unrelated host arithmetic on other threads. The TC path is
- * bit-identical to CIOS (asserted by test_tcmul and test_tc_backend)
- * but 1-2 orders of magnitude slower to simulate, so it is engaged
- * only when a caller forces MsmOptions::fieldBackend = TensorCore —
- * the planner's Auto pick prices TC without executing it.
+ * tensor-core Montgomery model (tcmul/mont_tc.h) instead of the host
+ * multiplier (the 4-limb ADX kernel where the CPU has BMI2 and ADX,
+ * else CIOS; see Fp::operator*). The choice is a thread-local flag so
+ * the engine can scope it to the simulated-kernel bodies it runs on
+ * pool workers without touching unrelated host arithmetic on other
+ * threads. Every path is bit-identical (asserted by test_tcmul,
+ * test_tc_backend and test_field), but the TC path is 1-2 orders of
+ * magnitude slower to simulate, so it is engaged only when a caller
+ * forces MsmOptions::fieldBackend = TensorCore — the planner's Auto
+ * pick prices TC without executing it.
  */
 
 #ifndef DISTMSM_FIELD_BACKEND_H

@@ -44,10 +44,11 @@ struct ReduceStats
  * running += B_i; acc += running. Returns sum_i i * B_i.
  *
  * Field-backend attribution: this is the CPU-offloaded step, so its
- * field arithmetic always executes CIOS even when the calling thread
- * holds a tensor-core field::TcBackendScope — the host has no tensor
- * cores. The device-resident forms below (chunked / weighted) model
- * GPU kernels and inherit the caller's scope instead.
+ * field arithmetic always takes the host multiplier (Fp::operator*:
+ * the ADX kernel or CIOS) even when the calling thread holds a
+ * tensor-core field::TcBackendScope — the host has no tensor cores.
+ * The device-resident forms below (chunked / weighted) model GPU
+ * kernels and inherit the caller's scope instead.
  */
 template <typename Curve>
 XYZZPoint<Curve>

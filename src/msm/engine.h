@@ -1579,7 +1579,8 @@ class MsmEngine
     /**
      * The differential tcmul execution only runs on a forced
      * TensorCore; an Auto-resolved TC prices the offload but executes
-     * CIOS (bit-identical either way).
+     * the host multiplier (Fp::operator*: the ADX kernel or CIOS),
+     * bit-identical either way.
      */
     bool
     tcExecuted() const

@@ -113,7 +113,8 @@ struct MsmOptions
      * routes the functional engine's field muls through the
      * tcmul::montMulTC differential path (bit-identical to CIOS,
      * ~10-60x slower to simulate). Auto never engages the
-     * differential path: it prices TC but executes CIOS.
+     * differential path: it prices TC but executes the host
+     * multiplier (Fp::operator*: the ADX kernel or CIOS).
      */
     gpusim::FieldBackend fieldBackend = gpusim::FieldBackend::Auto;
     /** Scatter launch geometry. */

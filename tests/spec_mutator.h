@@ -11,13 +11,13 @@
 #ifndef DISTMSM_TESTS_SPEC_MUTATOR_H
 #define DISTMSM_TESTS_SPEC_MUTATOR_H
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/support/prng.h"
+#include "tests/sweep_cases.h"
 
 namespace distmsm {
 
@@ -25,10 +25,7 @@ namespace distmsm {
 inline int
 specFuzzMutants()
 {
-    long cases = 2000;
-    if (const char *env = std::getenv("DISTMSM_SWEEP_CASES"))
-        cases = std::max(cases, std::strtol(env, nullptr, 10));
-    return static_cast<int>(std::min(cases, 1L << 24));
+    return static_cast<int>(sweepCases(2000));
 }
 
 /** @p spec split on @p sep, empty clauses kept. */

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/field/field_params.h"
 #include "src/support/prng.h"
+#include "tests/sweep_cases.h"
 
 namespace distmsm {
 namespace {
@@ -173,6 +176,138 @@ TYPED_TEST(FieldTest, RandomIsReducedAndVaried)
     const F b = this->rand();
     EXPECT_FALSE(a == b); // astronomically unlikely
     EXPECT_LT(a.toRaw(), F::modulus());
+}
+
+/** a + b as N + 1 limbs, by __int128 limb sums (no addc). */
+template <std::size_t N>
+std::array<std::uint64_t, N + 1>
+wideSum(const BigInt<N> &a, const BigInt<N> &b)
+{
+    std::array<std::uint64_t, N + 1> s{};
+    unsigned __int128 acc = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+        acc += static_cast<unsigned __int128>(a.limb[i]) + b.limb[i];
+        s[i] = static_cast<std::uint64_t>(acc);
+        acc >>= 64;
+    }
+    s[N] = static_cast<std::uint64_t>(acc);
+    return s;
+}
+
+/** x - y mod 2^(64N) for x >= y, by __int128 limb differences. */
+template <std::size_t N>
+BigInt<N>
+wideDiff(const std::array<std::uint64_t, N + 1> &x, const BigInt<N> &y)
+{
+    BigInt<N> d{};
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+        const unsigned __int128 t =
+            static_cast<unsigned __int128>(x[i]) - y.limb[i] - borrow;
+        d.limb[i] = static_cast<std::uint64_t>(t);
+        borrow = static_cast<std::uint64_t>(t >> 64) != 0 ? 1 : 0;
+    }
+    return d;
+}
+
+/** Slow (a + b) mod p: widen, compare, subtract once. */
+template <std::size_t N>
+BigInt<N>
+slowAddMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
+{
+    const auto s = wideSum(a, b);
+    BigInt<N> low{};
+    for (std::size_t i = 0; i < N; ++i)
+        low.limb[i] = s[i];
+    return s[N] != 0 || low >= p ? wideDiff(s, p) : low;
+}
+
+/** Slow (a - b) mod p: a - b, or a + p - b when a < b. */
+template <std::size_t N>
+BigInt<N>
+slowSubMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
+{
+    return wideDiff(a >= b ? wideSum(a, BigInt<N>::zero()) : wideSum(a, p),
+                    b);
+}
+
+TYPED_TEST(FieldTest, AddSubMatchReference)
+{
+    using F = typename FieldTest<TypeParam>::F;
+    using B = typename F::Base;
+    const B p = F::modulus();
+    const auto check = [&](const B &a, const B &b) {
+        const B sum = addMod(a, b, p), diff = subMod(a, b, p);
+        EXPECT_EQ(sum, slowAddMod(a, b, p))
+            << "a = " << a.toHex() << ", b = " << b.toHex();
+        EXPECT_EQ(diff, slowSubMod(a, b, p))
+            << "a = " << a.toHex() << ", b = " << b.toHex();
+        // The field operators are these two.
+        EXPECT_EQ((F::fromMontgomery(a) + F::fromMontgomery(b))
+                      .montgomeryForm(),
+                  sum);
+        EXPECT_EQ((F::fromMontgomery(a) - F::fromMontgomery(b))
+                      .montgomeryForm(),
+                  diff);
+    };
+    B pm1 = p;
+    pm1.subInPlace(B::fromU64(1));
+    const long cases = sweepCases(10000);
+    for (long i = 0; i < cases && !this->HasFailure(); ++i) {
+        const B a = B::randomBelow(this->prng_, p);
+        const B b = B::randomBelow(this->prng_, p);
+        check(a, b);
+        if (i % 16 != 0)
+            continue;
+        // Edges around a random a: 0, p - 1, a = b, a + b = p and
+        // a + b = p - 1, each in both operand orders.
+        B to_p = p, to_pm1 = pm1;
+        to_p.subInPlace(a);
+        to_pm1.subInPlace(a);
+        for (const B &e : {B::zero(), pm1, a, to_pm1}) {
+            check(a, e);
+            check(e, a);
+        }
+        if (!a.isZero()) {
+            check(a, to_p);
+            check(to_p, a);
+        }
+    }
+    for (const B &a : {B::zero(), pm1}) {
+        for (const B &b : {B::zero(), pm1})
+            check(a, b);
+    }
+}
+
+TYPED_TEST(FieldTest, MulSqrMatchCios)
+{
+    using F = typename FieldTest<TypeParam>::F;
+    using B = typename F::Base;
+    const B p = F::modulus();
+    const auto cios = [&](const B &a, const B &b) {
+        return montMulCIOS(a, b, p, TypeParam::kInv64);
+    };
+    const auto check = [&](const B &a, const B &b) {
+        const F fa = F::fromMontgomery(a), fb = F::fromMontgomery(b);
+        EXPECT_EQ((fa * fb).montgomeryForm(), cios(a, b))
+            << "a = " << a.toHex() << ", b = " << b.toHex();
+        EXPECT_EQ(fa.sqr().montgomeryForm(), cios(a, a))
+            << "a = " << a.toHex();
+    };
+    B pm1 = p;
+    pm1.subInPlace(B::fromU64(1));
+    const B edges[] = {B::zero(), B::fromU64(1), pm1,
+                       B::fromLimbs(TypeParam::kR),
+                       B::fromLimbs(TypeParam::kR2)};
+    for (const B &a : edges) {
+        for (const B &b : edges)
+            check(a, b);
+    }
+    const long cases = sweepCases(10000);
+    for (long i = 0; i < cases && !this->HasFailure(); ++i) {
+        check(B::randomBelow(this->prng_, p),
+              B::randomBelow(this->prng_, p));
+    }
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for Montgomery multiplication: the SOS / CIOS / FIOS variants
  * agree with each other and with an independently-verified slow
- * modular multiplication, across all eight fields.
+ * modular multiplication, across all eight fields; the 4-limb ADX
+ * kernel matches CIOS bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "src/bigint/montgomery.h"
 #include "src/field/field_params.h"
 #include "src/support/prng.h"
+#include "tests/sweep_cases.h"
 
 namespace distmsm {
 namespace {
@@ -194,6 +196,46 @@ TYPED_TEST(MontgomeryTest, MontReduceOfWideValue)
         EXPECT_EQ(slowMulMod(red, this->r_, this->mod_),
                   slowMod<N>(t, this->mod_));
     }
+}
+
+template <typename P>
+class MontgomeryAdxTest : public MontgomeryTest<P>
+{
+};
+
+using FourLimbFieldParams =
+    ::testing::Types<Bn254FqParams, Bn254FrParams, Bls377FrParams,
+                     Bls381FrParams>;
+TYPED_TEST_SUITE(MontgomeryAdxTest, FourLimbFieldParams);
+
+TYPED_TEST(MontgomeryAdxTest, AdxMatchesCios)
+{
+#if defined(__x86_64__)
+    if (!montAdxSupported())
+        GTEST_SKIP() << "this CPU lacks BMI2 or ADX";
+    using B = BigInt<4>;
+    const B &p = this->mod_;
+    const auto check = [&](const B &a, const B &b) {
+        const B adx = montMulAdx4(a, b, p, TypeParam::kInv64);
+        EXPECT_EQ(adx, montMulCIOS(a, b, p, TypeParam::kInv64))
+            << "a = " << a.toHex() << ", b = " << b.toHex();
+        EXPECT_LT(adx, p);
+    };
+    B pm1 = p, pm2 = p;
+    pm1.subInPlace(B::fromU64(1));
+    pm2.subInPlace(B::fromU64(2));
+    const B edges[] = {B::zero(), B::fromU64(1), B::fromU64(2), pm2,
+                       pm1,       this->r_,      this->r2_};
+    for (const B &a : edges) {
+        for (const B &b : edges)
+            check(a, b);
+    }
+    const long pairs = sweepCases(10000);
+    for (long i = 0; i < pairs && !this->HasFailure(); ++i)
+        check(this->randElem(), this->randElem());
+#else
+    GTEST_SKIP() << "the ADX kernel is built on x86-64 only";
+#endif
 }
 
 } // namespace

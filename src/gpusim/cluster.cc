@@ -4,7 +4,6 @@
 
 #include "src/gpusim/collectives.h"
 #include "src/support/check.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 
 namespace distmsm::gpusim {
@@ -28,18 +27,6 @@ Cluster::Cluster(DeviceSpec device, Topology topology, HostSpec host,
                     "cluster needs at least one GPU");
     DISTMSM_REQUIRE(topology_.gpusPerNode >= 1,
                     "topology needs at least one GPU per node");
-}
-
-void
-Cluster::forEachDevice(int tasks, const std::function<void(int)> &fn,
-                       int host_threads) const
-{
-    if (tasks <= 0)
-        return;
-    support::ThreadPool::global().parallelFor(
-        0, static_cast<std::size_t>(tasks),
-        [&](std::size_t i) { fn(static_cast<int>(i)); },
-        support::resolveHostThreads(host_threads));
 }
 
 int

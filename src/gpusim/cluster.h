@@ -12,7 +12,6 @@
 #ifndef DISTMSM_GPUSIM_CLUSTER_H
 #define DISTMSM_GPUSIM_CLUSTER_H
 
-#include <functional>
 #include <string>
 
 #include "src/gpusim/cost_model.h"
@@ -62,22 +61,6 @@ class Cluster
 
     /** Number of DGX nodes covering the GPUs. */
     int numNodes() const;
-
-    /**
-     * Execute @p fn(i) for i in [0, tasks) — one task per simulated
-     * device (or device group) — concurrently on the host thread
-     * pool. The real GPUs of the testbed run independently, so their
-     * simulations may too; @p fn must only write state owned by task
-     * i (e.g. slot i of a result vector), and the caller merges the
-     * slots in index order so results are bit-identical to a
-     * sequential run.
-     *
-     * @param host_threads support::resolveHostThreads convention
-     *        (0 = auto, 1 = strictly sequential in ascending order).
-     */
-    void forEachDevice(int tasks,
-                       const std::function<void(int)> &fn,
-                       int host_threads = 0) const;
 
     /**
      * Name this cluster's trace lanes: the host-CPU process plus one

@@ -88,6 +88,17 @@ KernelLaunch::shared(int bid)
 void
 KernelLaunch::barrier()
 {
+    // Land every block's deferred reductions first, in block order:
+    // a counter must hold all of its writers before any block's
+    // first-writer entry folds (and resets) it.
+    for (BlockTally &tally : blocks_) {
+        for (const Reduction &r : tally.reductions) {
+            r.arr->words_[r.index] += r.value;
+            if (r.arr->phase_counts_[r.index]++ == 0)
+                tally.touched.push_back({r.arr, r.index});
+        }
+        tally.reductions.clear();
+    }
     // Merge the per-block tallies in block index order, then fold
     // each block's first-written indices into the contention stats.
     // An index has exactly one first writer per phase, so it is
@@ -146,6 +157,21 @@ KernelLaunch::atomicAdd(WordArray &arr, std::size_t i, std::uint64_t v,
         ++tally.stats.globalAtomics;
     }
     return old;
+}
+
+void
+KernelLaunch::reduceAdd(WordArray &arr, std::size_t i, std::uint64_t v,
+                        const ThreadCtx &ctx)
+{
+    DISTMSM_ASSERT(arr.space_ == WordArray::Space::Global);
+    if (host_threads_ <= 1) {
+        atomicAdd(arr, i, v, ctx);
+        return;
+    }
+    DISTMSM_ASSERT(i < arr.words_.size());
+    BlockTally &tally = block(ctx);
+    ++tally.stats.globalAtomics;
+    tally.reductions.push_back({&arr, static_cast<std::uint32_t>(i), v});
 }
 
 } // namespace distmsm::gpusim

@@ -24,14 +24,20 @@
  * are lock-free std::atomic_ref fetch-adds on the word and on its
  * per-phase writer count; the first writer of an index appends it to
  * its own block's list, and the lists fold into the contention stats
- * at the barrier in block order. Each index has exactly one first
- * writer per phase and every stat is a sum or a maximum, which
- * commute, so every counter and every simulated memory word is
- * bit-identical to the sequential execution. Kernel callbacks must
- * follow the same rules real CUDA kernels do: only touch shared
- * memory of their own block, use atomicAdd() for cross-block global
- * writes, and never depend on the *ordering* of other blocks' global
- * atomics within a phase.
+ * at the barrier in block order. Return-less reductions (reduceAdd,
+ * CUDA's `red`) touch no shared word while blocks run: each block
+ * appends (word, value) to its own list, and the barrier applies the
+ * lists in block order — word, writer count, first-writer list —
+ * before it folds the contention stats, so hot counters never bounce
+ * between host cores. Each index has exactly one first writer per
+ * phase and every stat is a sum or a maximum, which commute, so
+ * every counter and every simulated memory word is bit-identical to
+ * the sequential execution. Kernel callbacks must follow the same
+ * rules real CUDA kernels do: only touch shared memory of their own
+ * block, use atomicAdd() or reduceAdd() for cross-block global
+ * writes, never depend on the *ordering* of other blocks' global
+ * atomics within a phase, and never read a word they reduce in the
+ * same phase.
  */
 
 #ifndef DISTMSM_GPUSIM_EXECUTOR_H
@@ -192,6 +198,16 @@ class KernelLaunch
     std::uint64_t atomicAdd(WordArray &arr, std::size_t i,
                             std::uint64_t v, const ThreadCtx &ctx);
 
+    /**
+     * Return-less global atomic add (CUDA's `red`): adds @p v to
+     * word @p i of the global array @p arr and counts one global
+     * atomic with the same contention as atomicAdd. With concurrent
+     * blocks the add lands at the phase barrier, so no thread may
+     * read the word in the phase that reduces it.
+     */
+    void reduceAdd(WordArray &arr, std::size_t i, std::uint64_t v,
+                   const ThreadCtx &ctx);
+
     /** Plain (non-atomic) shared/global access accounting. */
     void
     countSharedAccess(const ThreadCtx &ctx, std::uint64_t n = 1)
@@ -216,6 +232,14 @@ class KernelLaunch
         std::uint32_t index;
     };
 
+    /** A deferred reduceAdd, applied at the barrier. */
+    struct Reduction
+    {
+        WordArray *arr;
+        std::uint32_t index;
+        std::uint64_t value;
+    };
+
     /**
      * One block's tallies of the running phase, folded in bid order
      * at the barrier. Cache-line aligned: neighbouring blocks run on
@@ -225,6 +249,7 @@ class KernelLaunch
     {
         KernelStats stats;
         std::vector<Touch> touched;
+        std::vector<Reduction> reductions;
     };
 
     BlockTally &

@@ -30,9 +30,17 @@
  * identity-tolerant pacc, exactly like the fallback kernels real
  * batched-affine implementations keep for these rare collisions.
  *
- * Everything is sequential per device group and the groups merge in
- * fixed order, so results are bit-identical for every host-thread
- * count (the engine's determinism contract).
+ * Splitting a range changes no result: a bucket's rounds, pairs and
+ * spills depend only on its own points, and an inverse is the same
+ * whichever batch computes it. Only the inversion count depends on
+ * the cut, so the call returns a mask with bit r set when round r ran
+ * an inversion (a bucket of c points takes ceil(log2 c) rounds, at
+ * most 32 with 32-bit ids). A launch split into chunks charges the
+ * popcount of the OR of its chunks' masks; its other counters sum.
+ *
+ * Everything is sequential per call, and the engine merges the
+ * chunks in fixed order, so results are bit-identical for every
+ * host-thread count (the engine's determinism contract).
  */
 
 #ifndef DISTMSM_MSM_BATCH_AFFINE_H
@@ -80,10 +88,12 @@ struct BatchAffineScratch
  * negated or precomputed) affine point it contributes, exactly as in
  * bucketSumTree. EC work is charged to @p stats (affineAddOps /
  * batchInvOps / paccOps for the spilled edge cases) and to
- * ec::opCounters() in field-op units.
+ * ec::opCounters() in field-op units. Returns the rounds that ran an
+ * inversion (bit r: round r), whose popcount is the batchInvOps
+ * charged here.
  */
 template <typename Curve, typename PointOf>
-void
+std::uint64_t
 batchAffineAccumulate(
     const std::vector<std::vector<std::uint32_t>> &buckets,
     std::size_t lo, std::size_t hi, PointOf &&point_of,
@@ -95,7 +105,7 @@ batchAffineAccumulate(
     using Xyzz = XYZZPoint<Curve>;
     hi = std::min(hi, buckets.size());
     if (lo >= hi)
-        return;
+        return 0;
     const std::size_t width = hi - lo;
     auto &ops = ec::opCounters();
 
@@ -121,7 +131,8 @@ batchAffineAccumulate(
             scratch.active.push_back(i);
     }
 
-    while (!scratch.active.empty()) {
+    std::uint64_t inv_rounds = 0;
+    for (unsigned round = 0; !scratch.active.empty(); ++round) {
         scratch.denoms.clear();
         scratch.pairIn.clear();
         scratch.pairOut.clear();
@@ -163,6 +174,7 @@ batchAffineAccumulate(
         if (!scratch.denoms.empty()) {
             batchInverse(scratch.denoms, scratch.prefix);
             ++stats.batchInvOps;
+            inv_rounds |= std::uint64_t{1} << round;
             ++ops.inv;
             if (scratch.denoms.size() > 1)
                 ops.mul += 3 * (scratch.denoms.size() - 1);
@@ -214,6 +226,7 @@ batchAffineAccumulate(
             ++stats.paccOps;
         }
     }
+    return inv_rounds;
 }
 
 } // namespace distmsm::msm

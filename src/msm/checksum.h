@@ -13,6 +13,11 @@
  * shrunk to a per-transfer integrity check: one extra scalar
  * multiplication per shipped point, priced as MsmTimeline::verifyNs.
  *
+ * The digest is one [rho_k]S_k term per point, folded with padd in
+ * payload order. The terms are independent, so rlcKeyedDigest can
+ * compute them on the host thread pool and fold them serially: the
+ * digest is limb-for-limb the same at every host-thread count.
+ *
  * The rho width trades soundness against verification cost. 17 bits
  * (top bit forced so the chain length is fixed and rho is never
  * zero) keeps the digest under ~26 EC ops per point, which is what
@@ -34,6 +39,7 @@
 #include "src/ec/point.h"
 #include "src/gpusim/faults.h"
 #include "src/support/prng.h"
+#include "src/support/thread_pool.h"
 
 namespace distmsm::msm {
 
@@ -62,23 +68,33 @@ rlcRho(std::uint64_t seed, std::uint64_t k)
  * payloads are keyed by global window (or bucket) index rather than
  * a contiguous range, so the host re-derives the same rho for each
  * point no matter which device shipped it after a reshard. The
- * digest's EC work is tallied into @p report (verifyEcOps) — never
- * into KernelStats or hostOps, so zero-fault simulator statistics
- * stay bit-identical to a build without checksums.
+ * [rho]P terms run on up to @p host_threads pool threads
+ * (resolveHostThreads convention; 1 is the serial loop) and fold in
+ * payload order, so the digest does not depend on the thread count.
+ * The digest's EC work is tallied into @p report (verifyEcOps) —
+ * never into KernelStats or hostOps, so zero-fault simulator
+ * statistics stay bit-identical to a build without checksums.
  */
 template <typename Curve>
 XYZZPoint<Curve>
 rlcKeyedDigest(const std::vector<XYZZPoint<Curve>> &points,
                const std::vector<std::uint64_t> &keys,
                std::uint64_t seed,
-               gpusim::FaultReport *report = nullptr)
+               gpusim::FaultReport *report = nullptr,
+               int host_threads = 1)
 {
     using Scalar = BigInt<Curve::Fr::kLimbs>;
+    std::vector<XYZZPoint<Curve>> terms(points.size());
+    support::ThreadPool::global().parallelFor(
+        0, points.size(),
+        [&](std::size_t i) {
+            terms[i] = pmul(points[i],
+                            Scalar::fromU64(rlcRho(seed, keys[i])));
+        },
+        host_threads);
     XYZZPoint<Curve> digest = XYZZPoint<Curve>::identity();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Scalar rho = Scalar::fromU64(rlcRho(seed, keys[i]));
-        digest = padd(digest, pmul(points[i], rho));
-    }
+    for (const XYZZPoint<Curve> &term : terms)
+        digest = padd(digest, term);
     if (report != nullptr) {
         report->verifyEcOps += points.size() * (kRhoEcOps + 1);
         report->checksummed += points.size();

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <memory>
 #include <string>
@@ -168,14 +169,17 @@ class MsmEngine
      * Run one MSM against the staged points.
      *
      * Host parallelism (options.hostThreads): the signed-digit
-     * decomposition, the work units, the per-device bucket groups of
-     * a window and the simulated scatter blocks all run concurrently
-     * on the support::ThreadPool. Every parallel unit writes only
-     * its own slot and the slots are merged in the exact order of
-     * the sequential algorithm (windows high-to-low, buckets
-     * ascending, devices ascending), so the returned point, the
-     * KernelStats and hostOps are bit-identical for every thread
-     * count — hostThreads == 1 is the legacy serial execution.
+     * decomposition, the windows' scatters, the bucket-sum chunks of
+     * every unit, the windows' bucket reduces, the simulated scatter
+     * blocks and the [rho]P terms of every transfer digest all run
+     * concurrently on the support::ThreadPool. Every parallel task
+     * writes only its own slot and the slots are merged in the exact
+     * order of the sequential algorithm (windows high-to-low, chunks,
+     * groups and devices ascending, digest terms in payload order),
+     * so the returned point, the KernelStats, hostOps and the
+     * FaultReport are bit-identical for every thread count —
+     * hostThreads == 1 is the serial execution. The chunks charge
+     * the unsplit launch's KernelStats (execute).
      */
     MsmResult<Curve>
     compute(const std::vector<Scalar> &scalars) const
@@ -320,6 +324,38 @@ class MsmEngine
         std::vector<UnitOut> units;
     };
 
+    /**
+     * One execution of a unit inside execute(): the unit itself or a
+     * straggling window's dual copy. A window owns its scatter, its
+     * per-element negation and its bucket sums; a slice reads the
+     * combined pass's and sums into MsmRun::keyed.
+     */
+    struct UnitExec
+    {
+        unsigned unit = 0;
+        UnitOut *out = nullptr;
+        ScatterResult scattered;
+        std::vector<std::uint8_t> negs;
+        std::vector<Xyzz> sums;
+    };
+
+    /** Buckets [lo, hi) of group @p group of execution @p exec. */
+    struct BucketChunk
+    {
+        std::size_t exec;
+        int group;
+        std::size_t lo;
+        std::size_t hi;
+    };
+
+    /**
+     * Scattered ids per bucket-sum chunk (execute's pass 2): small
+     * enough that a call's chunks balance over the host threads,
+     * large enough that each chunk's per-round batch inversion stays
+     * a small share of its affine additions.
+     */
+    static constexpr std::size_t kChunkIds = std::size_t{1} << 14;
+
     /** The keys unit @p u owns: its window, or its slice's buckets. */
     static std::pair<std::size_t, std::size_t>
     keyRange(const MsmRun &run, unsigned u)
@@ -442,8 +478,8 @@ class MsmEngine
      * carries table row w of base i into the bucket of digit (w, i),
      * and one scatter sorts them all into the single shared bucket
      * array. Windows skip this phase: each scatters its own digits
-     * inside its unit, so a dual-execution copy re-runs the scatter
-     * like every other step of the window.
+     * in execute's first pass, so a dual-execution copy re-runs the
+     * scatter like every other step of the window.
      */
     support::Status
     scatter(MsmRun &run) const
@@ -646,141 +682,230 @@ class MsmEngine
     }
 
     /**
-     * Execute phase: one pool pass over every unit — first runs,
-     * reshards and watchdog respawns alike, since a unit's result does
-     * not depend on its device — plus a copy of each straggling (not
-     * hung) window, a genuine dual execution that must agree
-     * bit-for-bit and whose stats are discarded. The first failing
-     * unit (ascending) surfaces.
+     * Execute phase, as three flat pool passes so that no simulated
+     * device's share sets the host's makespan. Every unit executes —
+     * first runs, reshards and watchdog respawns alike, since a
+     * unit's result does not depend on its device — plus a copy of
+     * each straggling (not hung) window, a genuine dual execution
+     * that must agree bit-for-bit and whose stats are discarded.
+     *  1. Each window and copy builds its digits and scatters them
+     *     (the combined pass scattered once in scatter()). The first
+     *     failing unit (ascending) surfaces.
+     *  2. One pass over every bucket chunk of every execution: each
+     *     group's bucket range is cut at bucket boundaries into
+     *     chunks of about kChunkIds scattered ids (cutChunks), and
+     *     each chunk sums into its execution's own bucket slots.
+     *  3. Each window and copy reduces its buckets to its window
+     *     point.
+     * The chunks charge the launch the plan describes (mergeChunks),
+     * so every counter is the unsplit launch's.
      */
     support::Status
     execute(MsmRun &run) const
     {
+        auto &pool = support::ThreadPool::global();
         run.units.resize(run.numUnits);
-        std::vector<unsigned> duals;
-        for (unsigned u = 0; u < run.numUnits; ++u)
-            if (run.dual[u])
-                duals.push_back(u);
-        std::vector<UnitOut> copies(duals.size());
-        const std::size_t jobs = run.numUnits + duals.size();
-        support::ThreadPool::global().parallelFor(
-            0, jobs,
-            [&](std::size_t j) {
-                if (j < run.numUnits)
-                    executeUnit(run, static_cast<unsigned>(j),
-                                run.units[j]);
-                else
-                    executeUnit(run, duals[j - run.numUnits],
-                                copies[j - run.numUnits]);
+        const std::size_t n_duals = static_cast<std::size_t>(
+            std::count(run.dual.begin(), run.dual.end(), 1));
+        std::vector<UnitOut> copies(n_duals);
+        std::vector<UnitExec> execs(run.numUnits + n_duals);
+        for (unsigned u = 0, k = 0; u < run.numUnits; ++u) {
+            execs[u].unit = u;
+            execs[u].out = &run.units[u];
+            if (!run.dual[u])
+                continue;
+            execs[run.numUnits + k].unit = u;
+            execs[run.numUnits + k].out = &copies[k];
+            ++k;
+        }
+
+        if (run.slices) {
+            for (UnitOut &unit : run.units)
+                unit.status = support::Status::ok();
+        } else {
+            pool.parallelFor(
+                0, execs.size(),
+                [&](std::size_t j) { scatterWindow(run, execs[j]); },
+                run.hostThreads);
+            for (const UnitOut &unit : run.units)
+                if (!unit.status.isOk())
+                    return unit.status;
+        }
+
+        const std::vector<BucketChunk> chunks = cutChunks(run, execs);
+        std::vector<gpusim::KernelStats> chunk_stats(chunks.size());
+        std::vector<std::uint64_t> inv_rounds(chunks.size(), 0);
+        pool.parallelFor(
+            0, chunks.size(),
+            [&](std::size_t c) {
+                // Simulated-kernel field muls execute on the forced
+                // backend; entered per task, on its worker thread.
+                const field::TcBackendScope tc_scope(tcExecuted());
+                inv_rounds[c] = sumChunk(run, execs[chunks[c].exec],
+                                         chunks[c], chunk_stats[c]);
             },
             run.hostThreads);
-        for (std::size_t i = 0; i < duals.size(); ++i)
+        mergeChunks(chunks, chunk_stats, inv_rounds, execs);
+
+        if (run.slices)
+            return support::Status::ok();
+        pool.parallelFor(
+            0, execs.size(),
+            [&](std::size_t j) {
+                UnitOut &out = *execs[j].out;
+                out.point = bucketReduceSerial<Curve>(execs[j].sums,
+                                                      &out.reduceStats);
+            },
+            run.hostThreads);
+        for (std::size_t k = 0; k < n_duals; ++k) {
+            const UnitExec &copy = execs[run.numUnits + k];
             DISTMSM_ASSERT(
-                bitEqual(copies[i].point, run.units[duals[i]].point));
-        for (const UnitOut &unit : run.units)
-            if (!unit.status.isOk())
-                return unit.status;
-        if (!run.slices)
-            for (unsigned w = 0; w < run.numUnits; ++w)
-                run.keyed[w] = run.units[w].point;
+                bitEqual(copy.out->point, run.units[copy.unit].point));
+        }
+        for (unsigned w = 0; w < run.numUnits; ++w)
+            run.keyed[w] = run.units[w].point;
         return support::Status::ok();
     }
 
     /**
-     * One unit's bucket work. A window scatters its own digits, sums
-     * its whole bucket array — in plan_.gpusPerWindow lockstep groups
-     * when the plan splits a window's buckets across GPUs (Section
-     * 3.2.2) — and reduces it to the window point. A slice sums its
-     * range of the combined pass straight into the shared bucket
-     * array. Writes only @p out and the unit's own buckets, so units
-     * run concurrently.
+     * Pass 1 of a window execution: its digits and its own scatter
+     * launch, traced on the window's kernel-launch lane so the launch
+     * span carries exactly this window's contention.
      */
     void
-    executeUnit(MsmRun &run, unsigned u, UnitOut &out) const
+    scatterWindow(const MsmRun &run, UnitExec &e) const
     {
-        // Simulated-kernel field muls (bucket sums, window reduce)
-        // execute on the forced backend; entered per worker thread,
-        // so the pool-distributed bucket groups re-enter it.
-        const field::TcBackendScope tc_scope(tcExecuted());
+        std::vector<std::uint32_t> ids(run.nEff);
+        e.negs.resize(run.nEff);
+        windowDigits(run, e.unit, ids.data(), e.negs.data());
+        e.scattered = scatterIds(ids,
+                                 run.tracePrefix + "w" +
+                                     std::to_string(e.unit) + "/scatter",
+                                 static_cast<int>(e.unit));
+        e.out->status = e.scattered.status;
+        e.out->scatterStats = e.scattered.stats;
+        if (e.scattered.ok)
+            e.sums.assign(run.numBuckets, Xyzz::identity());
+    }
+
+    /**
+     * Pass 2's task list, executions and their groups ascending. A
+     * group is one of a window's plan_.gpusPerWindow bucket groups
+     * (Section 3.2.2) or a slice's whole key range. Each group's
+     * range is cut before any bucket that would take its chunk past
+     * kChunkIds ids, so only a bucket larger than that stands alone
+     * above it. The cut reads only the scatter output, never
+     * hostThreads.
+     */
+    std::vector<BucketChunk>
+    cutChunks(const MsmRun &run, const std::vector<UnitExec> &execs) const
+    {
+        std::vector<BucketChunk> chunks;
+        for (std::size_t j = 0; j < execs.size(); ++j) {
+            const auto &buckets = bucketsOf(run, execs[j]);
+            std::size_t lo = 1, hi = run.numBuckets;
+            int groups = plan_.bucketsSplitAcrossGpus ? plan_.gpusPerWindow
+                                                      : 1;
+            if (run.slices) {
+                std::tie(lo, hi) = keyRange(run, execs[j].unit);
+                groups = 1;
+            }
+            for (int g = 0; g < groups; ++g) {
+                const std::size_t g_lo = lo + (hi - lo) * g / groups;
+                const std::size_t g_hi = std::min(
+                    lo + (hi - lo) * (g + 1) / groups, buckets.size());
+                std::size_t start = g_lo, ids = 0;
+                for (std::size_t b = g_lo; b < g_hi; ++b) {
+                    if (b > start && ids + buckets[b].size() > kChunkIds) {
+                        chunks.push_back({j, g, start, b});
+                        start = b;
+                        ids = 0;
+                    }
+                    ids += buckets[b].size();
+                }
+                if (start < g_hi)
+                    chunks.push_back({j, g, start, g_hi});
+            }
+        }
+        return chunks;
+    }
+
+    /**
+     * Sum chunk @p c of execution @p e into its bucket slots: the
+     * window's own sums, or the combined pass's shared bucket array.
+     * Returns the batch-affine inversion rounds (none for the pacc
+     * tree).
+     */
+    std::uint64_t
+    sumChunk(MsmRun &run, UnitExec &e, const BucketChunk &c,
+             gpusim::KernelStats &stats) const
+    {
         const std::size_t n_eff = run.nEff;
         const std::size_t n_base = points_.size();
-        const ScatterResult *scattered = &run.scattered;
-        const std::vector<std::uint8_t> *negs = &run.negs;
-        std::vector<Xyzz> *sums = &run.keyed;
-        ScatterResult own;
-        std::vector<std::uint8_t> own_negs;
-        std::vector<Xyzz> window_sums;
-        std::size_t lo = 0, hi = 0;
-        int groups = 1;
-        if (run.slices) {
-            out.status = support::Status::ok();
-            std::tie(lo, hi) = keyRange(run, u);
-        } else {
-            std::vector<std::uint32_t> ids(n_eff);
-            own_negs.resize(n_eff);
-            windowDigits(run, u, ids.data(), own_negs.data());
-            // One kernel-launch lane per window: the launch span
-            // carries the measured contention of exactly this
-            // window's scatter.
-            own = scatterIds(ids,
-                             run.tracePrefix + "w" + std::to_string(u) +
-                                 "/scatter",
-                             static_cast<int>(u));
-            out.status = own.status;
-            if (!own.ok)
-                return;
-            out.scatterStats = own.stats;
-            scattered = &own;
-            negs = &own_negs;
-            window_sums.assign(run.numBuckets, Xyzz::identity());
-            sums = &window_sums;
-            lo = 1;
-            hi = run.numBuckets;
-            groups = plan_.bucketsSplitAcrossGpus ? plan_.gpusPerWindow
-                                                  : 1;
-        }
-
+        const std::vector<std::uint8_t> &negs =
+            run.slices ? run.negs : e.negs;
+        const auto &buckets = bucketsOf(run, e);
+        std::vector<Xyzz> &sums = run.slices ? run.keyed : e.sums;
         auto point_of = [&](std::uint32_t idx) {
             const AffinePoint<Curve> &base =
                 run.slices ? table_->rows[idx / n_eff][idx % n_eff]
                 : idx < n_base ? points_[idx]
                                : phi_points_[idx - n_base];
-            return (*negs)[idx] ? base.negated() : base;
+            return negs[idx] ? base.negated() : base;
         };
-        std::vector<gpusim::KernelStats> group_stats(groups);
-        cluster_.forEachDevice(
-            groups,
-            [&](int g) {
-                const field::TcBackendScope group_scope(tcExecuted());
-                const std::size_t g_lo = lo + (hi - lo) * g / groups;
-                const std::size_t g_hi =
-                    lo + (hi - lo) * (g + 1) / groups;
-                if (plan_.batchAffine) {
-                    BatchAffineScratch<Curve> scratch;
-                    batchAffineAccumulate<Curve>(
-                        scattered->buckets, g_lo, g_hi, point_of,
-                        *sums, group_stats[g], scratch);
-                    return;
-                }
-                for (std::size_t b = g_lo;
-                     b < g_hi && b < scattered->buckets.size(); ++b) {
-                    if (scattered->buckets[b].empty())
-                        continue;
-                    (*sums)[b] = bucketSumTree<Curve>(
-                        scattered->buckets[b], point_of,
-                        plan_.threadsPerBucket, group_stats[g]);
-                }
-            },
-            options_.hostThreads);
-        // The groups are one launch running on their devices in
-        // lockstep: work counts sum, the shared phase structure does
-        // not (see KernelStats::mergeLockstep; pinned by the 1-vs-4
-        // device stats test).
-        for (const auto &gs : group_stats)
-            out.ecStats.mergeLockstep(gs);
-        if (!run.slices)
-            out.point =
-                bucketReduceSerial<Curve>(window_sums, &out.reduceStats);
+        if (plan_.batchAffine) {
+            BatchAffineScratch<Curve> scratch;
+            return batchAffineAccumulate<Curve>(buckets, c.lo, c.hi,
+                                                point_of, sums, stats,
+                                                scratch);
+        }
+        for (std::size_t b = c.lo; b < c.hi; ++b)
+            if (!buckets[b].empty())
+                sums[b] = bucketSumTree<Curve>(buckets[b], point_of,
+                                               plan_.threadsPerBucket,
+                                               stats);
+        return 0;
+    }
+
+    /**
+     * Charge every execution the launch the plan describes. A bucket's
+     * sum does not depend on which buckets share its inversions, so
+     * only batchInvOps depends on the cut: a group ran one inversion
+     * per round any of its chunks inverted in, the popcount of the OR
+     * of their round masks. Every other counter sums, chunks
+     * ascending. The groups are one launch running on their devices
+     * in lockstep: work counts sum, the shared phase structure does
+     * not (see KernelStats::mergeLockstep; pinned by the 1-vs-4
+     * device stats test).
+     */
+    static void
+    mergeChunks(const std::vector<BucketChunk> &chunks,
+                const std::vector<gpusim::KernelStats> &chunk_stats,
+                const std::vector<std::uint64_t> &inv_rounds,
+                std::vector<UnitExec> &execs)
+    {
+        for (std::size_t c = 0; c < chunks.size();) {
+            gpusim::KernelStats group;
+            std::uint64_t rounds = 0;
+            std::size_t d = c;
+            for (; d < chunks.size() && chunks[d].exec == chunks[c].exec &&
+                   chunks[d].group == chunks[c].group;
+                 ++d) {
+                group.merge(chunk_stats[d]);
+                rounds |= inv_rounds[d];
+            }
+            group.batchInvOps =
+                static_cast<std::uint64_t>(std::popcount(rounds));
+            execs[chunks[c].exec].out->ecStats.mergeLockstep(group);
+            c = d;
+        }
+    }
+
+    /** The scattered buckets execution @p e sums. */
+    static const std::vector<std::vector<std::uint32_t>> &
+    bucketsOf(const MsmRun &run, const UnitExec &e)
+    {
+        return run.slices ? run.scattered.buckets : e.scattered.buckets;
     }
 
     /**
@@ -1270,7 +1395,7 @@ class MsmEngine
             if (wireTrip({Xyzz::identity()}, {0}, true,
                          fplan.transferFault(xfer, d) !=
                              gpusim::TransferFault::None,
-                         fplan.seed, xfer, nullptr, got)) {
+                         fplan.seed, xfer, nullptr, 1, got)) {
                 health->recordCleanProbe(d);
                 ++paroled;
             } else {
@@ -1287,18 +1412,21 @@ class MsmEngine
      * when @p corrupt (seeded by @p seed and @p xfer), deserialize
      * into @p got and re-derive the digest host-side. Returns whether
      * the two digests agree limb-for-limb (always true undigested);
-     * the digest work is tallied into @p report when given.
+     * the digest work is tallied into @p report when given, and its
+     * terms run on @p host_threads pool threads.
      */
     bool
     wireTrip(const std::vector<Xyzz> &points,
              const std::vector<std::uint64_t> &keys, bool digest,
              bool corrupt, std::uint64_t seed, std::uint64_t xfer,
-             gpusim::FaultReport *report, std::vector<Xyzz> &got) const
+             gpusim::FaultReport *report, int host_threads,
+             std::vector<Xyzz> &got) const
     {
         std::vector<Xyzz> wire = points;
         if (digest)
             wire.push_back(rlcKeyedDigest(points, keys,
-                                          options_.checksumSeed, report));
+                                          options_.checksumSeed, report,
+                                          host_threads));
         std::vector<std::uint8_t> bytes = serializePoints<Curve>(wire);
         if (corrupt)
             gpusim::corruptBytes(bytes, seed, xfer);
@@ -1308,7 +1436,7 @@ class MsmEngine
         const Xyzz device_digest = got.back();
         got.pop_back();
         return bitEqual(rlcKeyedDigest(got, keys, options_.checksumSeed,
-                                       report),
+                                       report, host_threads),
                         device_digest);
     }
 
@@ -1425,7 +1553,7 @@ class MsmEngine
             std::vector<Xyzz> got;
             if (!wireTrip(points, rho_keys, options_.verifyChecksums,
                           tf != gpusim::TransferFault::None, fplan.seed,
-                          xfer, &report, got)) {
+                          xfer, &report, run.hostThreads, got)) {
                 ++report.corruptDetected;
                 if (health != nullptr)
                     health->recordChecksumFailure(sender);

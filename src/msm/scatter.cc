@@ -122,7 +122,8 @@ naiveScatter(const std::vector<std::uint32_t> &bucket_ids,
     BlockStaging staging(config.gridDim);
 
     // One element per thread per phase: atomics within a phase are
-    // the concurrent ones.
+    // the concurrent ones. The staging places the ids host-side, so
+    // no thread reads its counter: a return-less reduceAdd.
     for (int reg_idx = 0; reg_idx < k; ++reg_idx) {
         launch.phase([&](ThreadCtx &ctx) {
             const std::size_t addr =
@@ -134,7 +135,7 @@ naiveScatter(const std::vector<std::uint32_t> &bucket_ids,
             const std::uint32_t bucket = bucket_ids[addr];
             if (bucket == 0)
                 return; // zero chunk contributes nothing
-            launch.atomicAdd(counters, bucket, 1, ctx);
+            launch.reduceAdd(counters, bucket, 1, ctx);
             staging.push(ctx, bucket,
                          static_cast<std::uint32_t>(addr));
             launch.countGmemBytes(
@@ -279,6 +280,8 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
         // Flush: one global atomic per (block, non-empty bucket)
         // reserves the output range, then the tile segment streams
         // out (lines 12-15). Thread b handles buckets b, b+dim, ...
+        // The staging places the ids host-side, so the reservation's
+        // old value is unused: a return-less reduceAdd.
         launch.phase([&](ThreadCtx &ctx) {
             WordArray &shm = launch.shared(ctx.bid);
             for (std::size_t b = ctx.tid; b < n_buckets;
@@ -286,7 +289,7 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
                 const std::uint64_t count = shm.read(b);
                 if (count == 0)
                     continue;
-                launch.atomicAdd(global_counters, b, count, ctx);
+                launch.reduceAdd(global_counters, b, count, ctx);
                 // Reconstruct global ids: reg_idx || bid || tid.
                 const std::uint64_t end = shm.read(n_buckets + b);
                 for (std::uint64_t p = end - count; p < end; ++p) {

@@ -5,12 +5,15 @@
  * adversarial bucket contents (duplicates, inverse pairs, identity
  * contributions, empty and single-point buckets), the amortized
  * field-op accounting (~6 muls per accumulated point against pacc's
- * 10), and the scratch-buffer / zero-skipping batchInverse variants.
+ * 10), range splitting (a range summed chunk by chunk gives the same
+ * bits and, with the inversion rounds OR-ed, the same stats), and the
+ * scratch-buffer / zero-skipping batchInverse variants.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "src/msm/engine.h"
 #include "src/msm/workload.h"
 #include "src/support/prng.h"
+#include "tests/sweep_cases.h"
 
 namespace distmsm {
 namespace {
@@ -233,6 +237,166 @@ TEST(BatchAffine, FieldMulCountDropsBelowPacc)
     EXPECT_EQ(ops.inv, 3u);
     EXPECT_LT(batch_muls, 6 * adds);
     EXPECT_LT(3 * batch_muls, 2 * legacy_muls); // > 1.5x fewer muls
+}
+
+// ---------------------------------------------------------------
+// Chunked ranges: what the engine's bucket-chunk tasks rely on.
+// ---------------------------------------------------------------
+
+/** What one batched-affine launch over a range produced. */
+struct RangeSums
+{
+    std::vector<Xyzz> sums;
+    gpusim::KernelStats stats;
+};
+
+/**
+ * Sum buckets [lo, hi) one chunk at a time, cutting before each of
+ * @p cuts (ascending, inside (lo, hi)), and charge the unsplit launch:
+ * the chunks' stats sum, except that the launch ran one inversion per
+ * round any chunk inverted in.
+ */
+template <typename PointOf>
+RangeSums
+chunkedSums(const Buckets &buckets, std::size_t lo, std::size_t hi,
+            const std::vector<std::size_t> &cuts, PointOf &&point_of)
+{
+    RangeSums out;
+    out.sums.assign(buckets.size(), Xyzz::identity());
+    std::uint64_t rounds = 0;
+    std::size_t start = lo;
+    std::vector<std::size_t> ends = cuts;
+    ends.push_back(hi);
+    for (const std::size_t end : ends) {
+        gpusim::KernelStats chunk;
+        msm::BatchAffineScratch<Curve> scratch;
+        rounds |= msm::batchAffineAccumulate<Curve>(
+            buckets, start, end, point_of, out.sums, chunk, scratch);
+        out.stats.merge(chunk);
+        start = end;
+    }
+    out.stats.batchInvOps = static_cast<std::uint64_t>(std::popcount(rounds));
+    return out;
+}
+
+/** Bit-equal sums and field-by-field equal stats. */
+::testing::AssertionResult
+sameRange(const RangeSums &got, const RangeSums &want)
+{
+    for (std::size_t b = 0; b < want.sums.size(); ++b)
+        if (!msm::bitEqual(got.sums[b], want.sums[b]))
+            return ::testing::AssertionFailure()
+                   << "bucket " << b << " differs";
+    if (!(got.stats == want.stats))
+        return ::testing::AssertionFailure()
+               << "stats differ: batchInvOps " << got.stats.batchInvOps
+               << " vs " << want.stats.batchInvOps << ", affineAddOps "
+               << got.stats.affineAddOps << " vs "
+               << want.stats.affineAddOps << ", paccOps "
+               << got.stats.paccOps << " vs " << want.stats.paccOps;
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Adversarial bucket contents, shuffled by @p prng: empty, single,
+ * pair, 2^k and 2^k + 1 point buckets, equal-x pairs that spill
+ * (doubling and cancelling) and identity contributions. Ids 2j and
+ * 2j + 1 map to a base point and its negation; kIdentityId maps to
+ * the point at infinity.
+ */
+constexpr std::uint32_t kIdentityId = 0xFFFF;
+
+Buckets
+adversarialBuckets(Prng &prng, std::size_t n_bases)
+{
+    const auto id = [&] {
+        return static_cast<std::uint32_t>(prng.below(2 * n_bases));
+    };
+    Buckets buckets;
+    buckets.push_back({});
+    buckets.push_back({id()});
+    buckets.push_back({id(), id()});
+    for (const std::size_t k : {2u, 3u, 4u, 5u, 6u}) {
+        for (const std::size_t size : {std::size_t{1} << k,
+                                       (std::size_t{1} << k) + 1}) {
+            std::vector<std::uint32_t> bucket(size);
+            for (auto &i : bucket)
+                i = id();
+            buckets.push_back(std::move(bucket));
+        }
+    }
+    const std::uint32_t a = 2 * static_cast<std::uint32_t>(
+                                    prng.below(n_bases));
+    const std::uint32_t b = 2 * static_cast<std::uint32_t>(
+                                    prng.below(n_bases));
+    buckets.push_back({a, a});             // doubling spill
+    buckets.push_back({a, a + 1});         // cancelling spill
+    buckets.push_back({a, a, a + 1, b});   // both, then a survivor
+    buckets.push_back({b, a, b, a, b + 1, a + 1, id(), id()});
+    buckets.push_back({kIdentityId});
+    buckets.push_back({kIdentityId, a, kIdentityId, b, id()});
+    for (std::size_t i = buckets.size(); i-- > 1;)
+        std::swap(buckets[i], buckets[prng.below(i + 1)]);
+    return buckets;
+}
+
+TEST(BatchAffine, ChunkedRangesMatchWholeRange)
+{
+    Prng prng(0xC4C4ED);
+    const auto base = msm::generatePoints<Curve>(24, prng);
+    const auto point_of = [&](std::uint32_t id) {
+        if (id == kIdentityId)
+            return Affine::identity();
+        const Affine p = base[id / 2];
+        return (id % 2 != 0) ? p.negated() : p;
+    };
+    const auto whole = [&](const Buckets &buckets, std::size_t lo,
+                           std::size_t hi) {
+        RangeSums out;
+        out.sums.assign(buckets.size(), Xyzz::identity());
+        msm::BatchAffineScratch<Curve> scratch;
+        const std::uint64_t rounds = msm::batchAffineAccumulate<Curve>(
+            buckets, lo, hi, point_of, out.sums, out.stats, scratch);
+        EXPECT_EQ(static_cast<std::uint64_t>(std::popcount(rounds)),
+                  out.stats.batchInvOps);
+        return out;
+    };
+
+    // Fixed widths over one adversarial layout, bucket 0 excluded as
+    // in the engine.
+    const Buckets fixed = adversarialBuckets(prng, base.size());
+    const std::size_t lo = 1, hi = fixed.size();
+    const RangeSums want = whole(fixed, lo, hi);
+    ASSERT_GT(want.stats.paccOps, 0u);     // the spill path ran
+    ASSERT_GT(want.stats.batchInvOps, 4u); // a deep tree
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{7},
+                                    hi - lo}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        std::vector<std::size_t> cuts;
+        for (std::size_t c = lo + width; c < hi; c += width)
+            cuts.push_back(c);
+        EXPECT_TRUE(sameRange(chunkedSums(fixed, lo, hi, cuts, point_of),
+                              want));
+    }
+
+    // Seeded random layouts, sub-ranges and cuts.
+    const long cases = sweepCases(64);
+    for (long c = 0; c < cases; ++c) {
+        SCOPED_TRACE("case " + std::to_string(c));
+        const Buckets buckets = adversarialBuckets(prng, base.size());
+        const std::size_t r_lo = prng.below(4);
+        const std::size_t r_hi =
+            buckets.size() - static_cast<std::size_t>(prng.below(4));
+        const std::uint64_t cut_odds = 1 + prng.below(6);
+        std::vector<std::size_t> cuts;
+        for (std::size_t b = r_lo + 1; b < r_hi; ++b)
+            if (prng.below(cut_odds) == 0)
+                cuts.push_back(b);
+        ASSERT_TRUE(sameRange(
+            chunkedSums(buckets, r_lo, r_hi, cuts, point_of),
+            whole(buckets, r_lo, r_hi)));
+    }
 }
 
 // ---------------------------------------------------------------

@@ -10,18 +10,25 @@
  * and compare at the representation level: XYZZ coordinates are
  * checked limb-by-limb via Fq::operator== (XYZZPoint::operator== is
  * only group equality and would hide a divergent-but-equivalent
- * representation).
+ * representation). Comparing thread counts with each other cannot
+ * catch a miscount every count shares, so the engine's chunked
+ * bucket sums are also held to a reference rebuilt through the
+ * layers' public entry points.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/ec/curves.h"
 #include "src/gpusim/cluster.h"
 #include "src/gpusim/executor.h"
+#include "src/msm/batch_affine.h"
+#include "src/msm/bucket_reduce.h"
 #include "src/msm/engine.h"
+#include "src/msm/precompute.h"
 #include "src/msm/reference.h"
 #include "src/msm/scatter.h"
 #include "src/msm/workload.h"
@@ -132,6 +139,180 @@ TEST(Determinism, MsmEngineBls381AcrossHostThreads)
 TEST(Determinism, MsmEngineSingleGpuAcrossHostThreads)
 {
     checkEngineDeterminism<Bn254>(0x5EED0001, /*gpus=*/1);
+}
+
+// ---------------------------------------------------------------
+// The engine's bucket-sum chunks charge the unsplit launch.
+// ---------------------------------------------------------------
+
+/** One MSM rebuilt through the layers' public entry points. */
+struct UnsplitMsm
+{
+    XYZZPoint<Bn254> value = XYZZPoint<Bn254>::identity();
+    KernelStats stats;
+    std::uint64_t hostOps = 0;
+    /** Scattered ids of the fullest device group. */
+    std::size_t maxGroupIds = 0;
+};
+
+/**
+ * The launch @p plan describes, fault-free, for unsigned digits
+ * without GLV: each scatter as the engine configures it, ONE
+ * batchAffineAccumulate per device group (lockstep-merged), then the
+ * engine's host reduce — the combined pass's bucket reduce, or each
+ * window's bucket reduce and the Horner chain. @p table holds the
+ * precompute rows when the plan uses them.
+ */
+UnsplitMsm
+unsplitMsm(const std::vector<AffinePoint<Bn254>> &points,
+           const std::vector<BigInt<Bn254::Fr::kLimbs>> &scalars,
+           const msm::MsmPlan &plan, const msm::MsmOptions &options,
+           int num_gpus, const msm::PrecomputeTable<Bn254> *table)
+{
+    using Xyzz = XYZZPoint<Bn254>;
+    const unsigned s = plan.windowBits;
+    const std::size_t n = points.size();
+    const std::size_t n_buckets = plan.numBuckets + 1;
+    msm::ScatterConfig cfg = options.scatter;
+    cfg.hostThreads = 1;
+    cfg.fieldBackend = plan.fieldBackend;
+    UnsplitMsm out;
+    // Scatter @p ids, sum its buckets in @p groups unsplit groups
+    // with @p point_of into @p sums, and merge both launches' stats.
+    const auto launch = [&](const std::vector<std::uint32_t> &ids,
+                            int groups, auto &&point_of,
+                            std::vector<Xyzz> &sums) {
+        const msm::ScatterResult sc =
+            plan.hierarchicalScatter ? msm::hierarchicalScatter(ids, s, cfg)
+                                     : msm::naiveScatter(ids, s, cfg);
+        EXPECT_TRUE(sc.ok);
+        KernelStats ec;
+        for (int g = 0; g < groups; ++g) {
+            const std::size_t lo = 1 + (n_buckets - 1) * g / groups;
+            const std::size_t hi = 1 + (n_buckets - 1) * (g + 1) / groups;
+            std::size_t group_ids = 0;
+            for (std::size_t b = lo; b < hi; ++b)
+                group_ids += sc.buckets[b].size();
+            out.maxGroupIds = std::max(out.maxGroupIds, group_ids);
+            KernelStats gs;
+            msm::BatchAffineScratch<Bn254> scratch;
+            msm::batchAffineAccumulate<Bn254>(sc.buckets, lo, hi, point_of,
+                                              sums, gs, scratch);
+            ec.mergeLockstep(gs);
+        }
+        out.stats.merge(sc.stats);
+        out.stats.merge(ec);
+    };
+    const auto digit = [&](unsigned w, std::size_t i) {
+        return static_cast<std::uint32_t>(
+            scalars[i].bits(static_cast<std::size_t>(w) * s, s));
+    };
+
+    msm::ReduceStats rs;
+    if (plan.precompute) {
+        std::vector<std::uint32_t> ids(std::size_t{plan.numWindows} * n);
+        for (unsigned w = 0; w < plan.numWindows; ++w)
+            for (std::size_t i = 0; i < n; ++i)
+                ids[w * n + i] = digit(w, i);
+        std::vector<Xyzz> sums(n_buckets, Xyzz::identity());
+        launch(ids, num_gpus,
+               [&](std::uint32_t e) { return table->rows[e / n][e % n]; },
+               sums);
+        out.value = msm::bucketReduceSerial<Bn254>(sums, &rs);
+        out.hostOps = rs.padds + rs.pdbls;
+        return out;
+    }
+    const int groups = plan.bucketsSplitAcrossGpus ? plan.gpusPerWindow : 1;
+    std::vector<Xyzz> window_points(plan.numWindows);
+    for (unsigned w = 0; w < plan.numWindows; ++w) {
+        std::vector<std::uint32_t> ids(n);
+        for (std::size_t i = 0; i < n; ++i)
+            ids[i] = digit(w, i);
+        std::vector<Xyzz> sums(n_buckets, Xyzz::identity());
+        launch(ids, groups, [&](std::uint32_t i) { return points[i]; },
+               sums);
+        rs = msm::ReduceStats{};
+        window_points[w] = msm::bucketReduceSerial<Bn254>(sums, &rs);
+        out.hostOps += rs.padds + 1;
+    }
+    for (unsigned w = plan.numWindows; w-- > 0;) {
+        if (!out.value.isIdentity())
+            for (unsigned b = 0; b < s; ++b, ++out.hostOps)
+                out.value = pdbl(out.value);
+        out.value = padd(out.value, window_points[w]);
+    }
+    return out;
+}
+
+TEST(Determinism, ChunkedEngineChargesUnsplitLaunch)
+{
+    // The engine cuts every device group's buckets into chunks of
+    // about 2^14 scattered ids and sums the chunks on the host pool;
+    // its KernelStats, hostOps and value must still be the unsplit
+    // launch's. Comparing thread counts with each other would not
+    // catch a consistent miscount, so each run is held to a reference
+    // rebuilt through the layers' public entry points.
+    struct Case
+    {
+        const char *name;
+        bool precompute;
+        unsigned windowBits;
+        int gpus;
+        std::size_t points;
+        unsigned scalarBits;
+    };
+    const Case cases[] = {
+        // The combined pass: 51 table rows of 3000 bases, naive
+        // scatter, one slice of 3-4 of the 31 buckets per device.
+        {"precompute_naive_8dev", true, 5, 8, 3000, 254},
+        // 32 windows on 64 devices: 2 GPUs per window. Scalars below
+        // 2^16 fill windows 0 and 1 with 40,000 ids each.
+        {"windowed_split_64dev", false, 8, 64, 40000, 16},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        Prng prng(0xC4A2C5 + c.points);
+        const auto points = msm::generatePoints<Bn254>(c.points, prng);
+        auto scalars = msm::generateScalars<Bn254>(c.points, prng);
+        for (auto &k : scalars)
+            k.truncateToBits(c.scalarBits);
+        const Cluster cluster(DeviceSpec::a100(), c.gpus);
+        msm::MsmOptions options;
+        options.windowBitsOverride = c.windowBits;
+        options.precompute = c.precompute;
+        options.hierarchicalScatter = !c.precompute;
+        options.batchAffine = true;
+
+        UnsplitMsm want;
+        for (const int threads : {1, 4, 8}) {
+            SCOPED_TRACE("hostThreads=" + std::to_string(threads));
+            options.hostThreads = threads;
+            const msm::MsmEngine<Bn254> engine(points, cluster, options);
+            const msm::MsmPlan &plan = engine.plan();
+            if (threads == 1) {
+                ASSERT_EQ(plan.precompute, c.precompute);
+                ASSERT_FALSE(plan.glv || plan.signedDigits);
+                ASSERT_EQ(plan.hierarchicalScatter, !c.precompute);
+                if (!c.precompute) {
+                    ASSERT_GT(plan.gpusPerWindow, 1);
+                }
+                const auto table =
+                    c.precompute ? msm::buildPrecomputeTable<Bn254>(
+                                       points, plan.numWindows,
+                                       plan.windowBits, false, 0)
+                                 : nullptr;
+                want = unsplitMsm(points, scalars, plan, options, c.gpus,
+                                  table.get());
+                // More than one chunk's worth in some group, so the
+                // engine really split a launch.
+                ASSERT_GT(want.maxGroupIds, std::size_t{1} << 14);
+            }
+            const auto got = engine.compute(scalars);
+            EXPECT_TRUE(bitIdentical(got.value, want.value));
+            EXPECT_EQ(got.stats, want.stats);
+            EXPECT_EQ(got.hostOps, want.hostOps);
+        }
+    }
 }
 
 // ---------------------------------------------------------------
@@ -361,31 +542,6 @@ TEST(Determinism, ExecutorMemoryAndStatsAcrossHostThreads)
         EXPECT_EQ(got.perThread, base.perThread);
         EXPECT_EQ(got.stats, base.stats);
     }
-}
-
-// ---------------------------------------------------------------
-// Cluster device fan-out: per-slot writes land exactly once.
-// ---------------------------------------------------------------
-
-TEST(Determinism, ClusterForEachGpuSlotWrites)
-{
-    const Cluster cluster(DeviceSpec::a100(), 8);
-    auto run = [&](int threads) {
-        std::vector<std::uint64_t> slots(
-            static_cast<std::size_t>(cluster.numGpus()), 0);
-        cluster.forEachDevice(
-            cluster.numGpus(),
-            [&](int g) {
-                slots[static_cast<std::size_t>(g)] =
-                    0xC0FFEEull * (g + 1);
-            },
-            threads);
-        return slots;
-    };
-    const auto base = run(1);
-    for (const int threads : kThreadCounts)
-        EXPECT_EQ(run(threads), base)
-            << "hostThreads=" << threads;
 }
 
 } // namespace

@@ -254,6 +254,38 @@ TEST(Checksum, DigestDetectsEveryInjectedByteFlip)
     EXPECT_TRUE(bitEqual(rlcDigest<Bn254>(clean, seed, 0), digest));
 }
 
+TEST(Checksum, PooledDigestEqualsSerialFold)
+{
+    // The digest's [rho]P terms run on the host pool; folded in
+    // payload order they must give the serial loop's digest limb for
+    // limb at every thread count. 1,023 points: one combined-pass
+    // bucket array at s = 10, keyed sparsely as after a reshard.
+    constexpr std::size_t kPoints = 1023;
+    Prng prng(0xD16E57);
+    const auto affine = generatePoints<Bn254>(kPoints, prng);
+    std::vector<XYZZPoint<Bn254>> points;
+    std::vector<std::uint64_t> keys;
+    for (std::size_t i = 0; i < kPoints; ++i) {
+        // Distinct XYZZ representations, not just affine lifts.
+        points.push_back(pdbl(XYZZPoint<Bn254>::fromAffine(affine[i])));
+        keys.push_back(3 * i + prng.below(3) + (i > 500 ? 4096 : 0));
+    }
+    const std::uint64_t seed = 0xC0FFEE;
+    XYZZPoint<Bn254> serial = XYZZPoint<Bn254>::identity();
+    for (std::size_t i = 0; i < kPoints; ++i)
+        serial = padd(serial,
+                      pmul(points[i], BigInt<Bn254::Fr::kLimbs>::fromU64(
+                                          rlcRho(seed, keys[i]))));
+    for (const int threads : {1, 4, 8}) {
+        SCOPED_TRACE("host_threads=" + std::to_string(threads));
+        gpusim::FaultReport report;
+        EXPECT_TRUE(bitEqual(
+            rlcKeyedDigest(points, keys, seed, &report, threads), serial));
+        EXPECT_EQ(report.checksummed, kPoints);
+        EXPECT_EQ(report.verifyEcOps, kPoints * (kRhoEcOps + 1));
+    }
+}
+
 TEST(Checksum, CorruptBytesIsDeterministic)
 {
     std::vector<std::uint8_t> a(256, 0xAA), b(256, 0xAA);

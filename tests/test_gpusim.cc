@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/gpusim/cluster.h"
@@ -171,6 +172,56 @@ TEST(Executor, SharedAtomicsScopedPerBlock)
     EXPECT_EQ(launch.stats().sharedMaxConflict, 32u);
     for (int b = 0; b < 4; ++b)
         EXPECT_EQ(launch.shared(b).read(0), 32u);
+}
+
+TEST(Executor, ReduceAddMatchesAtomicAdd)
+{
+    // The return-less reduction must land the words and contention
+    // statistics of the fetch-add it replaces, with its blocks on one
+    // host thread or concurrent (where it defers to the barrier) —
+    // also when one phase mixes both kinds on the same words.
+    constexpr int kGrid = 16;
+    constexpr int kBlock = 64;
+    constexpr std::size_t kWords = 40;
+    enum class Mode { Atomic, Reduce, Mixed };
+    const auto run = [&](Mode mode, int host_threads) {
+        KernelLaunch launch(kGrid, kBlock, 0, host_threads);
+        WordArray words(kWords, WordArray::Space::Global);
+        for (std::uint64_t round = 0; round < 3; ++round) {
+            launch.phase([&](ThreadCtx &ctx) {
+                // A third of the grid hits word 0; the rest spread.
+                const std::size_t i =
+                    ctx.gid() % 3 == 0
+                        ? 0
+                        : (static_cast<std::size_t>(ctx.gid()) * 7 +
+                           round) % kWords;
+                const std::uint64_t v = 1 + ctx.tid + round;
+                const bool reduce = mode == Mode::Reduce ||
+                                    (mode == Mode::Mixed && ctx.bid % 2);
+                if (reduce)
+                    launch.reduceAdd(words, i, v, ctx);
+                else
+                    launch.atomicAdd(words, i, v, ctx);
+            });
+        }
+        std::vector<std::uint64_t> out;
+        for (std::size_t i = 0; i < kWords; ++i)
+            out.push_back(words.read(i));
+        return std::make_pair(out, launch.stats());
+    };
+    const auto base = run(Mode::Atomic, 1);
+    EXPECT_EQ(base.second.globalAtomics, 3u * kGrid * kBlock);
+    EXPECT_GT(base.second.globalConflictWeight,
+              base.second.globalAtomics); // contention was measured
+    for (const int host_threads : {1, 4}) {
+        for (const Mode mode : {Mode::Atomic, Mode::Reduce, Mode::Mixed}) {
+            SCOPED_TRACE("host_threads=" + std::to_string(host_threads) +
+                         " mode=" + std::to_string(static_cast<int>(mode)));
+            const auto got = run(mode, host_threads);
+            EXPECT_EQ(got.first, base.first);
+            EXPECT_EQ(got.second, base.second);
+        }
+    }
 }
 
 TEST(CostModel, RegisterCountsMatchPaper)

@@ -1,7 +1,6 @@
 #include "src/gpusim/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <utility>
 
@@ -34,9 +33,8 @@ KernelLaunch::validateLaunch(int grid_dim, int block_dim,
 }
 
 KernelLaunch::KernelLaunch(int grid_dim, int block_dim,
-                           std::size_t shared_words, int host_threads)
-    : grid_dim_(grid_dim), block_dim_(block_dim),
-      host_threads_(support::resolveHostThreads(host_threads))
+                           std::size_t shared_words)
+    : grid_dim_(grid_dim), block_dim_(block_dim)
 {
     const support::Status geometry =
         validateLaunch(grid_dim, block_dim, shared_words);
@@ -44,7 +42,6 @@ KernelLaunch::KernelLaunch(int grid_dim, int block_dim,
     shared_.reserve(grid_dim);
     for (int b = 0; b < grid_dim; ++b)
         shared_.emplace_back(shared_words, WordArray::Space::Shared);
-    blocks_.resize(static_cast<std::size_t>(grid_dim));
 }
 
 KernelLaunch::~KernelLaunch()
@@ -88,90 +85,40 @@ KernelLaunch::shared(int bid)
 void
 KernelLaunch::barrier()
 {
-    // Land every block's deferred reductions first, in block order:
-    // a counter must hold all of its writers before any block's
-    // first-writer entry folds (and resets) it.
-    for (BlockTally &tally : blocks_) {
-        for (const Reduction &r : tally.reductions) {
-            r.arr->words_[r.index] += r.value;
-            if (r.arr->phase_counts_[r.index]++ == 0)
-                tally.touched.push_back({r.arr, r.index});
+    // Fold every index written this phase into the contention stats.
+    // Each index was listed by its first writer, so it is folded (and
+    // its count reset) exactly once.
+    for (const Touch &t : touched_) {
+        const std::uint64_t c =
+            std::exchange(t.arr->phase_counts_[t.index], 0);
+        if (t.arr->space_ == WordArray::Space::Shared) {
+            stats_.sharedConflictWeight += c * c;
+            stats_.sharedMaxConflict =
+                std::max<std::uint64_t>(stats_.sharedMaxConflict, c);
+        } else {
+            stats_.globalConflictWeight += c * c;
+            stats_.globalMaxConflict =
+                std::max<std::uint64_t>(stats_.globalMaxConflict, c);
         }
-        tally.reductions.clear();
     }
-    // Merge the per-block tallies in block index order, then fold
-    // each block's first-written indices into the contention stats.
-    // An index has exactly one first writer per phase, so it is
-    // folded (and its count reset) exactly once; all fields are sums
-    // or maxima, so the totals equal the sequential execution's.
-    for (BlockTally &tally : blocks_) {
-        stats_.merge(tally.stats);
-        tally.stats = KernelStats{};
-        for (const Touch &t : tally.touched) {
-            const std::uint64_t c =
-                std::exchange(t.arr->phase_counts_[t.index], 0);
-            if (t.arr->space_ == WordArray::Space::Shared) {
-                stats_.sharedConflictWeight += c * c;
-                stats_.sharedMaxConflict =
-                    std::max<std::uint64_t>(stats_.sharedMaxConflict, c);
-            } else {
-                stats_.globalConflictWeight += c * c;
-                stats_.globalMaxConflict =
-                    std::max<std::uint64_t>(stats_.globalMaxConflict, c);
-            }
-        }
-        tally.touched.clear();
-    }
+    touched_.clear();
 }
 
 std::uint64_t
 KernelLaunch::atomicAdd(WordArray &arr, std::size_t i, std::uint64_t v,
-                        const ThreadCtx &ctx)
+                        const ThreadCtx &)
 {
     DISTMSM_ASSERT(i < arr.words_.size());
-    const bool is_shared = arr.space_ == WordArray::Space::Shared;
-
-    std::uint64_t old;
-    std::uint32_t earlier_writers;
-    if (!is_shared && host_threads_ > 1) {
-        // Blocks may run on concurrent host threads: fetch-add the
-        // word and its writer count. fetch-add commutes, so the final
-        // words and writer counts are schedule-independent.
-        old = std::atomic_ref<std::uint64_t>(arr.words_[i])
-                  .fetch_add(v, std::memory_order_relaxed);
-        earlier_writers =
-            std::atomic_ref<std::uint32_t>(arr.phase_counts_[i])
-                .fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t old = arr.words_[i];
+    arr.words_[i] += v;
+    if (arr.phase_counts_[i]++ == 0)
+        touched_.push_back({&arr, static_cast<std::uint32_t>(i)});
+    if (arr.space_ == WordArray::Space::Shared) {
+        ++stats_.sharedAtomics;
     } else {
-        old = arr.words_[i];
-        arr.words_[i] += v;
-        earlier_writers = arr.phase_counts_[i]++;
-    }
-
-    BlockTally &tally = block(ctx);
-    if (earlier_writers == 0)
-        tally.touched.push_back({&arr, static_cast<std::uint32_t>(i)});
-    if (is_shared) {
-        ++tally.stats.sharedAtomics;
-    } else {
-        ++tally.stats.globalAtomics;
+        ++stats_.globalAtomics;
     }
     return old;
-}
-
-void
-KernelLaunch::reduceAdd(WordArray &arr, std::size_t i, std::uint64_t v,
-                        const ThreadCtx &ctx)
-{
-    DISTMSM_ASSERT(arr.space_ == WordArray::Space::Global);
-    if (host_threads_ <= 1) {
-        atomicAdd(arr, i, v, ctx);
-        return;
-    }
-    DISTMSM_ASSERT(i < arr.words_.size());
-    BlockTally &tally = block(ctx);
-    ++tally.stats.globalAtomics;
-    tally.reductions.push_back({&arr, static_cast<std::uint32_t>(i), v});
 }
 
 } // namespace distmsm::gpusim

@@ -16,28 +16,16 @@
  * global thread id; per-block shared memory is allocated by the
  * launch and persists across its phases.
  *
- * Host parallelism: a launch constructed with host_threads != 1 runs
- * the independent thread *blocks* of each phase concurrently on the
- * support::ThreadPool (one task per block); threads within a block
- * stay sequential in tid order. Statistics are accumulated per block
- * and merged in block index order after the barrier. Global atomics
- * are lock-free std::atomic_ref fetch-adds on the word and on its
- * per-phase writer count; the first writer of an index appends it to
- * its own block's list, and the lists fold into the contention stats
- * at the barrier in block order. Return-less reductions (reduceAdd,
- * CUDA's `red`) touch no shared word while blocks run: each block
- * appends (word, value) to its own list, and the barrier applies the
- * lists in block order — word, writer count, first-writer list —
- * before it folds the contention stats, so hot counters never bounce
- * between host cores. Each index has exactly one first writer per
- * phase and every stat is a sum or a maximum, which commute, so
- * every counter and every simulated memory word is bit-identical to
- * the sequential execution. Kernel callbacks must follow the same
- * rules real CUDA kernels do: only touch shared memory of their own
- * block, use atomicAdd() or reduceAdd() for cross-block global
- * writes, never depend on the *ordering* of other blocks' global
- * atomics within a phase, and never read a word they reduce in the
- * same phase.
+ * Execution order: a phase runs its blocks in index order, and each
+ * block's threads in tid order, on the calling thread. Contention is
+ * a property of which threads write which word within a phase, not
+ * of the order they run in, so the fixed order changes no statistic.
+ * Host parallelism lives one layer up, where MsmEngine runs whole
+ * scatter launches and the bucket-sum chunks concurrently on the
+ * support::ThreadPool. Kernel callbacks still follow the rules real
+ * CUDA kernels do: only touch shared memory of their own block, use
+ * atomicAdd() for global words other threads also write, and never
+ * depend on the ordering of other blocks' atomics within a phase.
  */
 
 #ifndef DISTMSM_GPUSIM_EXECUTOR_H
@@ -50,7 +38,6 @@
 #include "src/gpusim/stats.h"
 #include "src/support/check.h"
 #include "src/support/status.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 
 namespace distmsm::gpusim {
@@ -126,12 +113,8 @@ class KernelLaunch
      * @param grid_dim blocks in the grid.
      * @param block_dim threads per block.
      * @param shared_words 64-bit words of shared memory per block.
-     * @param host_threads host threads executing blocks of one phase
-     *        concurrently (resolveHostThreads convention; default 1
-     *        keeps the legacy strictly-sequential execution).
      */
-    KernelLaunch(int grid_dim, int block_dim,
-                 std::size_t shared_words, int host_threads = 1);
+    KernelLaunch(int grid_dim, int block_dim, std::size_t shared_words);
 
     /**
      * Check a launch configuration without constructing it: returns
@@ -173,130 +156,72 @@ class KernelLaunch
     int gridDim() const { return grid_dim_; }
     int blockDim() const { return block_dim_; }
     int gridThreads() const { return grid_dim_ * block_dim_; }
-    /** Effective host threads this launch may use per phase. */
-    int hostThreads() const { return host_threads_; }
 
     /** Per-block shared memory (valid for the whole launch). */
     WordArray &shared(int bid);
 
     /**
      * Execute one bulk-synchronous phase: @p fn runs for every
-     * thread; an implicit barrier follows. Atomic contention is
-     * accounted per phase. Blocks may execute on concurrent host
-     * threads (see the file comment); threads of one block run
-     * sequentially in tid order. @p fn is a template parameter, so a
-     * simulated thread is an inlined call.
+     * thread, blocks in index order and threads of a block in tid
+     * order, on the calling thread; an implicit barrier follows.
+     * Atomic contention is accounted per phase. @p fn is a template
+     * parameter, so a simulated thread is an inlined call.
      */
     template <typename Fn> void phase(Fn &&fn);
 
     /**
      * Atomic fetch-add on a word array from thread context; records
-     * contention in this launch's stats. As on real hardware, the
-     * returned reservation is ordered within a block but carries no
-     * cross-block ordering guarantee when blocks run concurrently.
+     * contention in this launch's stats and returns the old value.
      */
     std::uint64_t atomicAdd(WordArray &arr, std::size_t i,
                             std::uint64_t v, const ThreadCtx &ctx);
 
-    /**
-     * Return-less global atomic add (CUDA's `red`): adds @p v to
-     * word @p i of the global array @p arr and counts one global
-     * atomic with the same contention as atomicAdd. With concurrent
-     * blocks the add lands at the phase barrier, so no thread may
-     * read the word in the phase that reduces it.
-     */
-    void reduceAdd(WordArray &arr, std::size_t i, std::uint64_t v,
-                   const ThreadCtx &ctx);
-
     /** Plain (non-atomic) shared/global access accounting. */
     void
-    countSharedAccess(const ThreadCtx &ctx, std::uint64_t n = 1)
+    countSharedAccess(const ThreadCtx &, std::uint64_t n = 1)
     {
-        block(ctx).stats.sharedAccesses += n;
+        stats_.sharedAccesses += n;
     }
 
     void
-    countGmemBytes(const ThreadCtx &ctx, std::uint64_t bytes)
+    countGmemBytes(const ThreadCtx &, std::uint64_t bytes)
     {
-        block(ctx).stats.gmemBytes += bytes;
+        stats_.gmemBytes += bytes;
     }
 
     const KernelStats &stats() const { return stats_; }
     KernelStats &stats() { return stats_; }
 
   private:
-    /** A word index whose first writer this phase was in the block. */
+    /** A word index first written in the running phase. */
     struct Touch
     {
         WordArray *arr;
         std::uint32_t index;
     };
 
-    /** A deferred reduceAdd, applied at the barrier. */
-    struct Reduction
-    {
-        WordArray *arr;
-        std::uint32_t index;
-        std::uint64_t value;
-    };
-
-    /**
-     * One block's tallies of the running phase, folded in bid order
-     * at the barrier. Cache-line aligned: neighbouring blocks run on
-     * different host threads.
-     */
-    struct alignas(64) BlockTally
-    {
-        KernelStats stats;
-        std::vector<Touch> touched;
-        std::vector<Reduction> reductions;
-    };
-
-    BlockTally &
-    block(const ThreadCtx &ctx)
-    {
-        return blocks_[static_cast<std::size_t>(ctx.bid)];
-    }
-
-    template <typename Fn> void runBlock(int bid, Fn &fn);
     void barrier();
 
     int grid_dim_;
     int block_dim_;
-    int host_threads_;
     support::TraceRecorder *trace_ = nullptr;
     std::string trace_label_;
     int trace_lane_ = 0;
     std::vector<WordArray> shared_;
-    std::vector<BlockTally> blocks_;
+    std::vector<Touch> touched_;
     KernelStats stats_;
 };
-
-template <typename Fn>
-void
-KernelLaunch::runBlock(int bid, Fn &fn)
-{
-    for (int tid = 0; tid < block_dim_; ++tid) {
-        ThreadCtx ctx{tid, bid, block_dim_, grid_dim_};
-        fn(ctx);
-    }
-}
 
 template <typename Fn>
 void
 KernelLaunch::phase(Fn &&fn)
 {
     ++stats_.phases;
-    if (host_threads_ <= 1 || grid_dim_ == 1) {
-        for (int bid = 0; bid < grid_dim_; ++bid)
-            runBlock(bid, fn);
-    } else {
-        support::ThreadPool::global().parallelFor(
-            0, static_cast<std::size_t>(grid_dim_),
-            [&](std::size_t bid) {
-                runBlock(static_cast<int>(bid), fn);
-            },
-            host_threads_);
+    for (int bid = 0; bid < grid_dim_; ++bid) {
+        for (int tid = 0; tid < block_dim_; ++tid) {
+            ThreadCtx ctx{tid, bid, block_dim_, grid_dim_};
+            fn(ctx);
+        }
     }
     barrier();
 }

@@ -133,9 +133,6 @@ class MsmEngine
         : points_(std::move(points)), cluster_(cluster),
           options_(options)
     {
-        // The engine-level knob governs every layer below it: the
-        // scatter kernels inherit the same host-thread budget.
-        options_.scatter.hostThreads = options_.hostThreads;
         // DISTMSM_TRACE=path.json turns tracing on without touching
         // call sites; an explicit MsmOptions::trace wins.
         if (options_.trace == nullptr)
@@ -170,16 +167,17 @@ class MsmEngine
      *
      * Host parallelism (options.hostThreads): the signed-digit
      * decomposition, the windows' scatters, the bucket-sum chunks of
-     * every unit, the windows' bucket reduces, the simulated scatter
-     * blocks and the [rho]P terms of every transfer digest all run
-     * concurrently on the support::ThreadPool. Every parallel task
-     * writes only its own slot and the slots are merged in the exact
-     * order of the sequential algorithm (windows high-to-low, chunks,
-     * groups and devices ascending, digest terms in payload order),
-     * so the returned point, the KernelStats, hostOps and the
-     * FaultReport are bit-identical for every thread count —
-     * hostThreads == 1 is the serial execution. The chunks charge
-     * the unsplit launch's KernelStats (execute).
+     * every unit, the windows' bucket reduces and the [rho]P terms
+     * of every transfer digest all run concurrently on the
+     * support::ThreadPool; a scatter launch runs its blocks in order
+     * inside its task. Every parallel task writes only its own slot
+     * and the slots are merged in the exact order of the sequential
+     * algorithm (windows high-to-low, chunks, groups and devices
+     * ascending, digest terms in payload order), so the returned
+     * point, the KernelStats, hostOps and the FaultReport are
+     * bit-identical for every thread count — hostThreads == 1 is the
+     * serial execution. The chunks charge the unsplit launch's
+     * KernelStats (execute).
      */
     MsmResult<Curve>
     compute(const std::vector<Scalar> &scalars) const

@@ -120,8 +120,9 @@ struct MsmOptions
     /** Scatter launch geometry. */
     ScatterConfig scatter;
     /**
-     * Host threads driving the functional execution (simulated
-     * devices, kernel blocks, windows, bucket groups). Follows
+     * Host threads driving the functional execution (scalar
+     * decomposition, window scatters, bucket-sum chunks, window
+     * reduces, transfer digests, the precompute table build). Follows
      * support::resolveHostThreads: 0 = DISTMSM_HOST_THREADS env or
      * hardware_concurrency, 1 = the exact legacy sequential path,
      * n = at most n threads. Results are bit-identical either way.

@@ -1,7 +1,6 @@
 #include "src/msm/scatter.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/support/check.h"
 
@@ -41,41 +40,6 @@ scatterTraceLabel(const ScatterConfig &config,
            gpusim::fieldBackendName(config.fieldBackend) + "]";
 }
 
-/**
- * Host-side landing zone for scattered (bucket, point-id) pairs.
- * Blocks of a phase may run on concurrent host threads, so each
- * block appends to its own staging vector; drain() empties them into
- * the result buckets in block index order, which reproduces exactly
- * the bid-major/tid-minor order of the sequential execution.
- */
-class BlockStaging
-{
-  public:
-    explicit BlockStaging(int grid_dim) : per_block_(grid_dim) {}
-
-    void
-    push(const ThreadCtx &ctx, std::uint32_t bucket,
-         std::uint32_t addr)
-    {
-        per_block_[static_cast<std::size_t>(ctx.bid)].emplace_back(
-            bucket, addr);
-    }
-
-    void
-    drain(std::vector<std::vector<std::uint32_t>> &buckets)
-    {
-        for (auto &blk : per_block_) {
-            for (const auto &[bucket, addr] : blk)
-                buckets[bucket].push_back(addr);
-            blk.clear();
-        }
-    }
-
-  private:
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        per_block_;
-};
-
 } // namespace
 
 std::size_t
@@ -111,19 +75,17 @@ naiveScatter(const std::vector<std::uint32_t> &bucket_ids,
     result.ok = true;
     result.buckets.assign(n_buckets, {});
 
-    KernelLaunch launch(config.gridDim, config.blockDim, 0,
-                        config.hostThreads);
+    KernelLaunch launch(config.gridDim, config.blockDim, 0);
     if (config.trace != nullptr)
         launch.setTrace(config.trace,
                         scatterTraceLabel(config, "naive-scatter"),
                         config.traceLane);
     WordArray counters(n_buckets, WordArray::Space::Global);
     const int k = elemsPerThread(bucket_ids.size(), config);
-    BlockStaging staging(config.gridDim);
 
     // One element per thread per phase: atomics within a phase are
-    // the concurrent ones. The staging places the ids host-side, so
-    // no thread reads its counter: a return-less reduceAdd.
+    // the concurrent ones. The ids are placed host-side, so the
+    // reservation's old value is unused.
     for (int reg_idx = 0; reg_idx < k; ++reg_idx) {
         launch.phase([&](ThreadCtx &ctx) {
             const std::size_t addr =
@@ -135,15 +97,14 @@ naiveScatter(const std::vector<std::uint32_t> &bucket_ids,
             const std::uint32_t bucket = bucket_ids[addr];
             if (bucket == 0)
                 return; // zero chunk contributes nothing
-            launch.reduceAdd(counters, bucket, 1, ctx);
-            staging.push(ctx, bucket,
-                         static_cast<std::uint32_t>(addr));
+            launch.atomicAdd(counters, bucket, 1, ctx);
+            result.buckets[bucket].push_back(
+                static_cast<std::uint32_t>(addr));
             launch.countGmemBytes(
                 ctx,
                 static_cast<std::uint64_t>(config.globalIdBytes) *
                     config.uncoalescedWriteFactor);
         });
-        staging.drain(result.buckets);
     }
     result.stats = launch.stats();
     return result;
@@ -193,7 +154,7 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
     result.buckets.assign(n_buckets, {});
 
     KernelLaunch launch(config.gridDim, config.blockDim,
-                        tile_base + tile_words, config.hostThreads);
+                        tile_base + tile_words);
     if (config.trace != nullptr)
         launch.setTrace(
             config.trace,
@@ -205,7 +166,6 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
     // refilled every tile.
     std::vector<std::uint32_t> reg_cache(
         static_cast<std::size_t>(k_tile) * launch.gridThreads());
-    BlockStaging staging(config.gridDim);
 
     for (int tile = 0; tile * k_tile < k_total; ++tile) {
         const int reg_lo = tile * k_tile;
@@ -280,8 +240,8 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
         // Flush: one global atomic per (block, non-empty bucket)
         // reserves the output range, then the tile segment streams
         // out (lines 12-15). Thread b handles buckets b, b+dim, ...
-        // The staging places the ids host-side, so the reservation's
-        // old value is unused: a return-less reduceAdd.
+        // The ids are placed host-side, so the reservation's old
+        // value is unused.
         launch.phase([&](ThreadCtx &ctx) {
             WordArray &shm = launch.shared(ctx.bid);
             for (std::size_t b = ctx.tid; b < n_buckets;
@@ -289,7 +249,7 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
                 const std::uint64_t count = shm.read(b);
                 if (count == 0)
                     continue;
-                launch.reduceAdd(global_counters, b, count, ctx);
+                launch.atomicAdd(global_counters, b, count, ctx);
                 // Reconstruct global ids: reg_idx || bid || tid.
                 const std::uint64_t end = shm.read(n_buckets + b);
                 for (std::uint64_t p = end - count; p < end; ++p) {
@@ -306,15 +266,13 @@ hierarchicalScatter(const std::vector<std::uint32_t> &bucket_ids,
                         static_cast<std::size_t>(ctx.bid) *
                             ctx.blockDim +
                         tid;
-                    staging.push(
-                        ctx, static_cast<std::uint32_t>(b),
+                    result.buckets[b].push_back(
                         static_cast<std::uint32_t>(addr));
                 }
                 launch.countGmemBytes(ctx,
                                       count * config.globalIdBytes);
             }
         });
-        staging.drain(result.buckets);
     }
 
     result.stats = launch.stats();

@@ -60,11 +60,9 @@ struct ScatterConfig
      */
     int uncoalescedWriteFactor = 10;
     /**
-     * Host threads executing simulated blocks concurrently
-     * (support::resolveHostThreads convention: 0 = auto from
-     * DISTMSM_HOST_THREADS / hardware_concurrency, 1 = sequential).
-     * Either way the scattered buckets and stats are bit-identical:
-     * per-block output is staged locally and drained in block order.
+     * Unused: nothing reads it. The scatter kernels run their blocks
+     * in order on the calling thread (gpusim/executor.h); the field
+     * stays only until the benchmark harness stops writing it.
      */
     int hostThreads = 0;
     /**

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/support/check.h"
+#include "src/support/parse.h"
 
 namespace distmsm::support {
 
@@ -15,6 +16,14 @@ namespace {
 thread_local ThreadPool *tl_pool = nullptr;
 thread_local int tl_worker = -1;
 
+/** std::thread::hardware_concurrency(), at least 1. */
+int
+hardwareThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw >= 1 ? static_cast<int>(hw) : 1;
+}
+
 } // namespace
 
 int
@@ -22,13 +31,13 @@ resolveHostThreads(int requested)
 {
     if (requested >= 1)
         return requested;
-    if (const char *env = std::getenv("DISTMSM_HOST_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<int>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? static_cast<int>(hw) : 1;
+    // Digits only, fitting an int: "4abc", " 4", "-2" or a number
+    // past INT_MAX falls back to the hardware width, as unset does.
+    int env = 0;
+    if (const char *text = std::getenv("DISTMSM_HOST_THREADS");
+        text != nullptr && parseDecimal<int>(text, env) && env >= 1)
+        return env;
+    return hardwareThreads();
 }
 
 ThreadPool::ThreadPool(int threads) : size_(threads)
@@ -244,8 +253,10 @@ ThreadPool::global()
 {
     // At least 8 logical threads so explicit hostThreads requests up
     // to 8 exercise real concurrency even on narrow CI hosts; idle
-    // workers sleep on the condition variable.
-    static ThreadPool pool(std::max(resolveHostThreads(0), 8));
+    // workers sleep on the condition variable. Never sized from
+    // DISTMSM_HOST_THREADS: a wider per-call request is capped by
+    // size(), so no setting can start more threads than this.
+    static ThreadPool pool(std::max(hardwareThreads(), 8));
     return pool;
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Work-stealing host thread pool.
  *
- * The simulator models massively parallel hardware, so the host-side
- * execution of independent simulated units — devices of a Cluster,
- * thread blocks of a KernelLaunch, windows and bucket groups of an
- * MSM — is embarrassingly parallel. This pool runs those units
+ * The host-side work of a simulated MSM splits into independent
+ * units: MsmEngine's scalar decompositions, window scatters,
+ * bucket-sum chunks and window reduces, the precompute table build,
+ * the [rho]P terms of a transfer digest and the proving-pipeline
+ * estimator's per-size timelines. This pool runs those units
  * concurrently while the *results stay bit-identical to the
  * sequential path*: callers write into per-task slots and merge them
  * in a fixed index order, never through racy accumulation (see
@@ -21,8 +22,9 @@
  *
  * Concurrency policy: every parallel entry point takes a "requested
  * host threads" knob with the convention
- *   0  -> the DISTMSM_HOST_THREADS environment override if set,
- *         otherwise std::thread::hardware_concurrency();
+ *   0  -> the DISTMSM_HOST_THREADS environment override if it is a
+ *         plain decimal >= 1 that fits an int, otherwise
+ *         std::thread::hardware_concurrency();
  *   1  -> strictly sequential inline execution (the legacy path);
  *   n  -> at most n threads cooperate on the call.
  */
@@ -44,7 +46,8 @@ namespace distmsm::support {
 
 /**
  * Resolve a requested host-thread count to an effective one:
- * requested >= 1 wins; 0 defers to DISTMSM_HOST_THREADS, then to
+ * requested >= 1 wins; 0 defers to DISTMSM_HOST_THREADS when it is
+ * all digits, fits an int and is >= 1, then to
  * std::thread::hardware_concurrency() (at least 1).
  */
 int resolveHostThreads(int requested);
@@ -94,11 +97,11 @@ class ThreadPool
     }
 
     /**
-     * The process-wide pool. Sized generously (at least 8 logical
-     * threads even on narrow hosts) so explicit hostThreads requests
-     * can be honored; per-call width is still governed by the
-     * max_threads argument, so the default behaviour follows
-     * resolveHostThreads(0).
+     * The process-wide pool, max(8, hardware_concurrency()) wide:
+     * at least 8 logical threads even on narrow hosts so explicit
+     * hostThreads requests can be honored, and never sized from
+     * DISTMSM_HOST_THREADS. Per-call width is governed by the
+     * max_threads argument, capped by size().
      */
     static ThreadPool &global();
 

@@ -4,8 +4,8 @@
  *
  * The contract of MsmOptions::hostThreads is that every observable
  * output — the MSM point (bit-for-bit, not just as a group element),
- * the aggregated KernelStats, hostOps, the scattered buckets and the
- * simulated memory words — is identical for every thread count.
+ * the aggregated KernelStats and hostOps — is identical for every
+ * thread count.
  * These tests run the same computation with hostThreads in {1, 2, 8}
  * and compare at the representation level: XYZZ coordinates are
  * checked limb-by-limb via Fq::operator== (XYZZPoint::operator== is
@@ -13,7 +13,8 @@
  * representation). Comparing thread counts with each other cannot
  * catch a miscount every count shares, so the engine's chunked
  * bucket sums are also held to a reference rebuilt through the
- * layers' public entry points.
+ * layers' public entry points, and the scatter kernels' exact bucket
+ * sequences and stats to known answers.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@
 
 #include "src/ec/curves.h"
 #include "src/gpusim/cluster.h"
-#include "src/gpusim/executor.h"
 #include "src/msm/batch_affine.h"
 #include "src/msm/bucket_reduce.h"
 #include "src/msm/engine.h"
@@ -39,10 +39,7 @@ namespace {
 
 using gpusim::Cluster;
 using gpusim::DeviceSpec;
-using gpusim::KernelLaunch;
 using gpusim::KernelStats;
-using gpusim::ThreadCtx;
-using gpusim::WordArray;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
@@ -174,7 +171,6 @@ unsplitMsm(const std::vector<AffinePoint<Bn254>> &points,
     const std::size_t n = points.size();
     const std::size_t n_buckets = plan.numBuckets + 1;
     msm::ScatterConfig cfg = options.scatter;
-    cfg.hostThreads = 1;
     cfg.fieldBackend = plan.fieldBackend;
     UnsplitMsm out;
     // Scatter @p ids, sum its buckets in @p groups unsplit groups
@@ -319,52 +315,6 @@ TEST(Determinism, ChunkedEngineChargesUnsplitLaunch)
 // Scatter kernels: exact bucket contents and stats.
 // ---------------------------------------------------------------
 
-std::vector<std::uint32_t>
-randomBucketIds(std::size_t n, unsigned window_bits,
-                std::uint64_t seed)
-{
-    Prng prng(seed);
-    std::vector<std::uint32_t> ids(n);
-    for (auto &id : ids)
-        id = static_cast<std::uint32_t>(
-            prng.below(std::uint64_t{1} << window_bits));
-    return ids;
-}
-
-TEST(Determinism, ScatterBucketsIdenticalAcrossHostThreads)
-{
-    const unsigned s = 6;
-    const auto ids = randomBucketIds(5000, s, 0xB0CCE7);
-    msm::ScatterConfig config;
-    config.blockDim = 128;
-    config.gridDim = 8;
-    config.sharedBytesPerBlock = 64 * 1024;
-
-    for (const bool hierarchical : {false, true}) {
-        SCOPED_TRACE(hierarchical ? "hierarchical" : "naive");
-        config.hostThreads = 1;
-        const auto base = hierarchical
-                              ? msm::hierarchicalScatter(ids, s,
-                                                         config)
-                              : msm::naiveScatter(ids, s, config);
-        ASSERT_TRUE(base.ok);
-        for (const int threads : kThreadCounts) {
-            SCOPED_TRACE("hostThreads=" + std::to_string(threads));
-            config.hostThreads = threads;
-            const auto got =
-                hierarchical
-                    ? msm::hierarchicalScatter(ids, s, config)
-                    : msm::naiveScatter(ids, s, config);
-            ASSERT_TRUE(got.ok);
-            // Exact per-bucket id sequences, not just multisets:
-            // per-block staging must reproduce the sequential
-            // (block-major, tid-minor) push order.
-            EXPECT_EQ(got.buckets, base.buckets);
-            EXPECT_EQ(got.stats, base.stats);
-        }
-    }
-}
-
 /** 64-bit FNV-1a over every bucket's length and exact id sequence. */
 std::uint64_t
 bucketDigest(const std::vector<std::vector<std::uint32_t>> &buckets)
@@ -389,7 +339,7 @@ bucketDigest(const std::vector<std::vector<std::uint32_t>> &buckets)
  * unsorted bucket sequences and its full KernelStats (the EC-op
  * fields stay zero). The literals describe the simulated program, so
  * a host-side rework of the executor or the scatter kernels must
- * leave every one of them unchanged at every host-thread count.
+ * leave every one of them unchanged.
  */
 struct ScatterKat
 {
@@ -459,88 +409,13 @@ TEST(Determinism, ScatterKnownAnswers)
         config.blockDim = kat.blockDim;
         config.gridDim = kat.gridDim;
         config.sharedBytesPerBlock = kat.sharedBytesPerBlock;
-        for (const int threads : {1, 4}) {
-            SCOPED_TRACE("hostThreads=" + std::to_string(threads));
-            config.hostThreads = threads;
-            const auto got =
-                kat.hierarchical
-                    ? msm::hierarchicalScatter(ids, kat.windowBits,
-                                               config)
-                    : msm::naiveScatter(ids, kat.windowBits, config);
-            ASSERT_TRUE(got.ok);
-            EXPECT_EQ(bucketDigest(got.buckets), kat.digest);
-            EXPECT_EQ(got.stats, kat.stats);
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Executor: simulated memory and contention accounting.
-// ---------------------------------------------------------------
-
-struct ExecutorRun
-{
-    std::vector<std::uint64_t> words;
-    std::vector<std::uint64_t> perThread;
-    KernelStats stats;
-};
-
-/**
- * A two-phase kernel exercising everything the executor counts:
- * contended global atomics (with the old-value reservations consumed
- * block-locally), shared-memory traffic and gmem byte accounting.
- */
-ExecutorRun
-runContendedKernel(int host_threads)
-{
-    constexpr int kGrid = 8;
-    constexpr int kBlock = 32;
-    constexpr std::size_t kWords = 24;
-    KernelLaunch launch(kGrid, kBlock, /*shared_words=*/64,
-                        host_threads);
-    WordArray global(kWords, WordArray::Space::Global);
-    ExecutorRun run;
-    run.perThread.assign(
-        static_cast<std::size_t>(kGrid) * kBlock, 0);
-
-    launch.phase([&](ThreadCtx &ctx) {
-        // Hot addresses: ~11 writers per word per phase.
-        const std::size_t slot =
-            static_cast<std::size_t>(ctx.gid()) % kWords;
-        launch.atomicAdd(global, slot, 1 + ctx.tid, ctx);
-        launch.atomicAdd(launch.shared(ctx.bid),
-                         static_cast<std::size_t>(ctx.tid) % 8, 1,
-                         ctx);
-        launch.countSharedAccess(ctx, 2);
-        launch.countGmemBytes(ctx, 16);
-    });
-    launch.phase([&](ThreadCtx &ctx) {
-        // Reservation counters: one word per block, so the returned
-        // old values are block-local and deterministic.
-        const auto old = launch.atomicAdd(
-            global, kWords - 1 - ctx.bid % kWords, 0, ctx);
-        run.perThread[static_cast<std::size_t>(ctx.gid())] = old;
-    });
-
-    run.words.reserve(kWords);
-    for (std::size_t i = 0; i < kWords; ++i)
-        run.words.push_back(global.read(i));
-    run.stats = launch.stats();
-    return run;
-}
-
-TEST(Determinism, ExecutorMemoryAndStatsAcrossHostThreads)
-{
-    const auto base = runContendedKernel(1);
-    EXPECT_EQ(base.stats.phases, 2u);
-    EXPECT_GT(base.stats.globalConflictWeight,
-              base.stats.globalAtomics); // contention was measured
-    for (const int threads : kThreadCounts) {
-        SCOPED_TRACE("hostThreads=" + std::to_string(threads));
-        const auto got = runContendedKernel(threads);
-        EXPECT_EQ(got.words, base.words);
-        EXPECT_EQ(got.perThread, base.perThread);
-        EXPECT_EQ(got.stats, base.stats);
+        const auto got =
+            kat.hierarchical
+                ? msm::hierarchicalScatter(ids, kat.windowBits, config)
+                : msm::naiveScatter(ids, kat.windowBits, config);
+        ASSERT_TRUE(got.ok);
+        EXPECT_EQ(bucketDigest(got.buckets), kat.digest);
+        EXPECT_EQ(got.stats, kat.stats);
     }
 }
 

@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <utility>
+#include <thread>
 #include <vector>
 
 #include "src/gpusim/cluster.h"
@@ -77,6 +75,42 @@ TEST(Executor, PhaseRunsEveryThread)
     EXPECT_EQ(launch.stats().phases, 1u);
 }
 
+TEST(Executor, PhaseRunsBlocksInOrderOnCallingThread)
+{
+    // The scatter kernels append ids to their output as threads run,
+    // so every phase must run its blocks in index order and each
+    // block's threads in tid order, all on the calling thread.
+    struct Visit
+    {
+        int bid;
+        int tid;
+        std::thread::id thread;
+    };
+    constexpr int kGrid = 4;
+    constexpr int kBlock = 32;
+    KernelLaunch launch(kGrid, kBlock, 0);
+    std::vector<Visit> visits;
+    for (int round = 0; round < 2; ++round) {
+        launch.phase([&](ThreadCtx &ctx) {
+            visits.push_back(
+                {ctx.bid, ctx.tid, std::this_thread::get_id()});
+        });
+    }
+    const std::thread::id caller = std::this_thread::get_id();
+    ASSERT_EQ(visits.size(), std::size_t{2} * kGrid * kBlock);
+    std::size_t k = 0;
+    for (int round = 0; round < 2; ++round) {
+        for (int bid = 0; bid < kGrid; ++bid) {
+            for (int tid = 0; tid < kBlock; ++tid, ++k) {
+                ASSERT_EQ(visits[k].bid, bid) << "visit " << k;
+                ASSERT_EQ(visits[k].tid, tid) << "visit " << k;
+                ASSERT_EQ(visits[k].thread, caller) << "visit " << k;
+            }
+        }
+    }
+    EXPECT_EQ(launch.stats().phases, 2u);
+}
+
 TEST(Executor, AtomicAddReturnsOldValue)
 {
     KernelLaunch launch(1, 8, 0);
@@ -93,33 +127,6 @@ TEST(Executor, AtomicAddReturnsOldValue)
         ASSERT_LT(o, 8u);
         EXPECT_FALSE(seen[o]);
         seen[o] = true;
-    }
-}
-
-TEST(Executor, ReservationsUniqueAcrossConcurrentBlocks)
-{
-    // Every thread of a 16-block grid reserves a slot on one word
-    // while blocks run on concurrent host threads: the reservations
-    // must still be exactly the slots [0, 1024), as on hardware.
-    constexpr int kGrid = 16;
-    constexpr int kBlock = 64;
-    constexpr std::uint64_t kThreads = kGrid * kBlock;
-    for (const int host_threads : {4, 8}) {
-        SCOPED_TRACE("host_threads=" + std::to_string(host_threads));
-        KernelLaunch launch(kGrid, kBlock, 0, host_threads);
-        WordArray counter(1, WordArray::Space::Global);
-        std::vector<std::uint64_t> olds(kThreads);
-        launch.phase([&](ThreadCtx &ctx) {
-            olds[ctx.gid()] = launch.atomicAdd(counter, 0, 1, ctx);
-        });
-        EXPECT_EQ(counter.read(0), kThreads);
-        std::sort(olds.begin(), olds.end());
-        for (std::uint64_t slot = 0; slot < kThreads; ++slot)
-            ASSERT_EQ(olds[slot], slot);
-        EXPECT_EQ(launch.stats().globalAtomics, kThreads);
-        EXPECT_EQ(launch.stats().globalMaxConflict, kThreads);
-        EXPECT_EQ(launch.stats().globalConflictWeight,
-                  kThreads * kThreads);
     }
 }
 
@@ -172,56 +179,6 @@ TEST(Executor, SharedAtomicsScopedPerBlock)
     EXPECT_EQ(launch.stats().sharedMaxConflict, 32u);
     for (int b = 0; b < 4; ++b)
         EXPECT_EQ(launch.shared(b).read(0), 32u);
-}
-
-TEST(Executor, ReduceAddMatchesAtomicAdd)
-{
-    // The return-less reduction must land the words and contention
-    // statistics of the fetch-add it replaces, with its blocks on one
-    // host thread or concurrent (where it defers to the barrier) —
-    // also when one phase mixes both kinds on the same words.
-    constexpr int kGrid = 16;
-    constexpr int kBlock = 64;
-    constexpr std::size_t kWords = 40;
-    enum class Mode { Atomic, Reduce, Mixed };
-    const auto run = [&](Mode mode, int host_threads) {
-        KernelLaunch launch(kGrid, kBlock, 0, host_threads);
-        WordArray words(kWords, WordArray::Space::Global);
-        for (std::uint64_t round = 0; round < 3; ++round) {
-            launch.phase([&](ThreadCtx &ctx) {
-                // A third of the grid hits word 0; the rest spread.
-                const std::size_t i =
-                    ctx.gid() % 3 == 0
-                        ? 0
-                        : (static_cast<std::size_t>(ctx.gid()) * 7 +
-                           round) % kWords;
-                const std::uint64_t v = 1 + ctx.tid + round;
-                const bool reduce = mode == Mode::Reduce ||
-                                    (mode == Mode::Mixed && ctx.bid % 2);
-                if (reduce)
-                    launch.reduceAdd(words, i, v, ctx);
-                else
-                    launch.atomicAdd(words, i, v, ctx);
-            });
-        }
-        std::vector<std::uint64_t> out;
-        for (std::size_t i = 0; i < kWords; ++i)
-            out.push_back(words.read(i));
-        return std::make_pair(out, launch.stats());
-    };
-    const auto base = run(Mode::Atomic, 1);
-    EXPECT_EQ(base.second.globalAtomics, 3u * kGrid * kBlock);
-    EXPECT_GT(base.second.globalConflictWeight,
-              base.second.globalAtomics); // contention was measured
-    for (const int host_threads : {1, 4}) {
-        for (const Mode mode : {Mode::Atomic, Mode::Reduce, Mode::Mixed}) {
-            SCOPED_TRACE("host_threads=" + std::to_string(host_threads) +
-                         " mode=" + std::to_string(static_cast<int>(mode)));
-            const auto got = run(mode, host_threads);
-            EXPECT_EQ(got.first, base.first);
-            EXPECT_EQ(got.second, base.second);
-        }
-    }
 }
 
 TEST(CostModel, RegisterCountsMatchPaper)

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -181,20 +183,65 @@ TEST(ThreadPool, ParallelForResultsAreDeterministic)
     EXPECT_EQ(w1, run(8));
 }
 
+/** Sets DISTMSM_HOST_THREADS for its lifetime, then restores it. */
+class ScopedHostThreadsEnv
+{
+  public:
+    explicit ScopedHostThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv(kName)) {
+            had_ = true;
+            saved_ = old;
+        }
+        setenv(kName, value, 1);
+    }
+
+    ~ScopedHostThreadsEnv()
+    {
+        if (had_)
+            setenv(kName, saved_.c_str(), 1);
+        else
+            unsetenv(kName);
+    }
+
+  private:
+    static constexpr const char *kName = "DISTMSM_HOST_THREADS";
+    bool had_ = false;
+    std::string saved_;
+};
+
+int
+hardwareThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw >= 1 ? static_cast<int>(hw) : 1;
+}
+
 TEST(ThreadPool, ResolveHostThreadsConvention)
 {
     EXPECT_EQ(resolveHostThreads(1), 1);
     EXPECT_EQ(resolveHostThreads(7), 7);
-    // 0 resolves to the environment override or the hardware width,
-    // never below 1.
-    EXPECT_GE(resolveHostThreads(0), 1);
-    if (const char *env = std::getenv("DISTMSM_HOST_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1) {
-            EXPECT_EQ(resolveHostThreads(0), static_cast<int>(v));
-        }
+    {
+        const ScopedHostThreadsEnv env("13");
+        EXPECT_EQ(resolveHostThreads(0), 13);
+        EXPECT_EQ(resolveHostThreads(2), 2); // an explicit request wins
     }
-    EXPECT_GE(ThreadPool::global().size(), 8);
+    // Anything but a plain decimal >= 1 that fits an int falls back
+    // to the hardware width, as an unset variable does.
+    for (const char *bad :
+         {"13abc", " 13", "+13", "013", "0x10", "-2", "0", "",
+          "3000000000", "99999999999"}) {
+        SCOPED_TRACE(std::string("value '") + bad + "'");
+        const ScopedHostThreadsEnv env(bad);
+        EXPECT_EQ(resolveHostThreads(0), hardwareThreads());
+    }
+}
+
+TEST(ThreadPool, GlobalWidthIgnoresEnvironment)
+{
+    const ScopedHostThreadsEnv env("64");
+    EXPECT_EQ(ThreadPool::global().size(),
+              std::max(8, hardwareThreads()));
 }
 
 } // namespace

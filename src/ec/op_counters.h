@@ -50,7 +50,7 @@ struct OpCounters
 
 /**
  * The calling thread's counter instance. Thread-local so EC
- * arithmetic executed on support::ThreadPool workers never races:
+ * arithmetic executed on support::parallelFor's workers never races:
  * calibration and tests reset/read the counters around serial code
  * on their own thread.
  */

@@ -38,9 +38,6 @@ class Cluster
             HostSpec host = HostSpec{},
             CostParams params = CostParams{});
 
-    /** Inter-node link bandwidth (InfiniBand HDR), GB/s per node. */
-    static constexpr double kInterNodeBandwidthGBs = 25.0;
-
     int numGpus() const { return num_gpus_; }
     const DeviceSpec &device() const { return device_; }
     const HostSpec &host() const { return host_; }

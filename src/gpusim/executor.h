@@ -21,8 +21,8 @@
  * a property of which threads write which word within a phase, not
  * of the order they run in, so the fixed order changes no statistic.
  * Host parallelism lives one layer up, where MsmEngine runs whole
- * scatter launches and the bucket-sum chunks concurrently on the
- * support::ThreadPool. Kernel callbacks still follow the rules real
+ * scatter launches and the bucket-sum chunks concurrently through
+ * support::parallelFor. Kernel callbacks still follow the rules real
  * CUDA kernels do: only touch shared memory of their own block, use
  * atomicAdd() for global words other threads also write, and never
  * depend on the ordering of other blocks' atomics within a phase.

@@ -15,7 +15,7 @@
  *
  * The digest is one [rho_k]S_k term per point, folded with padd in
  * payload order. The terms are independent, so rlcKeyedDigest can
- * compute them on the host thread pool and fold them serially: the
+ * compute them in one parallelFor and fold them serially: the
  * digest is limb-for-limb the same at every host-thread count.
  *
  * The rho width trades soundness against verification cost. 17 bits
@@ -68,9 +68,9 @@ rlcRho(std::uint64_t seed, std::uint64_t k)
  * payloads are keyed by global window (or bucket) index rather than
  * a contiguous range, so the host re-derives the same rho for each
  * point no matter which device shipped it after a reshard. The
- * [rho]P terms run on up to @p host_threads pool threads
- * (resolveHostThreads convention; 1 is the serial loop) and fold in
- * payload order, so the digest does not depend on the thread count.
+ * [rho]P terms run on up to @p host_threads threads, a resolved
+ * width >= 1 (support::parallelFor; 1 is the serial loop), and fold
+ * in payload order, so the digest does not depend on the width.
  * The digest's EC work is tallied into @p report (verifyEcOps) —
  * never into KernelStats or hostOps, so zero-fault simulator
  * statistics stay bit-identical to a build without checksums.
@@ -85,7 +85,7 @@ rlcKeyedDigest(const std::vector<XYZZPoint<Curve>> &points,
 {
     using Scalar = BigInt<Curve::Fr::kLimbs>;
     std::vector<XYZZPoint<Curve>> terms(points.size());
-    support::ThreadPool::global().parallelFor(
+    support::parallelFor(
         0, points.size(),
         [&](std::size_t i) {
             terms[i] = pmul(points[i],

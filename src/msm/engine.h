@@ -168,16 +168,16 @@ class MsmEngine
      * Host parallelism (options.hostThreads): the signed-digit
      * decomposition, the windows' scatters, the bucket-sum chunks of
      * every unit, the windows' bucket reduces and the [rho]P terms
-     * of every transfer digest all run concurrently on the
-     * support::ThreadPool; a scatter launch runs its blocks in order
-     * inside its task. Every parallel task writes only its own slot
-     * and the slots are merged in the exact order of the sequential
-     * algorithm (windows high-to-low, chunks, groups and devices
-     * ascending, digest terms in payload order), so the returned
-     * point, the KernelStats, hostOps and the FaultReport are
-     * bit-identical for every thread count — hostThreads == 1 is the
-     * serial execution. The chunks charge the unsplit launch's
-     * KernelStats (execute).
+     * of every transfer digest all run concurrently, each pass one
+     * support::parallelFor at the resolved width; a scatter launch
+     * runs its blocks in order inside its iteration. Every iteration
+     * writes only its own slot and the slots are merged in the exact
+     * order of the sequential algorithm (windows high-to-low, chunks,
+     * groups and devices ascending, digest terms in payload order),
+     * so the returned point, the KernelStats, hostOps and the
+     * FaultReport are bit-identical for every thread count —
+     * hostThreads == 1 is the serial execution. The chunks charge the
+     * unsplit launch's KernelStats (execute).
      */
     MsmResult<Curve>
     compute(const std::vector<Scalar> &scalars) const
@@ -385,13 +385,12 @@ class MsmEngine
     void
     decompose(MsmRun &run, const std::vector<Scalar> &scalars) const
     {
-        auto &pool = support::ThreadPool::global();
         const std::size_t n_base = points_.size();
         if constexpr (glv::CurveGlv<Curve>::kSupported) {
             if (plan_.glv) {
                 run.halfScalars.resize(2 * n_base);
                 run.glvNeg.assign(2 * n_base, 0);
-                pool.parallelFor(
+                support::parallelFor(
                     0, n_base,
                     [&](std::size_t i) {
                         const auto split =
@@ -410,7 +409,7 @@ class MsmEngine
         // width when active.
         if (plan_.signedDigits) {
             run.digits.resize(run.nEff);
-            pool.parallelFor(
+            support::parallelFor(
                 0, run.nEff,
                 [&](std::size_t i) {
                     run.digits[i] = signedWindowDigits(
@@ -492,7 +491,7 @@ class MsmEngine
             "combined precompute pass exceeds 32-bit element ids");
         std::vector<std::uint32_t> ids(total64);
         run.negs.resize(total64);
-        support::ThreadPool::global().parallelFor(
+        support::parallelFor(
             0, n_windows,
             [&](std::size_t w) {
                 const std::size_t e = w * run.nEff;
@@ -680,12 +679,13 @@ class MsmEngine
     }
 
     /**
-     * Execute phase, as three flat pool passes so that no simulated
-     * device's share sets the host's makespan. Every unit executes —
-     * first runs, reshards and watchdog respawns alike, since a
-     * unit's result does not depend on its device — plus a copy of
-     * each straggling (not hung) window, a genuine dual execution
-     * that must agree bit-for-bit and whose stats are discarded.
+     * Execute phase, as three flat parallelFor passes so that no
+     * simulated device's share sets the host's makespan. Every unit
+     * executes — first runs, reshards and watchdog respawns alike,
+     * since a unit's result does not depend on its device — plus a
+     * copy of each straggling (not hung) window, a genuine dual
+     * execution that must agree bit-for-bit and whose stats are
+     * discarded.
      *  1. Each window and copy builds its digits and scatters them
      *     (the combined pass scattered once in scatter()). The first
      *     failing unit (ascending) surfaces.
@@ -701,7 +701,6 @@ class MsmEngine
     support::Status
     execute(MsmRun &run) const
     {
-        auto &pool = support::ThreadPool::global();
         run.units.resize(run.numUnits);
         const std::size_t n_duals = static_cast<std::size_t>(
             std::count(run.dual.begin(), run.dual.end(), 1));
@@ -721,7 +720,7 @@ class MsmEngine
             for (UnitOut &unit : run.units)
                 unit.status = support::Status::ok();
         } else {
-            pool.parallelFor(
+            support::parallelFor(
                 0, execs.size(),
                 [&](std::size_t j) { scatterWindow(run, execs[j]); },
                 run.hostThreads);
@@ -733,7 +732,7 @@ class MsmEngine
         const std::vector<BucketChunk> chunks = cutChunks(run, execs);
         std::vector<gpusim::KernelStats> chunk_stats(chunks.size());
         std::vector<std::uint64_t> inv_rounds(chunks.size(), 0);
-        pool.parallelFor(
+        support::parallelFor(
             0, chunks.size(),
             [&](std::size_t c) {
                 // Simulated-kernel field muls execute on the forced
@@ -747,7 +746,7 @@ class MsmEngine
 
         if (run.slices)
             return support::Status::ok();
-        pool.parallelFor(
+        support::parallelFor(
             0, execs.size(),
             [&](std::size_t j) {
                 UnitOut &out = *execs[j].out;
@@ -1318,7 +1317,7 @@ class MsmEngine
             // The endomorphism images phi(P_i) = (beta * x_i, y_i)
             // are scalar-independent: staged once, like the points.
             phi_points_.resize(points_.size());
-            support::ThreadPool::global().parallelFor(
+            support::parallelFor(
                 0, points_.size(),
                 [&](std::size_t i) {
                     phi_points_[i] =
@@ -1411,7 +1410,7 @@ class MsmEngine
      * into @p got and re-derive the digest host-side. Returns whether
      * the two digests agree limb-for-limb (always true undigested);
      * the digest work is tallied into @p report when given, and its
-     * terms run on @p host_threads pool threads.
+     * terms run on up to @p host_threads threads.
      */
     bool
     wireTrip(const std::vector<Xyzz> &points,

@@ -4,31 +4,9 @@
 #include <string>
 
 #include "src/support/check.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 
 namespace distmsm::msm {
-
-double
-pipelineMakespanNs(const std::vector<PipelineTask> &tasks)
-{
-    double gpu_done = 0.0;
-    double host_done = 0.0;
-    for (const auto &task : tasks) {
-        gpu_done += task.gpuNs;
-        host_done = std::max(host_done, gpu_done) + task.hostNs;
-    }
-    return host_done;
-}
-
-double
-serialMakespanNs(const std::vector<PipelineTask> &tasks)
-{
-    double total = 0.0;
-    for (const auto &task : tasks)
-        total += task.gpuNs + task.hostNs;
-    return total;
-}
 
 std::vector<PipelineSlot>
 pipelineSchedule(const std::vector<PipelineTask> &tasks)
@@ -45,6 +23,13 @@ pipelineSchedule(const std::vector<PipelineTask> &tasks)
         slots[i].hostEndNs = host_done;
     }
     return slots;
+}
+
+double
+pipelineMakespanNs(const std::vector<PipelineTask> &tasks)
+{
+    const std::vector<PipelineSlot> slots = pipelineSchedule(tasks);
+    return slots.empty() ? 0.0 : slots.back().hostEndNs;
 }
 
 namespace {
@@ -137,24 +122,12 @@ estimateProvingPipeline(const gpusim::CurveProfile &curve,
     opts.trace = nullptr; // task lanes traced below, once
 
     ProvingPipelineEstimate estimate;
-    estimate.tasks.resize(msm_sizes.size());
-    std::vector<double> serial(msm_sizes.size(), 0.0);
-    // Each size's timeline is a pure function of (curve, n,
-    // cluster, options): estimate them concurrently, one slot per
-    // task, assembled in input order.
-    support::ThreadPool::global().parallelFor(
-        0, msm_sizes.size(),
-        [&](std::size_t i) {
-            const MsmTimeline t =
-                estimateDistMsm(curve, msm_sizes[i], cluster, opts);
-            estimate.tasks[i] = taskFromTimeline(t);
-            serial[i] = t.gpuStageNs() + t.hostStageNs();
-        },
-        support::resolveHostThreads(options.hostThreads));
+    for (const std::uint64_t n : msm_sizes) {
+        const MsmTimeline t = estimateDistMsm(curve, n, cluster, opts);
+        estimate.tasks.push_back(taskFromTimeline(t));
+        estimate.serialNs += t.gpuStageNs() + t.hostStageNs();
+    }
     estimate.pipelinedNs = pipelineMakespanNs(estimate.tasks);
-    estimate.serialNs = 0.0;
-    for (const double s : serial)
-        estimate.serialNs += s;
     if (options.trace != nullptr)
         tracePipeline(*options.trace, estimate);
     return estimate;

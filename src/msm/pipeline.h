@@ -41,12 +41,10 @@ struct PipelineTask
  * Makespan of a two-stage pipeline: the GPU processes tasks back to
  * back; each task's host stage starts when both its GPU stage and
  * the previous host stage are done (the classic two-machine flow
- * shop recurrence).
+ * shop recurrence). The last pipelineSchedule slot's hostEndNs, 0
+ * with no tasks.
  */
 double pipelineMakespanNs(const std::vector<PipelineTask> &tasks);
-
-/** Total time with no overlap, for comparison. */
-double serialMakespanNs(const std::vector<PipelineTask> &tasks);
 
 /** Scheduled interval of one task on each pipeline stage. */
 struct PipelineSlot
@@ -76,8 +74,8 @@ struct ProvingPipelineEstimate
      * The no-overlap baseline: every MSM's full GPU stage plus its
      * full host stage (MsmTimeline::hostStageNs()), with no hiding
      * anywhere — the denominator of hiddenFraction(). Note this is
-     * *not* serialMakespanNs(tasks), whose hostNs is already the
-     * exposed tail.
+     * *not* the sum of the tasks' gpuNs + hostNs, whose hostNs is
+     * already the exposed tail.
      */
     double serialNs = 0.0;
 
@@ -101,10 +99,8 @@ estimateProvingPipeline(const gpusim::CurveProfile &curve,
 /**
  * Heterogeneous form: one pipelined task per entry of @p msm_sizes
  * (real proofs mix MSM lengths — e.g. Groth16's A/B1/B2/C differ
- * once the QAP is pruned). The per-size timelines are independent,
- * so they are estimated concurrently on the host thread pool
- * (options.hostThreads convention) and assembled in input order;
- * the returned estimate is deterministic.
+ * once the QAP is pruned), each size's timeline evaluated in input
+ * order.
  */
 ProvingPipelineEstimate
 estimateProvingPipeline(const gpusim::CurveProfile &curve,

@@ -125,24 +125,24 @@ planMsmHeuristic(const CurveProfile &curve, std::uint64_t n,
                           : optimalWindowSize(wc);
 
     // Fixed-base precompute tables: every device holds all W rows of
-    // n_eff affine points, so the footprint is n_eff * W * 2 *
-    // fieldBytes. Hold that against half the device's global memory
-    // (the other half stays for scalars, bucket ids and bucket
+    // n_eff affine points (precomputeTableBytes, at the bytes an Fq
+    // element stores). Hold that against half the device's global
+    // memory (the other half stays for scalars, bucket ids and bucket
     // state). A larger window shrinks W, so when the caller left the
     // window size to the planner, grow it until the table fits;
     // decline precompute when it cannot fit (pinned override, or no
     // reasonable window fits) rather than plan an impossible layout.
     if (options.precompute) {
-        const std::uint64_t affine_bytes = 2ull * curve.limbs64() * 8;
         const std::uint64_t mem = cluster.device().globalMemBytes;
         const std::uint64_t budget =
             mem == 0 ? std::numeric_limits<std::uint64_t>::max()
                      : mem / 2;
         const auto table_bytes = [&](unsigned s) {
-            const unsigned w =
-                windowCount(plan.scalarBits, s) +
-                (options.signedDigits ? 1u : 0u);
-            return n_eff * w * affine_bytes;
+            return precomputeTableBytes(
+                n_eff,
+                windowGeometry(plan.scalarBits, s, options.signedDigits)
+                    .first,
+                curve.limbs64() * 8);
         };
         unsigned s = plan.windowBits;
         if (options.windowBitsOverride == 0) {

@@ -77,9 +77,10 @@ mixFieldLimbs(Mix &&mix, const F &f)
 } // namespace detail
 
 /**
- * Table memory: W rows of n affine points, 2 field elements each.
- * This is the formula the planner holds against the device's
- * global-memory budget (DESIGN.md "Fixed-base precompute").
+ * Table memory: W rows of n affine points, 2 field elements of
+ * @p field_bytes each (the bytes an Fq element stores). The planner
+ * holds this against the device's global-memory budget and the build
+ * records it (DESIGN.md "Fixed-base precompute").
  */
 inline std::uint64_t
 precomputeTableBytes(std::uint64_t n_bases, unsigned num_windows,
@@ -169,15 +170,18 @@ struct TableCacheKey
  * Process-wide cache of precompute tables, shared by every MsmEngine
  * of a curve. Entries are immutable (shared_ptr<const>), so a hit is
  * safe to use while another thread builds a different key. A small
- * LRU capacity bounds memory when many distinct base sets stream
- * through (randomized sweeps); a proving service touches a handful of
- * fixed keys and never evicts.
+ * LRU capacity (kCapacity) bounds memory when many distinct base sets
+ * stream through (randomized sweeps); a proving service touches a
+ * handful of fixed keys and never evicts.
  */
 template <typename Curve>
 class BaseTableCache
 {
   public:
     using TablePtr = std::shared_ptr<const PrecomputeTable<Curve>>;
+
+    /** Tables retained before the least recently used is evicted. */
+    static constexpr std::size_t kCapacity = 4;
 
     struct Stats
     {
@@ -221,7 +225,7 @@ class BaseTableCache
         TablePtr table = builder();
         DISTMSM_REQUIRE(table != nullptr,
                         "table builder returned null");
-        while (entries_.size() >= capacity_) {
+        while (entries_.size() >= kCapacity) {
             auto lru = entries_.begin();
             for (auto e = entries_.begin(); e != entries_.end(); ++e)
                 if (e->second.lastUse < lru->second.lastUse)
@@ -255,22 +259,6 @@ class BaseTableCache
         entries_.clear();
     }
 
-    /** Maximum retained tables (evicts down immediately). */
-    void
-    setCapacity(std::size_t capacity)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        capacity_ = capacity == 0 ? 1 : capacity;
-        while (entries_.size() > capacity_) {
-            auto lru = entries_.begin();
-            for (auto e = entries_.begin(); e != entries_.end(); ++e)
-                if (e->second.lastUse < lru->second.lastUse)
-                    lru = e;
-            entries_.erase(lru);
-            ++stats_.evictions;
-        }
-    }
-
   private:
     struct Entry
     {
@@ -280,7 +268,6 @@ class BaseTableCache
 
     mutable std::mutex mutex_;
     std::map<TableCacheKey, Entry> entries_;
-    std::size_t capacity_ = 4;
     std::uint64_t tick_ = 0;
     Stats stats_;
 };
@@ -299,12 +286,12 @@ inline constexpr std::size_t kTableChunkBases = 256;
  *
  * Only the n point chains are doubled; the phi half of each row is
  * derived from the point half. Once the rows are allocated, the build
- * is one pool pass over chunks of kTableChunkBases points: each chunk
- * walks its chains through every row and normalizes its own slice of
- * the row. A chain touches only its own slots and an inverse is
- * unique, so the table is bit-identical at every @p host_threads.
- * buildPdbls still counts a chain per base, phi images included (the
- * simulated build).
+ * is one parallelFor over chunks of kTableChunkBases points: each
+ * chunk walks its chains through every row and normalizes its own
+ * slice of the row. A chain touches only its own slots and an inverse
+ * is unique, so the table is bit-identical at every @p host_threads,
+ * a resolved width >= 1 (support::parallelFor). buildPdbls still
+ * counts a chain per base, phi images included (the simulated build).
  */
 template <typename Curve>
 std::shared_ptr<const PrecomputeTable<Curve>>
@@ -323,16 +310,14 @@ buildPrecomputeTable(const std::vector<AffinePoint<Curve>> &bases,
     table->glv = glv;
     table->buildPdbls =
         precomputeBuildPdbls(bases.size(), num_windows, window_bits);
-    table->bytes = precomputeTableBytes(
-        bases.size(), num_windows,
-        (Curve::Fq::Params::kBits + 7) / 8);
+    table->bytes = precomputeTableBytes(bases.size(), num_windows,
+                                        sizeof(typename Curve::Fq));
     auto &rows = table->rows;
     rows.resize(std::max(num_windows, 1u));
     rows[0] = bases;
     // Rows are allocated (and first touched) in parallel: serially
     // this took about 6% of a 2^16-base GLV build on 4 vCPUs.
-    auto &pool = support::ThreadPool::global();
-    pool.parallelFor(
+    support::parallelFor(
         1, rows.size(),
         [&](std::size_t j) { rows[j].resize(bases.size()); },
         host_threads);
@@ -340,7 +325,7 @@ buildPrecomputeTable(const std::vector<AffinePoint<Curve>> &bases,
     std::atomic<bool> bad_phi{false};
     const std::size_t chunks =
         (n + kTableChunkBases - 1) / kTableChunkBases;
-    pool.parallelFor(
+    support::parallelFor(
         0, chunks,
         [&](std::size_t c) {
             const std::size_t lo = c * kTableChunkBases;

@@ -144,10 +144,8 @@ class SubsetSearch
         for (std::size_t u = 0; u < units_.size(); ++u) {
             std::uint32_t next = mask;
             int cost = 0;
-            if (!unitReady(mask, u, next, cost)) {
-                driver.prune();
+            if (!unitReady(mask, u, next, cost))
                 continue;
-            }
             driver.consider(u, std::max(cost, solve(next)));
         }
         memo_.emplace(mask, driver.bestScore());

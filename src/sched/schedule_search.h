@@ -44,10 +44,6 @@ class SearchDriver
     {
         /** Candidates scored (seed included). */
         std::uint64_t evaluated = 0;
-        /** Candidates discarded without scoring. */
-        std::uint64_t pruned = 0;
-        /** Times a candidate strictly improved the incumbent. */
-        std::uint64_t improved = 0;
     };
 
     /** Install the baseline candidate; counts as one evaluation. */
@@ -73,14 +69,9 @@ class SearchDriver
         best_ = candidate;
         best_score_ = score;
         seeded_ = true;
-        ++stats_.improved;
         return true;
     }
 
-    /** Record a candidate discarded before scoring. */
-    void prune(std::uint64_t count = 1) { stats_.pruned += count; }
-
-    bool hasBest() const { return seeded_; }
     const Candidate &best() const { return best_; }
     Score bestScore() const { return best_score_; }
     const Stats &stats() const { return stats_; }

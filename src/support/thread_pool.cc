@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "src/support/check.h"
 #include "src/support/parse.h"
@@ -11,10 +17,6 @@
 namespace distmsm::support {
 
 namespace {
-
-/** Pool and worker index of the current thread, if it is a worker. */
-thread_local ThreadPool *tl_pool = nullptr;
-thread_local int tl_worker = -1;
 
 /** std::thread::hardware_concurrency(), at least 1. */
 int
@@ -24,135 +26,18 @@ hardwareThreads()
     return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
-} // namespace
-
+/**
+ * Width of the process-wide pool, the cap on every parallelFor: at
+ * least 8 logical threads so explicit hostThreads requests up to 8
+ * exercise real concurrency even on narrow CI hosts. Never sized from
+ * DISTMSM_HOST_THREADS, so no setting can start more threads.
+ */
 int
-resolveHostThreads(int requested)
+poolWidth()
 {
-    if (requested >= 1)
-        return requested;
-    // Digits only, fitting an int: "4abc", " 4", "-2" or a number
-    // past INT_MAX falls back to the hardware width, as unset does.
-    int env = 0;
-    if (const char *text = std::getenv("DISTMSM_HOST_THREADS");
-        text != nullptr && parseDecimal<int>(text, env) && env >= 1)
-        return env;
-    return hardwareThreads();
+    static const int width = std::max(hardwareThreads(), 8);
+    return width;
 }
-
-ThreadPool::ThreadPool(int threads) : size_(threads)
-{
-    DISTMSM_REQUIRE(threads >= 1, "thread pool needs width >= 1");
-    local_.resize(static_cast<std::size_t>(size_));
-    threads_.reserve(static_cast<std::size_t>(size_ - 1));
-    // Width w = w - 1 workers plus the submitting/calling thread.
-    for (int i = 0; i < size_ - 1; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto &t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::enqueue(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // A worker submitting to its own pool pushes to its deque
-        // (popped LIFO by the owner, stolen FIFO by siblings).
-        if (tl_pool == this && tl_worker >= 0)
-            local_[static_cast<std::size_t>(tl_worker)].push_back(
-                std::move(task));
-        else
-            injection_.push_back(std::move(task));
-    }
-    cv_.notify_one();
-}
-
-bool
-ThreadPool::takeTask(int self, std::function<void()> &out)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (self >= 0) {
-        auto &own = local_[static_cast<std::size_t>(self)];
-        if (!own.empty()) { // own work: newest first
-            out = std::move(own.back());
-            own.pop_back();
-            return true;
-        }
-    }
-    if (!injection_.empty()) {
-        out = std::move(injection_.front());
-        injection_.pop_front();
-        return true;
-    }
-    for (auto &victim : local_) { // steal: oldest first
-        if (!victim.empty()) {
-            out = std::move(victim.front());
-            victim.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(int index)
-{
-    tl_pool = this;
-    tl_worker = index;
-    for (;;) {
-        std::function<void()> task;
-        if (takeTask(index, task)) {
-            task();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this, index] {
-            if (stop_)
-                return true;
-            if (!injection_.empty())
-                return true;
-            for (const auto &q : local_)
-                if (!q.empty())
-                    return true;
-            (void)index;
-            return false;
-        });
-        if (stop_) {
-            // Drain what is left so queued futures still complete.
-            lock.unlock();
-            std::function<void()> last;
-            while (takeTask(index, last))
-                last();
-            return;
-        }
-    }
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> fn)
-{
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        std::move(fn));
-    std::future<void> future = task->get_future();
-    if (size_ <= 1) { // width-1 pool: inline execution
-        (*task)();
-        return future;
-    }
-    enqueue([task] { (*task)(); });
-    return future;
-}
-
-namespace {
 
 /** Shared state of one parallelFor call, self-scheduled in chunks. */
 struct Batch
@@ -206,21 +91,108 @@ struct Batch
     }
 };
 
+/**
+ * The process-wide pool: poolWidth() - 1 workers that take helper
+ * entries from one FIFO and help run their batch; idle workers sleep
+ * on the condition variable. A helper that arrives after its caller
+ * drained the batch finds the range exhausted and returns at once.
+ */
+class Pool
+{
+  public:
+    static Pool &
+    global()
+    {
+        static Pool pool(poolWidth() - 1);
+        return pool;
+    }
+
+    Pool(const Pool &) = delete;
+    Pool &operator=(const Pool &) = delete;
+
+    ~Pool()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
+        }
+        cv_.notify_all();
+        for (auto &t : threads_)
+            t.join();
+    }
+
+    /** Queue one helper for @p batch and wake one worker. */
+    void
+    push(const std::shared_ptr<Batch> &batch)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            queue_.push_back(batch);
+        }
+        cv_.notify_one();
+    }
+
+  private:
+    explicit Pool(int workers)
+    {
+        threads_.reserve(static_cast<std::size_t>(workers));
+        for (int i = 0; i < workers; ++i)
+            threads_.emplace_back([this] { workerLoop(); });
+    }
+
+    void
+    workerLoop()
+    {
+        for (;;) {
+            std::shared_ptr<Batch> batch;
+            {
+                std::unique_lock<std::mutex> lock(mutex_);
+                cv_.wait(lock,
+                         [this] { return stop_ || !queue_.empty(); });
+                if (stop_)
+                    return;
+                batch = std::move(queue_.front());
+                queue_.pop_front();
+            }
+            batch->run();
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool stop_ = false;
+    std::deque<std::shared_ptr<Batch>> queue_;
+    std::vector<std::thread> threads_;
+};
+
 } // namespace
 
-void
-ThreadPool::parallelForImpl(std::size_t begin, std::size_t end,
-                            std::function<void(std::size_t)> fn,
-                            int max_threads)
+int
+resolveHostThreads(int requested)
 {
+    if (requested >= 1)
+        return requested;
+    // Digits only, fitting an int: "4abc", " 4", "-2" or a number
+    // past INT_MAX falls back to the hardware width, as unset does.
+    int env = 0;
+    if (const char *text = std::getenv("DISTMSM_HOST_THREADS");
+        text != nullptr && parseDecimal<int>(text, env) && env >= 1)
+        return env;
+    return hardwareThreads();
+}
+
+void
+parallelFor(std::size_t begin, std::size_t end,
+            std::function<void(std::size_t)> fn, int threads)
+{
+    DISTMSM_REQUIRE(threads >= 1, "parallelFor needs a width >= 1");
     if (end <= begin)
         return;
     const std::size_t n = end - begin;
-    const int width = std::min(
-        size_, max_threads > 0 ? max_threads : size_);
+    const int width = std::min(threads, poolWidth());
     if (width <= 1 || n == 1) {
         // Exact sequential path: ascending order, caller's thread.
-        for (std::size_t i = begin; i < n + begin; ++i)
+        for (std::size_t i = begin; i < end; ++i)
             fn(i);
         return;
     }
@@ -233,10 +205,11 @@ ThreadPool::parallelForImpl(std::size_t begin, std::size_t end,
         1, n / (static_cast<std::size_t>(width) * 8));
     batch->fn = std::move(fn);
 
+    Pool &pool = Pool::global();
     const std::size_t helpers = std::min<std::size_t>(
         static_cast<std::size_t>(width) - 1, n - 1);
     for (std::size_t h = 0; h < helpers; ++h)
-        enqueue([batch] { batch->run(); });
+        pool.push(batch);
 
     batch->run(); // the caller participates (nested-safe)
 
@@ -246,18 +219,6 @@ ThreadPool::parallelForImpl(std::size_t begin, std::size_t end,
     });
     if (batch->error)
         std::rethrow_exception(batch->error);
-}
-
-ThreadPool &
-ThreadPool::global()
-{
-    // At least 8 logical threads so explicit hostThreads requests up
-    // to 8 exercise real concurrency even on narrow CI hosts; idle
-    // workers sleep on the condition variable. Never sized from
-    // DISTMSM_HOST_THREADS: a wider per-call request is capped by
-    // size(), so no setting can start more threads than this.
-    static ThreadPool pool(std::max(hardwareThreads(), 8));
-    return pool;
 }
 
 } // namespace distmsm::support

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "src/ec/curves.h"
@@ -29,6 +28,7 @@
 #include "src/msm/workload.h"
 #include "src/support/prng.h"
 #include "tests/same_plan.h"
+#include "tests/sweep_cases.h"
 
 namespace distmsm::msm {
 namespace {
@@ -63,12 +63,7 @@ curveByIndex(unsigned i)
 // ---------------------------------------------------------------
 TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
 {
-    int cases = 16;
-    if (const char *env = std::getenv("DISTMSM_SWEEP_CASES")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            cases = static_cast<int>(v);
-    }
+    const long cases = sweepCases(16);
     const auto check = [](const CurveProfile &curve, unsigned log_n,
                           const Cluster &cluster, const MsmOptions &base,
                           const std::string &where) {
@@ -114,7 +109,7 @@ TEST(AutoplanSweep, SearchNeverLosesToHeuristic)
     constexpr const char *kFaultSpecs[] = {
         "", "degrade:dev=0,factor=8", "hang:dev=0", "flaky:dev=0,p=1",
         "corrupt:dev=0"};
-    for (int c = 0; c < cases; ++c) {
+    for (long c = 0; c < cases; ++c) {
         const CurveProfile curve =
             curveByIndex(static_cast<unsigned>(prng.below(4)));
         const unsigned log_n =

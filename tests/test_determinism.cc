@@ -295,7 +295,8 @@ TEST(Determinism, ChunkedEngineChargesUnsplitLaunch)
                 const auto table =
                     c.precompute ? msm::buildPrecomputeTable<Bn254>(
                                        points, plan.numWindows,
-                                       plan.windowBits, false, 0)
+                                       plan.windowBits, false,
+                                       /*host_threads=*/8)
                                  : nullptr;
                 want = unsplitMsm(points, scalars, plan, options, c.gpus,
                                   table.get());

@@ -84,17 +84,19 @@ TEST(MsmEngineTest, RejectsWrongScalarCount)
 TEST(Pipeline, MakespanRecurrence)
 {
     using msm::PipelineTask;
-    // Host stages fully hidden behind GPU stages.
+    // Host stages fully hidden behind GPU stages: 4 ns below the
+    // serial 3 * (10 + 2).
     std::vector<PipelineTask> tasks = {
         {10, 2}, {10, 2}, {10, 2}};
     EXPECT_DOUBLE_EQ(msm::pipelineMakespanNs(tasks), 32.0);
-    EXPECT_DOUBLE_EQ(msm::serialMakespanNs(tasks), 36.0);
     // Host-bound pipeline: host becomes the critical path.
     tasks = {{2, 10}, {2, 10}, {2, 10}};
     EXPECT_DOUBLE_EQ(msm::pipelineMakespanNs(tasks), 32.0);
     // Single task: no overlap possible.
     tasks = {{5, 7}};
     EXPECT_DOUBLE_EQ(msm::pipelineMakespanNs(tasks), 12.0);
+    // No tasks: nothing to schedule.
+    EXPECT_DOUBLE_EQ(msm::pipelineMakespanNs({}), 0.0);
 }
 
 TEST(Pipeline, BoundsHold)
@@ -112,7 +114,7 @@ TEST(Pipeline, BoundsHold)
     }
     const double pipelined = msm::pipelineMakespanNs(tasks);
     EXPECT_GE(pipelined, std::max(gpu_sum, host_sum));
-    EXPECT_LE(pipelined, msm::serialMakespanNs(tasks));
+    EXPECT_LE(pipelined, gpu_sum + host_sum);
 }
 
 TEST(Timeline, TransferBelongsToTheGpuStage)

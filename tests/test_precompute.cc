@@ -282,7 +282,7 @@ TEST(BaseTableCacheTest, FingerprintIsOrderAndValueSensitive)
 TEST(BaseTableCacheTest, LruEvictsOldestEntry)
 {
     BaseTableCache<Bn254> cache; // local instance, not global()
-    cache.setCapacity(2);
+    ASSERT_EQ(BaseTableCache<Bn254>::kCapacity, 4u);
     auto build = [] {
         return std::make_shared<PrecomputeTable<Bn254>>();
     };
@@ -291,17 +291,47 @@ TEST(BaseTableCacheTest, LruEvictsOldestEntry)
         k.fingerprint = fp;
         return k;
     };
-    cache.findOrBuild(key(1), build);
-    cache.findOrBuild(key(2), build);
+    for (std::uint64_t fp = 1; fp <= 4; ++fp)
+        cache.findOrBuild(key(fp), build);
     cache.findOrBuild(key(1), build); // refresh 1: now 2 is LRU
-    cache.findOrBuild(key(3), build); // evicts 2
-    EXPECT_EQ(cache.size(), 2u);
+    cache.findOrBuild(key(5), build); // evicts 2
+    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
     bool hit = false;
-    cache.findOrBuild(key(1), build, &hit);
-    EXPECT_TRUE(hit);
+    for (const std::uint64_t fp : {1, 3, 4, 5}) {
+        cache.findOrBuild(key(fp), build, &hit);
+        EXPECT_TRUE(hit) << "key " << fp;
+    }
     cache.findOrBuild(key(2), build, &hit);
     EXPECT_FALSE(hit); // was evicted
     EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+/** A precompute engine's planned table size is its built table's. */
+template <typename Curve>
+void
+expectPlannedTableBytes()
+{
+    SCOPED_TRACE(Curve::kName);
+    Prng prng(0x7AB1E);
+    const auto points = generatePoints<Curve>(8, prng);
+    const Cluster cluster(DeviceSpec::a100(), 2);
+    MsmOptions options = testOptions(16);
+    options.precompute = true;
+    support::TraceRecorder trace;
+    options.trace = &trace;
+    const MsmEngine<Curve> engine(points, cluster, options);
+    ASSERT_TRUE(engine.plan().precompute);
+    EXPECT_EQ(trace.metrics().value("engine/precompute/table_bytes"),
+              static_cast<double>(engine.plan().tableBytes));
+}
+
+TEST(PrecomputePlanner, PlannedTableBytesMatchBuiltTable)
+{
+    expectPlannedTableBytes<Bn254>();
+    expectPlannedTableBytes<Bls377>();
+    expectPlannedTableBytes<Bls381>();
+    expectPlannedTableBytes<Mnt4753>();
 }
 
 TEST(PrecomputePlanner, DeclinesWhenTableExceedsMemoryBudget)

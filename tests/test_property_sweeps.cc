@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <tuple>
 
 #include "src/ec/curves.h"
@@ -21,6 +20,7 @@
 #include "src/msm/workload.h"
 #include "src/ntt/ntt.h"
 #include "src/support/prng.h"
+#include "tests/sweep_cases.h"
 
 namespace distmsm {
 namespace {
@@ -104,18 +104,13 @@ INSTANTIATE_TEST_SUITE_P(
 // window widths, cluster shapes, kernels, digit encodings and host
 // thread counts, each checked against the serial Pippenger
 // reference. The seed is fixed so the tier-1 corpus is stable;
-// DISTMSM_SWEEP_CASES overrides the case count for deeper soak runs.
+// DISTMSM_SWEEP_CASES deepens the sweep for soak runs (sweepCases).
 // ---------------------------------------------------------------
 TEST(RandomDifferentialSweep, MatchesSerialReference)
 {
-    int cases = 32;
-    if (const char *env = std::getenv("DISTMSM_SWEEP_CASES")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            cases = static_cast<int>(v);
-    }
+    const long cases = sweepCases(32);
     Prng prng(0xF00D);
-    for (int c = 0; c < cases; ++c) {
+    for (long c = 0; c < cases; ++c) {
         std::size_t n =
             1 + static_cast<std::size_t>(prng.below(4096));
         const unsigned s =

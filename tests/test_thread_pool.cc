@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for support::ThreadPool: task completion, parallelFor
- * coverage and determinism contracts, exception propagation, nested
- * submission, the pool-size-1 degeneracy and a tiny-task stress run.
+ * Unit tests for support::parallelFor and resolveHostThreads:
+ * coverage and determinism contracts, exception propagation, nesting,
+ * the exact width-1 path, the width caps and a tiny-task stress run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
-#include <numeric>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,125 +24,70 @@
 namespace distmsm::support {
 namespace {
 
-TEST(ThreadPool, SubmittedTasksComplete)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([&] { ++counter; }));
-    for (auto &f : futures)
-        f.get();
-    EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        [] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelForCoversExactRange)
 {
-    ThreadPool pool(4);
     std::vector<int> hits(1000, 0);
-    pool.parallelFor(0, hits.size(),
-                     [&](std::size_t i) { ++hits[i]; });
+    parallelFor(0, hits.size(), [&](std::size_t i) { ++hits[i]; }, 4);
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i], 1) << "index " << i;
     // Non-zero begin.
     std::vector<int> tail(100, 0);
-    pool.parallelFor(40, 100, [&](std::size_t i) { ++tail[i]; });
+    parallelFor(40, 100, [&](std::size_t i) { ++tail[i]; }, 4);
     for (std::size_t i = 0; i < 40; ++i)
         ASSERT_EQ(tail[i], 0);
     for (std::size_t i = 40; i < 100; ++i)
         ASSERT_EQ(tail[i], 1);
     // Empty and reversed ranges are no-ops.
-    pool.parallelFor(5, 5, [&](std::size_t) { FAIL(); });
-    pool.parallelFor(7, 3, [&](std::size_t) { FAIL(); });
+    parallelFor(5, 5, [&](std::size_t) { FAIL(); }, 4);
+    parallelFor(7, 3, [&](std::size_t) { FAIL(); }, 4);
 }
 
 TEST(ThreadPool, ParallelForPropagatesException)
 {
-    ThreadPool pool(4);
-    EXPECT_THROW(
-        pool.parallelFor(0, 1000,
-                         [&](std::size_t i) {
-                             if (i == 377)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
+    EXPECT_THROW(parallelFor(0, 1000,
+                             [&](std::size_t i) {
+                                 if (i == 377)
+                                     throw std::runtime_error("boom");
+                             },
+                             4),
+                 std::runtime_error);
     // The pool survives and remains usable afterwards.
     std::atomic<int> counter{0};
-    pool.parallelFor(0, 100, [&](std::size_t) { ++counter; });
+    parallelFor(0, 100, [&](std::size_t) { ++counter; }, 4);
     EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlockAndCovers)
 {
-    ThreadPool pool(4);
+    // Every helper goes through the one queue; a nested caller drains
+    // its own batch, so it never waits on workers that wait on it.
     constexpr std::size_t kOuter = 8;
     constexpr std::size_t kInner = 64;
     std::vector<std::vector<int>> hits(
         kOuter, std::vector<int>(kInner, 0));
-    pool.parallelFor(0, kOuter, [&](std::size_t o) {
-        pool.parallelFor(0, kInner,
-                         [&](std::size_t i) { ++hits[o][i]; });
-    });
+    parallelFor(
+        0, kOuter,
+        [&](std::size_t o) {
+            parallelFor(0, kInner, [&](std::size_t i) { ++hits[o][i]; },
+                        4);
+        },
+        4);
     for (const auto &row : hits)
         for (int h : row)
             ASSERT_EQ(h, 1);
 }
 
-TEST(ThreadPool, NestedSubmissionFromWorkerCompletes)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    auto outer = pool.submit([&] {
-        std::vector<std::future<void>> inner;
-        for (int i = 0; i < 8; ++i)
-            inner.push_back(pool.submit([&] { ++counter; }));
-        // Waiting inside a worker is safe: siblings (or the drain on
-        // shutdown) execute the inner tasks.
-        for (auto &f : inner)
-            f.get();
-        ++counter;
-    });
-    outer.get();
-    EXPECT_EQ(counter.load(), 9);
-}
-
-TEST(ThreadPool, PoolSizeOneRunsInlineInCallingThread)
-{
-    ThreadPool pool(1);
-    const auto caller = std::this_thread::get_id();
-    std::vector<std::thread::id> seen(16);
-    pool.parallelFor(0, seen.size(), [&](std::size_t i) {
-        seen[i] = std::this_thread::get_id();
-    });
-    for (const auto &id : seen)
-        EXPECT_EQ(id, caller);
-    // submit() is inline too — the future is ready on return.
-    bool ran = false;
-    auto f = pool.submit([&] { ran = true; });
-    EXPECT_TRUE(ran);
-    f.get();
-}
-
 TEST(ThreadPool, MaxThreadsOneForcesSequentialInlineOrder)
 {
-    ThreadPool pool(8);
     const auto caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    pool.parallelFor(
+    parallelFor(
         0, 32,
         [&](std::size_t i) {
             EXPECT_EQ(std::this_thread::get_id(), caller);
             order.push_back(i); // no race: single thread
         },
-        /*max_threads=*/1);
+        /*threads=*/1);
     ASSERT_EQ(order.size(), 32u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i) << "sequential mode must be in-order";
@@ -147,40 +95,41 @@ TEST(ThreadPool, MaxThreadsOneForcesSequentialInlineOrder)
 
 TEST(ThreadPool, StressThousandsOfTinyTasks)
 {
-    ThreadPool pool(8);
     constexpr std::size_t kTasks = 100000;
     std::atomic<std::uint64_t> sum{0};
-    pool.parallelFor(0, kTasks,
-                     [&](std::size_t i) { sum += i; });
+    parallelFor(0, kTasks, [&](std::size_t i) { sum += i; }, 8);
     EXPECT_EQ(sum.load(), kTasks * (kTasks - 1) / 2);
-
-    std::atomic<int> submitted{0};
-    std::vector<std::future<void>> futures;
-    futures.reserve(2000);
-    for (int i = 0; i < 2000; ++i)
-        futures.push_back(pool.submit([&] { ++submitted; }));
-    for (auto &f : futures)
-        f.get();
-    EXPECT_EQ(submitted.load(), 2000);
 }
 
 TEST(ThreadPool, ParallelForResultsAreDeterministic)
 {
     // Slot-per-index writes merged in index order: the documented
-    // usage contract. Identical output for any width.
+    // usage contract. Identical output for any width of the one pool.
     auto run = [](int width) {
-        ThreadPool pool(width);
         std::vector<std::uint64_t> out(4096);
-        pool.parallelFor(0, out.size(), [&](std::size_t i) {
-            std::uint64_t x = i * 0x9E3779B97F4A7C15ull + 1;
-            x ^= x >> 27;
-            out[i] = x * 0x2545F4914F6CDD1Dull;
-        });
+        parallelFor(
+            0, out.size(),
+            [&](std::size_t i) {
+                std::uint64_t x = i * 0x9E3779B97F4A7C15ull + 1;
+                x ^= x >> 27;
+                out[i] = x * 0x2545F4914F6CDD1Dull;
+            },
+            width);
         return out;
     };
     const auto w1 = run(1);
     EXPECT_EQ(w1, run(2));
     EXPECT_EQ(w1, run(8));
+}
+
+TEST(ThreadPool, ParallelForRejectsWidthBelowOne)
+{
+    // The pool may already run workers: re-execute for the child.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(parallelFor(0, 4, [](std::size_t) {}, 0),
+                ::testing::ExitedWithCode(1), "width >= 1");
+    EXPECT_EXIT(parallelFor(0, 4, [](std::size_t) {}, -3),
+                ::testing::ExitedWithCode(1), "width >= 1");
 }
 
 /** Sets DISTMSM_HOST_THREADS for its lifetime, then restores it. */
@@ -217,6 +166,24 @@ hardwareThreads()
     return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
+/** Distinct threads that ran a @p threads-wide call of 64 ~1 ms
+ *  iterations. */
+std::size_t
+distinctThreads(int threads)
+{
+    std::mutex m;
+    std::set<std::thread::id> seen;
+    parallelFor(
+        0, 64,
+        [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            const std::lock_guard<std::mutex> lock(m);
+            seen.insert(std::this_thread::get_id());
+        },
+        threads);
+    return seen.size();
+}
+
 TEST(ThreadPool, ResolveHostThreadsConvention)
 {
     EXPECT_EQ(resolveHostThreads(1), 1);
@@ -237,11 +204,22 @@ TEST(ThreadPool, ResolveHostThreadsConvention)
     }
 }
 
+TEST(ThreadPool, ParallelForWidthCapsThreads)
+{
+    const std::size_t seen = distinctThreads(2);
+    EXPECT_GE(seen, 1u);
+    EXPECT_LE(seen, 2u);
+}
+
 TEST(ThreadPool, GlobalWidthIgnoresEnvironment)
 {
+    // The environment sets the width a caller resolves, never the
+    // pool's: a 64-wide call runs on at most max(8, hardware) threads.
     const ScopedHostThreadsEnv env("64");
-    EXPECT_EQ(ThreadPool::global().size(),
-              std::max(8, hardwareThreads()));
+    const int width = resolveHostThreads(0);
+    ASSERT_EQ(width, 64);
+    EXPECT_LE(distinctThreads(width),
+              static_cast<std::size_t>(std::max(8, hardwareThreads())));
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "src/support/hex.h"
 #include "src/support/prng.h"
@@ -350,15 +351,108 @@ mulLow(const BigInt<N> &a, const BigInt<N> &b)
     return t;
 }
 
+#if defined(__x86_64__)
+
+/**
+ * addMod for 4 limbs in inline assembly: add/adc with the carry out
+ * of limb 3 kept as limb 4, sub/sbb of the modulus through limb 4,
+ * then cmov of the sum where that subtraction borrows. The operands
+ * are limbs, not pointers, so a static modulus is read in place and
+ * nothing else is forced to memory. Always inlined, like
+ * montMulAdx4.
+ */
+[[gnu::always_inline]] inline BigInt<4>
+addMod4(const BigInt<4> &a, const BigInt<4> &b, const BigInt<4> &m)
+{
+    std::uint64_t s0 = a.limb[0], s1 = a.limb[1], s2 = a.limb[2],
+                  s3 = a.limb[3];
+    std::uint64_t d0 = 0, d1 = 0, d2 = 0, d3 = 0, top = 0;
+    __asm__("addq %[b0], %[s0]\n\t"
+            "adcq %[b1], %[s1]\n\t"
+            "adcq %[b2], %[s2]\n\t"
+            "adcq %[b3], %[s3]\n\t"
+            "adcq $0, %[top]\n\t"
+            "movq %[s0], %[d0]\n\t"
+            "subq %[m0], %[d0]\n\t"
+            "movq %[s1], %[d1]\n\t"
+            "sbbq %[m1], %[d1]\n\t"
+            "movq %[s2], %[d2]\n\t"
+            "sbbq %[m2], %[d2]\n\t"
+            "movq %[s3], %[d3]\n\t"
+            "sbbq %[m3], %[d3]\n\t"
+            // a + b < m exactly when limb 4 still borrows.
+            "sbbq $0, %[top]\n\t"
+            "cmovcq %[s0], %[d0]\n\t"
+            "cmovcq %[s1], %[d1]\n\t"
+            "cmovcq %[s2], %[d2]\n\t"
+            "cmovcq %[s3], %[d3]"
+            : [s0] "+&r"(s0), [s1] "+&r"(s1), [s2] "+&r"(s2),
+              [s3] "+&r"(s3), [d0] "=&r"(d0), [d1] "=&r"(d1),
+              [d2] "=&r"(d2), [d3] "=&r"(d3), [top] "+&r"(top)
+            : [b0] "rm"(b.limb[0]), [b1] "rm"(b.limb[1]),
+              [b2] "rm"(b.limb[2]), [b3] "rm"(b.limb[3]),
+              [m0] "m"(m.limb[0]), [m1] "m"(m.limb[1]),
+              [m2] "m"(m.limb[2]), [m3] "m"(m.limb[3])
+            : "cc");
+    return BigInt<4>{{d0, d1, d2, d3}};
+}
+
+/**
+ * subMod for 4 limbs in inline assembly: sub/sbb, then the modulus
+ * added back under the borrow mask. Always inlined, like addMod4.
+ */
+[[gnu::always_inline]] inline BigInt<4>
+subMod4(const BigInt<4> &a, const BigInt<4> &b, const BigInt<4> &m)
+{
+    std::uint64_t d0 = a.limb[0], d1 = a.limb[1], d2 = a.limb[2],
+                  d3 = a.limb[3];
+    std::uint64_t t0 = 0, t1 = 0, t2 = 0, mask = 0;
+    __asm__("subq %[b0], %[d0]\n\t"
+            "sbbq %[b1], %[d1]\n\t"
+            "sbbq %[b2], %[d2]\n\t"
+            "sbbq %[b3], %[d3]\n\t"
+            // All ones when a < b, else zero.
+            "sbbq %[mask], %[mask]\n\t"
+            "movq %[m0], %[t0]\n\t"
+            "andq %[mask], %[t0]\n\t"
+            "movq %[m1], %[t1]\n\t"
+            "andq %[mask], %[t1]\n\t"
+            "movq %[m2], %[t2]\n\t"
+            "andq %[mask], %[t2]\n\t"
+            "andq %[m3], %[mask]\n\t"
+            "addq %[t0], %[d0]\n\t"
+            "adcq %[t1], %[d1]\n\t"
+            "adcq %[t2], %[d2]\n\t"
+            "adcq %[mask], %[d3]"
+            : [d0] "+&r"(d0), [d1] "+&r"(d1), [d2] "+&r"(d2),
+              [d3] "+&r"(d3), [t0] "=&r"(t0), [t1] "=&r"(t1),
+              [t2] "=&r"(t2), [mask] "+&r"(mask)
+            : [b0] "rm"(b.limb[0]), [b1] "rm"(b.limb[1]),
+              [b2] "rm"(b.limb[2]), [b3] "rm"(b.limb[3]),
+              [m0] "m"(m.limb[0]), [m1] "m"(m.limb[1]),
+              [m2] "m"(m.limb[2]), [m3] "m"(m.limb[3])
+            : "cc");
+    return BigInt<4>{{d0, d1, d2, d3}};
+}
+
+#endif // __x86_64__
+
 /**
  * (a + b) mod m, assuming a, b < m. Both a + b and a + b - m are
  * computed and one is selected by mask, so no branch depends on the
- * operands.
+ * operands. Four limbs on x86-64 take addMod4 outside constant
+ * evaluation; both compute the same value.
  */
 template <std::size_t N>
 constexpr BigInt<N>
 addMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &m)
 {
+#if defined(__x86_64__)
+    if constexpr (N == 4) {
+        if (!std::is_constant_evaluated())
+            return addMod4(a, b, m);
+    }
+#endif
     BigInt<N> s{}, d{};
     std::uint64_t carry = 0, borrow = 0;
     for (std::size_t i = 0; i < N; ++i)
@@ -376,12 +470,19 @@ addMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &m)
 
 /**
  * (a - b) mod m, assuming a, b < m: m is added back under the
- * borrow mask, with no branch on the operands.
+ * borrow mask, with no branch on the operands. Four limbs on x86-64
+ * take subMod4 outside constant evaluation.
  */
 template <std::size_t N>
 constexpr BigInt<N>
 subMod(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &m)
 {
+#if defined(__x86_64__)
+    if constexpr (N == 4) {
+        if (!std::is_constant_evaluated())
+            return subMod4(a, b, m);
+    }
+#endif
     BigInt<N> d{};
     std::uint64_t borrow = 0, carry = 0;
     for (std::size_t i = 0; i < N; ++i)

@@ -132,7 +132,7 @@ class Fp
     operator+(const Fp &o) const
     {
         Fp r;
-        r.v_ = addMod(v_, o.v_, modulus());
+        r.v_ = addMod(v_, o.v_, kMod);
         return r;
     }
 
@@ -140,7 +140,7 @@ class Fp
     operator-(const Fp &o) const
     {
         Fp r;
-        r.v_ = subMod(v_, o.v_, modulus());
+        r.v_ = subMod(v_, o.v_, kMod);
         return r;
     }
 
@@ -304,6 +304,11 @@ class Fp
     static_assert(kLimbs != 4 || P::kModulus[3] <= kMontNoCarryTopLimb,
                   "4-limb moduli must meet the no-carry CIOS bound");
 
+    /** The modulus as one static object, so the 4-limb add, sub and
+     *  multiply kernels read it from memory instead of each call
+     *  storing it to the stack first. */
+    static constexpr Base kMod = Base::fromLimbs(P::kModulus);
+
     /**
      * The tensor-core model's product, counted as tcMul. It has no
      * dedicated squaring (the digit matrix is built from the
@@ -331,9 +336,6 @@ class Fp
             return tcMul(a, b);
 #if defined(__x86_64__)
         if constexpr (kLimbs == 4) {
-            // Static, so the kernel reads the modulus from memory
-            // instead of each call storing it to the stack first.
-            static constexpr Base kMod = modulus();
             if (montAdxSupported())
                 return montMulAdx4(a, b, kMod, P::kInv64);
             return ciosMul(a, b);

@@ -21,14 +21,24 @@
  * group into a single inversion) and each round halves every bucket
  * until one point remains. A bucket of c points still costs exactly
  * c - 1 additions, but the group needs only ceil(log2(max bucket))
- * inversions in total, and both the gather and the completion walk
- * the bucket arena sequentially.
+ * inversions in total.
+ *
+ * The pending points live in a structure-of-arrays arena: x and y
+ * coordinate vectors sized once per call from the range's id count,
+ * with one flat segment per bucket. A round makes two sequential
+ * walks over the active segments. The pairing walk writes one slope
+ * denominator per pair. The completion walk re-derives the same
+ * pairs, so no pair list is kept: pair t of a segment writes slot t,
+ * and the odd leftover moves after that bucket's pairs. It completes
+ * two pairs per step, so that their multiply chains overlap in the
+ * CPU, and one pair at a spilled pair or at a segment's end.
  *
  * The x2 == x1 edge cases (doubling when y2 == y1, cancellation when
  * y2 == -y1) cannot use the shared slope; such a pair is routed out
  * of the batch into a per-bucket XYZZ spill point via the
- * identity-tolerant pacc, exactly like the fallback kernels real
- * batched-affine implementations keep for these rare collisions.
+ * identity-tolerant pacc, in pair order, exactly like the fallback
+ * kernels real batched-affine implementations keep for these rare
+ * collisions.
  *
  * Splitting a range changes no result: a bucket's rounds, pairs and
  * spills depend only on its own points, and an inverse is the same
@@ -61,22 +71,17 @@ namespace distmsm::msm {
 template <typename Curve>
 struct BatchAffineScratch
 {
-    std::vector<typename Curve::Fq> denoms;
-    std::vector<typename Curve::Fq> prefix;
-    /** Flat per-bucket segments of pending affine points; each
-     *  round compacts every segment in place. */
-    std::vector<AffinePoint<Curve>> arena;
+    /** Coordinates of the pending affine points, in flat per-bucket
+     *  segments; each round compacts every segment in place. */
+    std::vector<typename Curve::Fq> xs;
+    std::vector<typename Curve::Fq> ys;
     std::vector<std::size_t> segOff;
     std::vector<std::size_t> segLen;
-    /** Arena index of each batched pair's first input / its output. */
-    std::vector<std::size_t> pairIn;
-    std::vector<std::size_t> pairOut;
-    /** Odd leftovers moved after the completion pass consumed their
-     *  round's pair inputs (from/to arena indices). */
-    std::vector<std::size_t> carryFrom;
-    std::vector<std::size_t> carryTo;
     /** Buckets still holding more than one point. */
     std::vector<std::size_t> active;
+    /** One slope denominator per batched pair, in walk order. */
+    std::vector<typename Curve::Fq> denoms;
+    std::vector<typename Curve::Fq> prefix;
     /** Per-bucket XYZZ spill for the equal-x edge cases. */
     std::vector<XYZZPoint<Curve>> spill;
 };
@@ -107,116 +112,142 @@ batchAffineAccumulate(
     if (lo >= hi)
         return 0;
     const std::size_t width = hi - lo;
-    auto &ops = ec::opCounters();
+    auto &xs = scratch.xs;
+    auto &ys = scratch.ys;
+    auto &seg_off = scratch.segOff;
+    auto &seg_len = scratch.segLen;
+    auto &active = scratch.active;
+    auto &spill = scratch.spill;
 
     // Materialize every bucket's points once (point_of builds a
     // fresh, possibly negated copy) into contiguous segments;
     // identity contributions drop here.
-    scratch.arena.clear();
-    scratch.segOff.resize(width);
-    scratch.segLen.resize(width);
-    scratch.active.clear();
-    scratch.spill.assign(width, Xyzz::identity());
-    auto &spill = scratch.spill;
+    std::size_t ids = 0;
+    for (std::size_t b = lo; b < hi; ++b)
+        ids += buckets[b].size();
+    xs.resize(ids);
+    ys.resize(ids);
+    seg_off.resize(width);
+    seg_len.resize(width);
+    active.clear();
+    spill.assign(width, Xyzz::identity());
+    std::size_t end = 0;
     for (std::size_t i = 0; i < width; ++i) {
-        scratch.segOff[i] = scratch.arena.size();
+        seg_off[i] = end;
         for (const std::uint32_t id : buckets[lo + i]) {
             const Affine p = point_of(id);
-            if (!p.infinity)
-                scratch.arena.push_back(p);
+            if (!p.infinity) {
+                xs[end] = p.x;
+                ys[end] = p.y;
+                ++end;
+            }
         }
-        scratch.segLen[i] =
-            scratch.arena.size() - scratch.segOff[i];
-        if (scratch.segLen[i] > 1)
-            scratch.active.push_back(i);
+        seg_len[i] = end - seg_off[i];
+        if (seg_len[i] > 1)
+            active.push_back(i);
     }
 
+    // The pair at j, j + 1 adds into slot out; the inputs of every
+    // pair of a step are read before any of its outputs is written.
+    const auto complete_one = [&](std::size_t j, const Fq &inv,
+                                  std::size_t out) {
+        const Fq lambda = (ys[j + 1] - ys[j]) * inv;
+        const Fq x3 = lambda.sqr() - xs[j] - xs[j + 1];
+        ys[out] = lambda * (xs[j] - x3) - ys[j];
+        xs[out] = x3;
+    };
+    // Two independent pairs, at j and j + 2, into out and out + 1,
+    // their multiply chains interleaved.
+    const auto complete_two = [&](std::size_t j, const Fq *inv,
+                                  std::size_t out) {
+        const Fq l0 = (ys[j + 1] - ys[j]) * inv[0];
+        const Fq l1 = (ys[j + 3] - ys[j + 2]) * inv[1];
+        const Fq x0 = l0.sqr() - xs[j] - xs[j + 1];
+        const Fq x1 = l1.sqr() - xs[j + 2] - xs[j + 3];
+        const Fq y0 = l0 * (xs[j] - x0) - ys[j];
+        const Fq y1 = l1 * (xs[j + 2] - x1) - ys[j + 2];
+        xs[out] = x0;
+        ys[out] = y0;
+        xs[out + 1] = x1;
+        ys[out + 1] = y1;
+    };
+
     std::uint64_t inv_rounds = 0;
-    for (unsigned round = 0; !scratch.active.empty(); ++round) {
-        scratch.denoms.clear();
-        scratch.pairIn.clear();
-        scratch.pairOut.clear();
-        scratch.carryFrom.clear();
-        scratch.carryTo.clear();
-
+    for (unsigned round = 0; !active.empty(); ++round) {
         // Pair up each active bucket; all pairs are independent, so
-        // the whole round shares one inversion.
-        for (const std::size_t i : scratch.active) {
-            const std::size_t off = scratch.segOff[i];
-            const std::size_t len = scratch.segLen[i];
-            std::size_t kept = 0;
-            for (std::size_t j = 0; j + 1 < len; j += 2) {
-                const Affine &a = scratch.arena[off + j];
-                const Affine &b = scratch.arena[off + j + 1];
-                if (a.x == b.x) {
-                    // Doubling or cancellation: no shared slope.
-                    // Route the pair through the tolerant pacc.
-                    spill[i] = pacc(spill[i], a);
-                    spill[i] = pacc(spill[i], b);
-                    stats.paccOps += 2;
-                    continue;
-                }
-                scratch.denoms.push_back(b.x - a.x);
-                scratch.pairIn.push_back(off + j);
-                scratch.pairOut.push_back(off + kept);
-                ++kept;
-            }
-            if ((len & 1) != 0) {
-                // The odd leftover moves only after the completion
-                // pass has read this round's pair inputs.
-                scratch.carryFrom.push_back(off + len - 1);
-                scratch.carryTo.push_back(off + kept);
-                ++kept;
-            }
-            scratch.segLen[i] = kept;
+        // the whole round shares one inversion. Equal-x pairs have no
+        // slope and are spilled by the completion walk.
+        scratch.denoms.clear();
+        for (const std::size_t i : active) {
+            const std::size_t seg_end = seg_off[i] + seg_len[i];
+            for (std::size_t j = seg_off[i]; j + 1 < seg_end; j += 2)
+                if (!(xs[j] == xs[j + 1]))
+                    scratch.denoms.push_back(xs[j + 1] - xs[j]);
         }
-
-        if (!scratch.denoms.empty()) {
+        const std::size_t pairs = scratch.denoms.size();
+        if (pairs > 0) {
             batchInverse(scratch.denoms, scratch.prefix);
             ++stats.batchInvOps;
             inv_rounds |= std::uint64_t{1} << round;
-            ++ops.inv;
-            if (scratch.denoms.size() > 1)
-                ops.mul += 3 * (scratch.denoms.size() - 1);
-
-            // Complete every pair. Each output index is at most its
-            // pair's first input index, and pairs complete in gather
-            // order, so in-place compaction never clobbers an unread
-            // input.
-            for (std::size_t k = 0; k < scratch.denoms.size(); ++k) {
-                const Affine &a = scratch.arena[scratch.pairIn[k]];
-                const Affine &b =
-                    scratch.arena[scratch.pairIn[k] + 1];
-                const Fq lambda = (b.y - a.y) * scratch.denoms[k];
-                const Fq x3 = lambda.sqr() - a.x - b.x;
-                const Fq y3 = lambda * (a.x - x3) - a.y;
-                scratch.arena[scratch.pairOut[k]] =
-                    Affine::fromXY(x3, y3);
-                ops.mul += 3;
-                ops.sqr += 1; // lambda^2
-                ops.add += 6;
-                ++stats.affineAddOps;
-            }
         }
 
-        for (std::size_t k = 0; k < scratch.carryFrom.size(); ++k)
-            scratch.arena[scratch.carryTo[k]] =
-                scratch.arena[scratch.carryFrom[k]];
-
+        // Complete every pair in pairing order. A segment's outputs
+        // never pass its unread inputs, so compaction is in place.
+        const Fq *inv = scratch.denoms.data();
         std::size_t n_active = 0;
-        for (const std::size_t i : scratch.active) {
-            if (scratch.segLen[i] > 1)
-                scratch.active[n_active++] = i;
+        for (const std::size_t i : active) {
+            const std::size_t off = seg_off[i];
+            const std::size_t seg_end = off + seg_len[i];
+            std::size_t out = off;
+            std::size_t j = off;
+            while (j + 1 < seg_end) {
+                if (xs[j] == xs[j + 1]) {
+                    // Doubling or cancellation: no shared slope.
+                    // Route the pair through the tolerant pacc.
+                    spill[i] = pacc(spill[i], Affine::fromXY(xs[j], ys[j]));
+                    spill[i] = pacc(spill[i],
+                                    Affine::fromXY(xs[j + 1], ys[j + 1]));
+                    stats.paccOps += 2;
+                    j += 2;
+                } else if (j + 3 < seg_end && !(xs[j + 2] == xs[j + 3])) {
+                    complete_two(j, inv, out);
+                    inv += 2;
+                    out += 2;
+                    j += 4;
+                } else {
+                    complete_one(j, *inv, out);
+                    ++inv;
+                    ++out;
+                    j += 2;
+                }
+            }
+            if (j < seg_end) {
+                // The odd leftover, after its bucket's pairs.
+                xs[out] = xs[j];
+                ys[out] = ys[j];
+                ++out;
+            }
+            seg_len[i] = out - off;
+            if (seg_len[i] > 1)
+                active[n_active++] = i;
         }
-        scratch.active.resize(n_active);
+        active.resize(n_active);
+
+        if (pairs > 0) {
+            auto &ops = ec::opCounters();
+            ++ops.inv;
+            ops.mul += 3 * (pairs - 1) + 3 * pairs;
+            ops.sqr += pairs; // lambda^2
+            ops.add += 6 * pairs;
+            stats.affineAddOps += pairs;
+        }
     }
 
     // Fold spill and the surviving point into the output slot.
     for (std::size_t i = 0; i < width; ++i) {
         const Affine root =
-            scratch.segLen[i] > 0
-                ? scratch.arena[scratch.segOff[i]]
-                : Affine::identity();
+            seg_len[i] > 0 ? Affine::fromXY(xs[seg_off[i]], ys[seg_off[i]])
+                           : Affine::identity();
         if (spill[i].isIdentity()) {
             sums[lo + i] = Xyzz::fromAffine(root);
         } else if (root.infinity) {

@@ -6,8 +6,9 @@
  * contributions, empty and single-point buckets), the amortized
  * field-op accounting (~6 muls per accumulated point against pacc's
  * 10), range splitting (a range summed chunk by chunk gives the same
- * bits and, with the inversion rounds OR-ed, the same stats), and the
- * scratch-buffer / zero-skipping batchInverse variants.
+ * bits and, with the inversion rounds OR-ed, the same stats), a
+ * known-answer digest of sums and stats, and the scratch-buffer /
+ * zero-skipping batchInverse variants with the zero rejection.
  */
 
 #include <gtest/gtest.h>
@@ -333,6 +334,15 @@ adversarialBuckets(Prng &prng, std::size_t n_bases)
     buckets.push_back({a, a + 1});         // cancelling spill
     buckets.push_back({a, a, a + 1, b});   // both, then a survivor
     buckets.push_back({b, a, b, a, b + 1, a + 1, id(), id()});
+    // Equal-x pairs behind a slope pair: two bases distinct from a
+    // and from each other.
+    const std::uint32_t c =
+        2 * static_cast<std::uint32_t>((a / 2 + 1) % n_bases);
+    const std::uint32_t d =
+        2 * static_cast<std::uint32_t>((a / 2 + 2) % n_bases);
+    buckets.push_back({c, d, a, a});       // a pair, then doubling
+    buckets.push_back({c, d, a, a + 1});   // a pair, then cancelling
+    buckets.push_back({c, d, c, d});       // equal x only in round 1
     buckets.push_back({kIdentityId});
     buckets.push_back({kIdentityId, a, kIdentityId, b, id()});
     for (std::size_t i = buckets.size(); i-- > 1;)
@@ -399,26 +409,172 @@ TEST(BatchAffine, ChunkedRangesMatchWholeRange)
     }
 }
 
+/** 64-bit FNV-1a, fed one 64-bit word at a time. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+
+    void
+    mix(std::uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xFF;
+            h *= 0x100000001B3ull;
+        }
+    }
+
+    void
+    mix(const Fq &v)
+    {
+        for (const std::uint64_t limb : v.montgomeryForm().limb)
+            mix(limb);
+    }
+};
+
+TEST(BatchAffine, KnownAnswers)
+{
+    // One digest over fixed seeded layouts: every sum's Montgomery
+    // limbs, the returned round mask, every KernelStats field and the
+    // field-op tallies. The literal was taken from the kernel with an
+    // AffinePoint arena and a one-chain batchInverse; a rework of the
+    // kernel must reproduce it bit for bit.
+    Prng prng(0x4B4A7);
+    const auto base = msm::generatePoints<Curve>(512, prng);
+    const auto signed_point = [&](std::uint32_t id) {
+        if (id == kIdentityId)
+            return Affine::identity();
+        const Affine p = base[id / 2];
+        return (id % 2 != 0) ? p.negated() : p;
+    };
+    Fnv1a digest;
+    const auto run = [&](const Buckets &buckets, std::size_t lo,
+                         std::size_t hi) {
+        auto &ops = ec::opCounters();
+        ops.reset();
+        gpusim::KernelStats stats;
+        msm::BatchAffineScratch<Curve> scratch;
+        std::vector<Xyzz> sums(buckets.size(), Xyzz::identity());
+        digest.mix(msm::batchAffineAccumulate<Curve>(
+            buckets, lo, hi, signed_point, sums, stats, scratch));
+        for (const Xyzz &s : sums) {
+            digest.mix(s.x);
+            digest.mix(s.y);
+            digest.mix(s.zz);
+            digest.mix(s.zzz);
+        }
+        for (const std::uint64_t v :
+             {stats.phases, stats.globalAtomics,
+              stats.globalConflictWeight, stats.globalMaxConflict,
+              stats.sharedAtomics, stats.sharedConflictWeight,
+              stats.sharedMaxConflict, stats.sharedAccesses,
+              stats.gmemBytes, stats.paddOps, stats.paccOps,
+              stats.pdblOps, stats.affineAddOps, stats.batchInvOps})
+            digest.mix(v);
+        for (const std::uint64_t v : {ops.mul, ops.sqr, ops.add, ops.inv})
+            digest.mix(v);
+        return stats;
+    };
+
+    // Adversarial layouts over few bases, whole and in sub-ranges.
+    for (int layout = 0; layout < 6; ++layout) {
+        const Buckets buckets = adversarialBuckets(prng, 24);
+        run(buckets, 1, buckets.size());
+        run(buckets, layout, buckets.size() - layout);
+    }
+    // Wide rounds of every size mod 4: uniform ids over 97 buckets,
+    // then sizes skewed toward the low buckets (deep trees), then a
+    // pool of 6 bases whose repeats spill in every round.
+    const struct
+    {
+        std::uint32_t pool; ///< ids are uniform over [0, pool)
+        bool skewed;
+    } kLayouts[] = {{1024, false}, {1024, true}, {12, false}};
+    for (const auto &[pool, skewed] : kLayouts) {
+        Buckets buckets(97);
+        for (int i = 0; i < 3000; ++i) {
+            const std::uint64_t b =
+                skewed ? prng.below(prng.below(buckets.size()) + 1)
+                       : prng.below(buckets.size());
+            buckets[b].push_back(
+                static_cast<std::uint32_t>(prng.below(pool)));
+        }
+        const auto stats = run(buckets, 1, buckets.size());
+        EXPECT_GT(stats.batchInvOps, 4u);
+    }
+    EXPECT_EQ(digest.h, 0x05585726FFB9A14Dull);
+}
+
 // ---------------------------------------------------------------
 // batchInverse variants.
 // ---------------------------------------------------------------
+
+/** @p n random non-zero field elements. */
+std::vector<Fq>
+nonZeroValues(Prng &prng, std::size_t n)
+{
+    std::vector<Fq> values(n);
+    for (auto &v : values) {
+        do {
+            v = Fq::random(prng);
+        } while (v.isZero());
+    }
+    return values;
+}
 
 TEST(BatchInverse, ScratchOverloadMatchesElementwise)
 {
     Prng prng(0xBA7CB);
     std::vector<Fq> scratch;
-    // Reuse one scratch across differently-sized batches.
-    for (const std::size_t n : {1u, 2u, 7u, 64u, 3u}) {
-        std::vector<Fq> values(n);
-        for (auto &v : values) {
-            do {
-                v = Fq::random(prng);
-            } while (v.isZero());
-        }
+    // Every lane fill of the first blocks, around two block
+    // boundaries and a wide batch; one scratch across all of them.
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 17; ++n)
+        sizes.push_back(n);
+    for (const std::size_t n : {31u, 32u, 33u, 63u, 64u, 65u, 4096u, 3u})
+        sizes.push_back(n);
+    for (const std::size_t n : sizes) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        std::vector<Fq> values = nonZeroValues(prng, n);
         const auto saved = values;
         batchInverse(values, scratch);
         for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(values[i], saved[i].inverse()) << i;
+            ASSERT_EQ(values[i], saved[i].inverse()) << i;
+    }
+    // Random sizes: an inverse is the unique reduced y with x y = 1,
+    // which one product checks at a fraction of an inversion's cost.
+    const long cases = sweepCases(64);
+    for (long c = 0; c < cases; ++c) {
+        const std::size_t n = 1 + prng.below(std::size_t{1} << 12);
+        SCOPED_TRACE("case " + std::to_string(c) + ", n = " +
+                     std::to_string(n));
+        std::vector<Fq> values = nonZeroValues(prng, n);
+        const auto saved = values;
+        batchInverse(values, scratch);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_LT(values[i].montgomeryForm(), Fq::modulus()) << i;
+            ASSERT_EQ(values[i] * saved[i], Fq::one()) << i;
+        }
+    }
+}
+
+TEST(BatchInverse, ZeroElementIsRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Prng prng(0xBA7CF);
+    for (const std::size_t n : {1u, 4u, 7u, 8u, 9u, 64u}) {
+        for (const std::size_t zero_at : {std::size_t{0}, std::size_t{3},
+                                          std::size_t{4}, n - 1}) {
+            if (zero_at >= n)
+                continue;
+            SCOPED_TRACE("n = " + std::to_string(n) + ", zero at " +
+                         std::to_string(zero_at));
+            std::vector<Fq> values = nonZeroValues(prng, n);
+            values[zero_at] = Fq::zero();
+            std::vector<Fq> scratch;
+            EXPECT_EXIT(batchInverse(values, scratch),
+                        ::testing::ExitedWithCode(1),
+                        "batchInverse of zero element");
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "src/field/field_params.h"
 #include "src/support/prng.h"
@@ -277,6 +278,58 @@ TYPED_TEST(FieldTest, AddSubMatchReference)
         for (const B &b : {B::zero(), pm1})
             check(a, b);
     }
+}
+
+TEST(WideModulusAddSub, CarryOutOfTheTopLimbIsKept)
+{
+    // Every field modulus here is below 2^255, so no field sum
+    // carries out of limb 3. At p = 2^256 - 189, the largest 256-bit
+    // prime, about half of all sums a + b do, and addMod<4> must fold
+    // that carry into its select.
+    using B = BigInt<4>;
+    const std::uint64_t ones = ~std::uint64_t{0};
+    const B p{{ones - 188, ones, ones, ones}};
+    const auto check = [&](const B &a, const B &b) {
+        EXPECT_EQ(addMod(a, b, p), slowAddMod(a, b, p))
+            << "a = " << a.toHex() << ", b = " << b.toHex();
+        EXPECT_EQ(subMod(a, b, p), slowSubMod(a, b, p))
+            << "a = " << a.toHex() << ", b = " << b.toHex();
+    };
+    B pm1 = p;
+    pm1.subInPlace(B::fromU64(1));
+    Prng prng(0xADD5B);
+    const long cases = sweepCases(10000);
+    for (long i = 0; i < cases && !HasFailure(); ++i) {
+        const B a = B::randomBelow(prng, p);
+        const B b = B::randomBelow(prng, p);
+        check(a, b);
+        check(b, a);
+        if (i % 16 != 0)
+            continue;
+        // Sums at p - 1, p, 2^256 - 1, 2^256 and 2^256 + 1, each
+        // partner below p, in both operand orders.
+        std::vector<B> partners = {B::zero(), pm1, a};
+        for (const std::uint64_t below_2p256 : {189u, 190u, 1u, 0u}) {
+            B e = B::zero();
+            e.subInPlace(a); // 2^256 - a, wrapped
+            e.subInPlace(B::fromU64(below_2p256));
+            partners.push_back(e);
+        }
+        B over = B::zero();
+        over.subInPlace(a);
+        over.addInPlace(B::fromU64(1)); // 2^256 + 1 - a
+        partners.push_back(over);
+        for (const B &e : partners) {
+            if (e >= p)
+                continue;
+            check(a, e);
+            check(e, a);
+        }
+    }
+    // The largest sum, 2p - 2, and the sum 2^256 exactly.
+    check(pm1, pm1);
+    check(pm1, B::fromU64(190));
+    check(B::zero(), pm1);
 }
 
 TYPED_TEST(FieldTest, MulSqrMatchCios)
